@@ -37,6 +37,7 @@ from .model import (
     load_checkpoint,
     lwf_penalty_and_grads,
     save_checkpoint,
+    teacher_targets,
     train_minibatch,
 )
 from .numerics import (

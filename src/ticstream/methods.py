@@ -20,6 +20,8 @@ from .model import (
     ModelDims,
     TwoTowerParams,
     init_params,
+    release_work_buffers,
+    teacher_targets,
     train_minibatch,
 )
 from .numerics import AdamState, Rng, ShapeError
@@ -154,6 +156,10 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
     pos = n
     epoch = it_start  # epoch streams keyed by the iteration that opened them
     losses = []
+    targets = None
+    if lwf is not None:
+        # the teacher is frozen for the whole segment: embed its pairs once
+        targets = teacher_targets(lwf[0], records.images, records.texts, lwf[1])
     for it in range(it_start, it_stop):
         if order is None or pos + bs > n:
             order = rng.split("epoch", epoch).permutation(n)
@@ -162,9 +168,11 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
         idx = order[pos : pos + bs]
         pos += bs
         lr = lr_at(sched, it, is_first)
-        ckpt, rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, lwf)
+        teacher = None if targets is None else targets.take(idx)
+        ckpt, rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher)
         losses.append(rec["loss"] + rec["penalty"])
         ledger.charge_train(t, bill * iter_macs, 1)
+    release_work_buffers()
     return ckpt, losses
 
 

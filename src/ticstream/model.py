@@ -5,6 +5,17 @@ L2-normalized. Gradients are hand-derived; `finite_diff_grad` is the
 independent oracle in the test suite. The similarity-distillation penalty
 (KL of teacher similarity rows against student rows, both retrieval
 directions) backs the warm-start regularization method.
+
+One kernel, `_contrastive_step`, computes the contrastive loss, the penalty
+and their summed gradients with one student forward and one backward; the
+public loss functions are thin wrappers over it. Its B x B work matrices are
+module-level, reused across calls, reallocated when B changes and freed by
+`release_work_buffers` when a training loop ends. The kernel is therefore not
+re-entrant: one training loop per process (the experiment pool runs its jobs
+in separate processes). The penalty takes the teacher's embeddings
+precomputed (`teacher_targets`); a training segment embeds its whole training
+set once, which is valid only because the teacher is frozen while the student
+trains.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AdamState, NumericError, Rng, ShapeError, adam_step, l2_normalize_rows, softmax_rows
+from .numerics import AdamState, NumericError, Rng, ShapeError, adam_step, l2_normalize_rows
 
 INIT_INV_TEMPERATURE = 1.0 / 0.07
 MAX_INV_TEMPERATURE = 100.0
@@ -153,28 +164,52 @@ def _encode_with_caches(params, images, texts):
     return u, v, (cache_u, nu), (cache_v, nv)
 
 
-def _grads_from_dlogits(params, u, v, ctx_u, ctx_v, d_logits, scale, d_log_scale_extra=0.0):
-    """Backprop d(loss)/d(logits) through scale, normalization, and both towers."""
-    cache_u, nu = ctx_u
-    cache_v, nv = ctx_v
-    d_u = scale * (d_logits @ v)
-    d_v = scale * (d_logits.T @ u)
-    d_log_scale = scale * float((d_logits * (u @ v.T)).sum()) + d_log_scale_extra
-    d_raw_u = _normalize_backward(d_u, u, nu)
-    d_raw_v = _normalize_backward(d_v, v, nv)
-    g_img = _tower_backward(params.image_layers, cache_u, d_raw_u)
-    g_txt = _tower_backward(params.text_layers, cache_v, d_raw_v)
-    grads = {}
-    for tower, gs in (("image", g_img), ("text", g_txt)):
-        for i, (gw, gb) in enumerate(gs):
-            grads[f"{tower}.{i}.W"] = gw
-            grads[f"{tower}.{i}.b"] = gb
-    grads["log_scale"] = np.asarray(d_log_scale, dtype=np.float64)
-    return grads
+@dataclass(frozen=True)
+class TeacherTargets:
+    """What the student is distilled toward: the frozen teacher's embeddings
+    of a set of pairs, its log inverse temperature, and the penalty weight."""
+
+    images: np.ndarray  # (N, E) unit rows
+    texts: np.ndarray  # (N, E) unit rows
+    log_scale: float
+    lam: float
+
+    def take(self, idx: np.ndarray) -> "TeacherTargets":
+        return TeacherTargets(self.images[idx], self.texts[idx], self.log_scale, self.lam)
 
 
-def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.ndarray):
-    """Symmetric contrastive loss with diagonal targets and its gradients."""
+def teacher_targets(teacher: TwoTowerParams, images: np.ndarray, texts: np.ndarray, lam: float) -> TeacherTargets:
+    """Embed pairs with the teacher, for `train_minibatch`'s `lwf` argument."""
+    if lam < 0:
+        raise ValueError("lambda must be >= 0")
+    return TeacherTargets(encode(teacher, images, "image"), encode(teacher, texts, "text"), teacher.log_scale, lam)
+
+
+# B x B float64 scratch matrices of `_contrastive_step`, reused while B holds
+_work: list[np.ndarray] = []
+
+
+def _work_buffers(n: int, count: int) -> list[np.ndarray]:
+    if _work and _work[0].shape[0] != n:
+        _work.clear()
+    while len(_work) < count:
+        _work.append(np.empty((n, n)))
+    return _work
+
+
+def release_work_buffers() -> None:
+    """Free the contrastive kernel's work matrices. A training loop calls this
+    when it ends, so that they hold no memory outside training."""
+    _work.clear()
+
+
+def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTargets | None = None, clip: bool = True):
+    """Contrastive loss, distillation penalty and their summed student gradients.
+
+    One student forward and one backward. With `clip` false the contrastive
+    term stays out of the gradients (its loss is still returned). Returns
+    (loss, penalty, grads); nothing returned aliases the work buffers.
+    """
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
     n = images.shape[0]
@@ -182,22 +217,73 @@ def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.nd
         raise ValueError("empty batch")
     if texts.shape[0] != n:
         raise ShapeError("image/text batch sizes differ")
-    u, v, ctx_u, ctx_v = _encode_with_caches(params, images, texts)
+    if teacher is not None and (teacher.images.shape[0] != n or teacher.texts.shape[0] != n):
+        raise ShapeError("teacher targets do not match the batch")
+    u, v, (cache_u, nu), (cache_v, nv) = _encode_with_caches(params, images, texts)
     scale = float(np.exp(params.log_scale))
-    logits = scale * (u @ v.T)
+    sims, e, grad, *rest = _work_buffers(n, 3 if teacher is None else 4)
+    np.matmul(u, v.T, out=sims)
     # one exponential serves both softmax directions; logits are bounded by
     # the clamped scale so a global max shift cannot overflow
-    e = np.exp(logits - logits.max())
-    p_rows = e / e.sum(axis=1, keepdims=True)
-    p_cols = e / e.sum(axis=0, keepdims=True)
-    diag = np.arange(n)
-    loss = 0.5 * (
-        -np.log(p_rows[diag, diag]).mean() - np.log(p_cols[diag, diag]).mean()
-    )
-    d_logits = (0.5 / n) * (p_rows + p_cols)
-    d_logits[diag, diag] -= 1.0 / n
-    grads = _grads_from_dlogits(params, u, v, ctx_u, ctx_v, d_logits, scale)
-    return float(loss), grads
+    np.multiply(sims, scale, out=e)
+    e -= e.max()
+    np.exp(e, out=grad)
+    rows, cols = grad.sum(axis=1), grad.sum(axis=0)
+    g_diag = np.diagonal(grad)
+    loss = 0.5 * (-np.log(g_diag / rows).mean() - np.log(g_diag / cols).mean())
+
+    lam, penalty = 0.0, 0.0
+    if teacher is not None:
+        # KL(teacher || student) of the row softmaxes, with log-softmax taken
+        # from shifted logits (log p = logit - log row sum) and teacher rows
+        # summing to 1: (1/n) [sum_i sum_j t_ij k_ij / t_rows_i
+        # + sum_i log(rows_i / t_rows_i)], t = exp(teacher shifted logits),
+        # k = teacher minus student shifted logits. Columns likewise.
+        (t,) = rest
+        lam = teacher.lam
+        np.matmul(teacher.images, teacher.texts.T, out=t)
+        t *= float(np.exp(teacher.log_scale))
+        t -= t.max()
+        np.subtract(t, e, out=e)  # k
+        np.exp(t, out=t)
+        t_rows, t_cols = t.sum(axis=1), t.sum(axis=0)
+        e *= t
+        kl = ((e.sum(axis=1) / t_rows).sum() + (e.sum(axis=0) / t_cols).sum()
+              + np.log(rows).sum() - np.log(t_rows).sum() + np.log(cols).sum() - np.log(t_cols).sum()) / n
+        penalty = lam * 0.5 * float(kl)
+
+    np.divide(grad, rows[:, None], out=e)
+    grad /= cols
+    grad += e  # row softmax + column softmax
+    # d(loss)/d(logits): (clip + lam) * 0.5/n * student softmaxes
+    # - lam * 0.5/n * teacher softmaxes - [clip] I/n
+    grad *= (float(clip) + lam) * 0.5 / n
+    if teacher is not None:
+        np.multiply(t, (1.0 / t_rows)[:, None], out=e)
+        t *= 1.0 / t_cols
+        e += t  # teacher row softmax + column softmax
+        e *= lam * 0.5 / n
+        grad -= e
+    if clip:
+        grad.reshape(-1)[:: n + 1] -= 1.0 / n
+
+    d_raw_u = _normalize_backward(scale * (grad @ v), u, nu)
+    d_raw_v = _normalize_backward(scale * (grad.T @ u), v, nv)
+    np.multiply(grad, sims, out=sims)
+    grads = {}
+    for tower, layers, cache, d_raw in (("image", params.image_layers, cache_u, d_raw_u),
+                                        ("text", params.text_layers, cache_v, d_raw_v)):
+        for i, (gw, gb) in enumerate(_tower_backward(layers, cache, d_raw)):
+            grads[f"{tower}.{i}.W"] = gw
+            grads[f"{tower}.{i}.b"] = gb
+    grads["log_scale"] = np.asarray(scale * float(sims.sum()), dtype=np.float64)
+    return float(loss), penalty, grads
+
+
+def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.ndarray):
+    """Symmetric contrastive loss with diagonal targets and its gradients."""
+    loss, _, grads = _contrastive_step(params, images, texts)
+    return loss, grads
 
 
 def lwf_penalty_and_grads(
@@ -211,32 +297,8 @@ def lwf_penalty_and_grads(
 
     Gradients flow to the student only.
     """
-    if lam < 0:
-        raise ValueError("lambda must be >= 0")
-    images = np.asarray(images, dtype=np.float64)
-    texts = np.asarray(texts, dtype=np.float64)
-    n = images.shape[0]
-    if n == 0:
-        raise ValueError("empty batch")
-    ut = encode(teacher, images, "image")
-    vt = encode(teacher, texts, "text")
-    t_logits = float(np.exp(teacher.log_scale)) * (ut @ vt.T)
-    et = np.exp(t_logits - t_logits.max())
-    pt_rows = et / et.sum(axis=1, keepdims=True)
-    pt_cols = et / et.sum(axis=0, keepdims=True)
-
-    u, v, ctx_u, ctx_v = _encode_with_caches(student, images, texts)
-    scale = float(np.exp(student.log_scale))
-    s_logits = scale * (u @ v.T)
-    es = np.exp(s_logits - s_logits.max())
-    qs_rows = es / es.sum(axis=1, keepdims=True)
-    qs_cols = es / es.sum(axis=0, keepdims=True)
-
-    kl_rows = float((pt_rows * (np.log(pt_rows) - np.log(qs_rows))).sum(axis=1).mean())
-    kl_cols = float((pt_cols * (np.log(pt_cols) - np.log(qs_cols))).sum(axis=0).mean())
-    penalty = lam * 0.5 * (kl_rows + kl_cols)
-    d_logits = lam * 0.5 * ((qs_rows - pt_rows) / n + (qs_cols - pt_cols) / n)
-    grads = _grads_from_dlogits(student, u, v, ctx_u, ctx_v, d_logits, scale)
+    targets = teacher_targets(teacher, images, texts, lam)
+    _, penalty, grads = _contrastive_step(student, images, texts, targets, clip=False)
     return penalty, grads
 
 
@@ -250,16 +312,16 @@ def train_minibatch(
     images: np.ndarray,
     texts: np.ndarray,
     lr: float,
-    lwf: tuple[TwoTowerParams, float] | None = None,
+    lwf: TeacherTargets | None = None,
 ) -> tuple[Checkpoint, dict]:
-    """One forward/backward/Adam step; returns the new checkpoint and a loss record."""
-    loss, grads = clip_loss_and_grads(ckpt.params, images, texts)
-    penalty = 0.0
-    if lwf is not None:
-        teacher, lam = lwf
-        penalty, pgrads = lwf_penalty_and_grads(teacher, ckpt.params, images, texts, lam)
-        for k in grads:
-            grads[k] = grads[k] + pgrads[k]
+    """One forward/backward/Adam step; returns the new checkpoint and a loss record.
+
+    `lwf` holds the teacher's targets for exactly these pairs.
+    """
+    loss, penalty, grads = _contrastive_step(ckpt.params, images, texts, lwf)
+    values = np.concatenate([[loss, penalty]] + [g.ravel() for g in grads.values()])
+    if not np.isfinite(values).all():
+        raise NumericError(f"non-finite loss, penalty or gradient at global_step {ckpt.global_step}")
     flat = ckpt.params.to_flat()
     new_flat, new_adam = adam_step(flat, grads, ckpt.adam, lr)
     new_params = clamp_log_scale(TwoTowerParams.from_flat(new_flat))

@@ -10,11 +10,13 @@ from ticstream.model import (
     encode,
     init_params,
     load_checkpoint,
+    _contrastive_step,
     lwf_penalty_and_grads,
     save_checkpoint,
+    teacher_targets,
     train_minibatch,
 )
-from ticstream.numerics import AdamState, Rng, finite_diff_grad
+from ticstream.numerics import AdamState, NumericError, Rng, adam_step, finite_diff_grad
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
 
@@ -231,6 +233,51 @@ class TestTrainMinibatch:
             ckpt, rec = train_minibatch(ckpt, imgs, txts, lr=3e-3)
             loss = rec["loss"]
         assert loss < np.log(2)
+
+
+    def test_teacher_step_matches_summed_wrapper_gradients(self):
+        ckpt = self.make_ckpt(seed=3)
+        ckpt.adam.step_count = 4
+        ckpt.adam.first_moment["log_scale"] += 0.1
+        teacher = init_params(DIMS, Rng(4))
+        imgs, txts = small_batch(5, n=7)
+        loss, grads = clip_loss_and_grads(ckpt.params, imgs, txts)
+        penalty, pgrads = lwf_penalty_and_grads(teacher, ckpt.params, imgs, txts, 0.6)
+        want, _ = adam_step(ckpt.params.to_flat(), {k: grads[k] + pgrads[k] for k in grads}, ckpt.adam, 1e-2)
+        new, rec = train_minibatch(ckpt, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6))
+        got = new.params.to_flat()
+        before = ckpt.params.to_flat()
+        for k in want:
+            assert rel_err(got[k] - before[k], want[k] - before[k]) <= 1e-12, k
+        assert (rec["loss"], rec["penalty"]) == (loss, penalty)
+
+    def test_non_finite_input_stops_the_step(self):
+        ckpt = self.make_ckpt()
+        ckpt.global_step = 41
+        imgs, txts = small_batch(6, n=4)
+        imgs[2, 1] = np.nan
+        with pytest.raises(NumericError, match="global_step 41"):
+            train_minibatch(ckpt, imgs, txts, lr=1e-3)
+
+
+class TestWorkBuffers:
+    def test_reuse_is_unobservable(self):
+        p = init_params(DIMS, Rng(12))
+        teacher = init_params(DIMS, Rng(13))
+        batches = {n: small_batch(n + 60, n=n) for n in (4, 8)}
+        targets = {n: teacher_targets(teacher, *batches[n], 0.9) for n in batches}
+        for with_teacher in (False, True):
+            # same size twice (buffers reused), then a resize and back
+            calls = [(4, with_teacher), (4, not with_teacher), (8, with_teacher), (4, with_teacher)]
+            outs, copies = [], []
+            for n, t in calls:
+                outs.append(_contrastive_step(p, *batches[n], targets[n] if t else None))
+                copies.append({k: g.copy() for k, g in outs[-1][2].items()})
+                # an earlier call's gradients survive this call
+                for out, copy in zip(outs, copies):
+                    assert all(np.array_equal(out[2][k], copy[k]) for k in copy)
+            assert outs[3][:2] == outs[0][:2]
+            assert all(np.array_equal(copies[3][k], copies[0][k]) for k in copies[0])
 
 
 class TestCheckpointIO:
