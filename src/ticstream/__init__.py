@@ -1,7 +1,6 @@
 """Deterministic desk-scale time-continual contrastive training framework."""
 
 from .datagen import (
-    PairRecord,
     RecordBatch,
     StreamConfig,
     TimestepDataset,
@@ -46,8 +45,6 @@ from .numerics import (
     adam_step,
     finite_diff_grad,
     l2_normalize_rows,
-    matmul,
-    softmax_rows,
 )
 from .replay import BufferPolicy, ReplayPlan, assemble_training_set, plan_replay, sample_buffer
 from .runner import (

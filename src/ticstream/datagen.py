@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FormatError
+from .model import FormatError, _Cursor
 from .numerics import Rng
 
 STREAM_MAGIC = b"TICD"
@@ -74,14 +74,6 @@ class StreamConfig:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class PairRecord:
-    image_vec: np.ndarray
-    text_vec: np.ndarray
-    class_id: int
-    timestep: int
-
-
 @dataclass
 class RecordBatch:
     """Column-wise store for a set of pair records."""
@@ -96,9 +88,6 @@ class RecordBatch:
 
     def take(self, idx) -> "RecordBatch":
         return RecordBatch(self.class_ids[idx], self.images[idx], self.texts[idx], self.timesteps[idx])
-
-    def record(self, i: int) -> PairRecord:
-        return PairRecord(self.images[i], self.texts[i], int(self.class_ids[i]), int(self.timesteps[i]))
 
     @classmethod
     def concat(cls, batches) -> "RecordBatch":
@@ -246,31 +235,39 @@ def aggregate_early_steps(datasets: list[TimestepDataset], merge_first_k: int) -
 # text_dim u32; three record sections (train, eval_retrieval,
 # eval_classification) each "count u32, then (class_id u32, image f64s,
 # text f64s) per record"; prototype section "count u32, then (class_id u32,
-# text_dim f64s)". Little-endian throughout.
+# text_dim f64s)". Little-endian throughout, no padding: each section's rows
+# are one packed structured array.
 # ---------------------------------------------------------------------------
+
+
+def _record_dtype(image_dim: int, text_dim: int) -> np.dtype:
+    return np.dtype([("class_id", "<u4"), ("image", "<f8", (image_dim,)), ("text", "<f8", (text_dim,))])
+
+
+def _prototype_dtype(text_dim: int) -> np.dtype:
+    return np.dtype([("class_id", "<u4"), ("text", "<f8", (text_dim,))])
+
+
+def _pack_section(dtype: np.dtype, **columns) -> bytes:
+    rows = np.empty(len(columns["class_id"]), dtype)
+    for name, column in columns.items():
+        rows[name] = column
+    return struct.pack("<I", len(rows)) + rows.tobytes()
 
 
 def write_timestep_file(ds: TimestepDataset, path) -> None:
     image_dim = ds.train.images.shape[1]
     text_dim = ds.train.texts.shape[1]
     chunks = [STREAM_MAGIC, struct.pack("<IIII", STREAM_VERSION, ds.timestep, image_dim, text_dim)]
-    for batch in (ds.train, ds.eval_retrieval, ds.eval_classification):
-        chunks.append(struct.pack("<I", len(batch)))
-        for i in range(len(batch)):
-            chunks.append(struct.pack("<I", int(batch.class_ids[i])))
-            chunks.append(batch.images[i].astype("<f8").tobytes())
-            chunks.append(batch.texts[i].astype("<f8").tobytes())
-    chunks.append(struct.pack("<I", len(ds.prototype_ids)))
-    for i in range(len(ds.prototype_ids)):
-        chunks.append(struct.pack("<I", int(ds.prototype_ids[i])))
-        chunks.append(ds.prototypes[i].astype("<f8").tobytes())
+    records = _record_dtype(image_dim, text_dim)
+    for b in (ds.train, ds.eval_retrieval, ds.eval_classification):
+        chunks.append(_pack_section(records, class_id=b.class_ids, image=b.images, text=b.texts))
+    chunks.append(_pack_section(_prototype_dtype(text_dim), class_id=ds.prototype_ids, text=ds.prototypes))
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 
 def read_timestep_file(path) -> TimestepDataset:
-    from .model import _Cursor  # shared binary cursor
-
     with open(path, "rb") as f:
         buf = f.read()
     cur = _Cursor(buf)
@@ -280,28 +277,22 @@ def read_timestep_file(path) -> TimestepDataset:
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported stream version {version}", 4)
 
-    def read_section() -> RecordBatch:
-        n = cur.u32()
-        class_ids = np.zeros(n, dtype=np.int64)
-        images = np.zeros((n, image_dim))
-        texts = np.zeros((n, text_dim))
-        for i in range(n):
-            class_ids[i] = cur.u32()
-            images[i] = cur.f64s(image_dim)
-            texts[i] = cur.f64s(text_dim)
-        return RecordBatch(class_ids, images, texts, np.full(n, timestep, dtype=np.int64))
+    def read_section(dtype: np.dtype) -> list[np.ndarray]:
+        """Columns of the next section: class ids as int64, vectors as float64."""
+        rows = cur.array(dtype, cur.u32())
+        return [rows["class_id"].astype(np.int64)] + [rows[n].astype(np.float64, order="C") for n in dtype.names[1:]]
 
-    train = read_section()
-    eval_r = read_section()
-    eval_c = read_section()
-    pc = cur.u32()
-    proto_ids = np.zeros(pc, dtype=np.int64)
-    protos = np.zeros((pc, text_dim))
-    for i in range(pc):
-        proto_ids[i] = cur.u32()
-        protos[i] = cur.f64s(text_dim)
-    if cur.pos != len(buf):
-        raise FormatError("trailing bytes", cur.pos)
+    records = _record_dtype(image_dim, text_dim)
+
+    def read_batch() -> RecordBatch:
+        class_ids, images, texts = read_section(records)
+        return RecordBatch(class_ids, images, texts, np.full(len(class_ids), timestep, dtype=np.int64))
+
+    train = read_batch()
+    eval_r = read_batch()
+    eval_c = read_batch()
+    proto_ids, protos = read_section(_prototype_dtype(text_dim))
+    cur.end()
     return TimestepDataset(timestep, train, eval_r, eval_c, proto_ids, protos)
 
 

@@ -92,10 +92,9 @@ def apply_patch(prev: TwoTowerParams, new: TwoTowerParams, alpha: float) -> TwoT
     """Elementwise (1-alpha) * prev + alpha * new over every parameter."""
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError("alpha must be in [0, 1]")
-    pf, nf = prev.to_flat(), new.to_flat()
-    if set(pf) != set(nf) or any(pf[k].shape != nf[k].shape for k in pf):
+    if prev.layout != new.layout:
         raise ShapeError("patch operands have different parameter shapes")
-    return TwoTowerParams.from_flat({k: (1 - alpha) * pf[k] + alpha * nf[k] for k in pf})
+    return TwoTowerParams.wrap((1 - alpha) * prev.vector + alpha * new.vector, prev.layout)
 
 
 def tune_patch_alpha(
@@ -137,13 +136,7 @@ class StepContext:
 
 
 def _fresh_checkpoint(params: TwoTowerParams, t: int, method_id: str) -> Checkpoint:
-    return Checkpoint(
-        params=params,
-        adam=AdamState.init_like(params.to_flat()),
-        global_step=0,
-        trained_through_step=t,
-        method_id=method_id,
-    )
+    return Checkpoint(params, AdamState.init_like(params.vector), 0, t, method_id)
 
 
 def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):

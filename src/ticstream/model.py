@@ -30,7 +30,7 @@ from .numerics import AdamState, NumericError, Rng, ShapeError, adam_step, l2_no
 INIT_INV_TEMPERATURE = 1.0 / 0.07
 MAX_INV_TEMPERATURE = 100.0
 CHECKPOINT_MAGIC = b"TICC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -41,38 +41,62 @@ class ModelDims:
     embed_dim: int
 
 
-@dataclass
+# per tower, the (fan_in, fan_out) shape of each layer's weight matrix
+Layout = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+
+
+def _layout_size(layout: Layout) -> int:
+    return sum((fan_in + 1) * fan_out for shapes in layout for fan_in, fan_out in shapes) + 1
+
+
 class TwoTowerParams:
-    """Weights for both towers plus the learnable log inverse temperature."""
+    """Weights for both towers plus the learnable log inverse temperature.
 
-    image_layers: list[tuple[np.ndarray, np.ndarray]]
-    text_layers: list[tuple[np.ndarray, np.ndarray]]
-    log_scale: float
+    All of them are views into one contiguous float64 `vector`: each image
+    layer's W then b, each text layer's W then b, and log_scale last.
+    Gradients and Adam moments use the same layout.
+    """
 
-    def to_flat(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for tower, layers in (("image", self.image_layers), ("text", self.text_layers)):
-            for i, (w, b) in enumerate(layers):
-                out[f"{tower}.{i}.W"] = w
-                out[f"{tower}.{i}.b"] = b
-        out["log_scale"] = np.asarray(self.log_scale, dtype=np.float64)
-        return out
+    def __init__(self, image_layers, text_layers, log_scale: float):
+        layout = tuple(tuple(w.shape for w, _ in layers) for layers in (image_layers, text_layers))
+        self._bind(np.empty(_layout_size(layout)), layout)
+        for (w, b), (w_view, b_view) in zip(image_layers + text_layers, self.image_layers + self.text_layers):
+            w_view[...] = w
+            b_view[...] = b
+        self.log_scale = log_scale
 
     @classmethod
-    def from_flat(cls, flat: dict[str, np.ndarray]) -> "TwoTowerParams":
-        layers = {"image": {}, "text": {}}
-        for key, arr in flat.items():
-            if key == "log_scale":
-                continue
-            tower, idx, part = key.split(".")
-            layers[tower].setdefault(int(idx), {})[part] = arr
-        def build(tower):
-            d = layers[tower]
-            return [(d[i]["W"], d[i]["b"]) for i in sorted(d)]
-        return cls(build("image"), build("text"), float(np.asarray(flat["log_scale"]).reshape(())))
+    def wrap(cls, vector: np.ndarray, layout: Layout) -> "TwoTowerParams":
+        """Named views into `vector` itself (no copy)."""
+        params = cls.__new__(cls)
+        params._bind(vector, layout)
+        return params
+
+    def _bind(self, vector: np.ndarray, layout: Layout) -> None:
+        if vector.shape != (_layout_size(layout),):
+            raise ShapeError(f"vector shape {vector.shape} does not match the layout {layout}")
+        self.vector, self.layout = vector, layout
+        towers, pos = [], 0
+        for shapes in layout:
+            layers = []
+            for fan_in, fan_out in shapes:
+                w = vector[pos : pos + fan_in * fan_out].reshape(fan_in, fan_out)
+                pos += fan_in * fan_out
+                layers.append((w, vector[pos : pos + fan_out]))
+                pos += fan_out
+            towers.append(layers)
+        self.image_layers, self.text_layers = towers
+
+    @property
+    def log_scale(self) -> float:
+        return float(self.vector[-1])
+
+    @log_scale.setter
+    def log_scale(self, value: float) -> None:
+        self.vector[-1] = value
 
     def copy(self) -> "TwoTowerParams":
-        return TwoTowerParams.from_flat({k: v.copy() for k, v in self.to_flat().items()})
+        return TwoTowerParams.wrap(self.vector.copy(), self.layout)
 
     @property
     def embed_dim(self) -> int:
@@ -120,18 +144,18 @@ def _tower_forward(layers, x):
     return h, caches
 
 
-def _tower_backward(layers, caches, d_out):
-    """Gradients for one tower given d(loss)/d(raw output)."""
-    grads = [None] * len(layers)
+def _tower_backward(layers, caches, d_out, grads):
+    """Writes one tower's gradients, given d(loss)/d(raw output), into the
+    (W, b) views `grads`."""
     d = d_out
     for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
         inp, act = caches[i]
         if act is not None:  # tanh layer: d arrived at activation output
             d = d * (1.0 - act * act)
-        grads[i] = (inp.T @ d, d.sum(axis=0))
-        d = d @ w.T
-    return grads
+        np.matmul(inp.T, d, out=grads[i][0])
+        d.sum(axis=0, out=grads[i][1])
+        if i:
+            d = d @ layers[i][0].T
 
 
 def _normalize_with_cache(raw):
@@ -208,7 +232,8 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
 
     One student forward and one backward. With `clip` false the contrastive
     term stays out of the gradients (its loss is still returned). Returns
-    (loss, penalty, grads); nothing returned aliases the work buffers.
+    (loss, penalty, grads), grads a fresh `TwoTowerParams` in the layout of
+    `params`; nothing returned aliases the work buffers.
     """
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
@@ -270,13 +295,10 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
     d_raw_u = _normalize_backward(scale * (grad @ v), u, nu)
     d_raw_v = _normalize_backward(scale * (grad.T @ u), v, nv)
     np.multiply(grad, sims, out=sims)
-    grads = {}
-    for tower, layers, cache, d_raw in (("image", params.image_layers, cache_u, d_raw_u),
-                                        ("text", params.text_layers, cache_v, d_raw_v)):
-        for i, (gw, gb) in enumerate(_tower_backward(layers, cache, d_raw)):
-            grads[f"{tower}.{i}.W"] = gw
-            grads[f"{tower}.{i}.b"] = gb
-    grads["log_scale"] = np.asarray(scale * float(sims.sum()), dtype=np.float64)
+    grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
+    _tower_backward(params.image_layers, cache_u, d_raw_u, grads.image_layers)
+    _tower_backward(params.text_layers, cache_v, d_raw_v, grads.text_layers)
+    grads.log_scale = scale * float(sims.sum())
     return float(loss), penalty, grads
 
 
@@ -319,12 +341,10 @@ def train_minibatch(
     `lwf` holds the teacher's targets for exactly these pairs.
     """
     loss, penalty, grads = _contrastive_step(ckpt.params, images, texts, lwf)
-    values = np.concatenate([[loss, penalty]] + [g.ravel() for g in grads.values()])
-    if not np.isfinite(values).all():
+    if not (np.isfinite((loss, penalty)).all() and np.isfinite(grads.vector).all()):
         raise NumericError(f"non-finite loss, penalty or gradient at global_step {ckpt.global_step}")
-    flat = ckpt.params.to_flat()
-    new_flat, new_adam = adam_step(flat, grads, ckpt.adam, lr)
-    new_params = clamp_log_scale(TwoTowerParams.from_flat(new_flat))
+    vector, new_adam = adam_step(ckpt.params.vector, grads.vector, ckpt.adam, lr)
+    new_params = clamp_log_scale(TwoTowerParams.wrap(vector, ckpt.params.layout))
     new_ckpt = Checkpoint(
         params=new_params,
         adam=new_adam,
@@ -336,29 +356,21 @@ def train_minibatch(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint file format: magic "TICC", version u32, method id, step counters,
-# then named float64 arrays (params followed by Adam moments). Little-endian.
+# Checkpoint file format, little-endian: magic "TICC", version u32, method id
+# (u32 length + UTF-8), trained_through_step u32, global_step u64, Adam
+# step count u64 and beta1, beta2, epsilon f64; per tower (image, text) a
+# layer count u32 and each layer's fan_in, fan_out u32; the vector length
+# u64; then the parameter vector, Adam's first moment and its second moment,
+# each that many f64s. Nothing follows.
 # ---------------------------------------------------------------------------
 
+_COUNTERS = struct.Struct("<IQQddd")
 
-class FormatError(ValueError):
+
+class FormatError(RuntimeError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
-
-
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    chunks = [struct.pack("<I", len(arrays))]
-    for name in sorted(arrays):
-        # note: ascontiguousarray would promote 0-d arrays to 1-d
-        arr = np.asarray(arrays[name], dtype=np.float64, order="C")
-        nb = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(nb)))
-        chunks.append(nb)
-        chunks.append(struct.pack("<I", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        chunks.append(arr.astype("<f8").tobytes())
-    return b"".join(chunks)
 
 
 class _Cursor:
@@ -379,39 +391,43 @@ class _Cursor:
     def u64(self) -> int:
         return struct.unpack("<Q", self.take(8))[0]
 
-    def f64s(self, n: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * n), dtype="<f8").astype(np.float64)
+    def array(self, dtype, n: int) -> np.ndarray:
+        """The next n items of `dtype`, read-only over the buffer.
 
+        A truncated read reports the offset of the first field that is cut
+        off, as reading the items one field at a time would.
+        """
+        dtype = np.dtype(dtype)
+        if self.pos + dtype.itemsize * n > len(self.buf):
+            whole, part = divmod(len(self.buf) - self.pos, dtype.itemsize)
+            fields = [dtype.fields[name][:2] for name in dtype.names] if dtype.names else [(dtype, 0)]
+            cut = next(off for field, off in fields if off + field.itemsize > part)
+            raise FormatError("truncated file", self.pos + whole * dtype.itemsize + cut)
+        return np.frombuffer(self.take(dtype.itemsize * n), dtype=dtype)
 
-def _unpack_arrays(cur: _Cursor) -> dict[str, np.ndarray]:
-    count = cur.u32()
-    out = {}
-    for _ in range(count):
-        nlen = cur.u32()
-        name = cur.take(nlen).decode("utf-8")
-        rank = cur.u32()
-        dims = [cur.u32() for _ in range(rank)]
-        size = int(np.prod(dims)) if dims else 1
-        out[name] = cur.f64s(size).reshape(dims)
-    return out
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise FormatError("trailing bytes", self.pos)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     mid = ckpt.method_id.encode("utf-8")
-    head = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION)
-    head += struct.pack("<I", len(mid)) + mid
-    head += struct.pack("<I", ckpt.trained_through_step)
-    head += struct.pack("<Q", ckpt.global_step)
-    arrays = dict(ckpt.params.to_flat())
-    for k, v in ckpt.adam.first_moment.items():
-        arrays[f"adam.m.{k}"] = v
-    for k, v in ckpt.adam.second_moment.items():
-        arrays[f"adam.v.{k}"] = v
-    arrays["adam.meta"] = np.asarray(
-        [ckpt.adam.step_count, ckpt.adam.beta1, ckpt.adam.beta2, ckpt.adam.epsilon]
-    )
+    params, adam = ckpt.params, ckpt.adam
+    chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(mid)), mid,
+              _COUNTERS.pack(ckpt.trained_through_step, ckpt.global_step,
+                             adam.step_count, adam.beta1, adam.beta2, adam.epsilon)]
+    for shapes in params.layout:
+        chunks.append(struct.pack(f"<{1 + 2 * len(shapes)}I", len(shapes), *(d for s in shapes for d in s)))
+    chunks.append(struct.pack("<Q", params.vector.size))
+    for vector in (params.vector, adam.first_moment, adam.second_moment):
+        chunks.append(vector.astype("<f8").tobytes())
     with open(path, "wb") as f:
-        f.write(head + _pack_arrays(arrays))
+        f.write(b"".join(chunks))
+
+
+def _read_shapes(cur: _Cursor) -> tuple[tuple[int, int], ...]:
+    count = cur.u32()
+    return tuple(map(tuple, cur.array("<u4", 2 * count).reshape(count, 2).tolist()))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -423,20 +439,13 @@ def load_checkpoint(path) -> Checkpoint:
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", 4)
-    mlen = cur.u32()
-    method_id = cur.take(mlen).decode("utf-8")
-    trained_through = cur.u32()
-    global_step = cur.u64()
-    arrays = _unpack_arrays(cur)
-    meta = arrays.pop("adam.meta")
-    flat, m, v = {}, {}, {}
-    for name, arr in arrays.items():
-        if name.startswith("adam.m."):
-            m[name[len("adam.m.") :]] = arr
-        elif name.startswith("adam.v."):
-            v[name[len("adam.v.") :]] = arr
-        else:
-            flat[name] = arr
-    params = TwoTowerParams.from_flat(flat)
-    adam = AdamState(m, v, int(meta[0]), float(meta[1]), float(meta[2]), float(meta[3]))
-    return Checkpoint(params, adam, global_step, trained_through, method_id)
+    method_id = cur.take(cur.u32()).decode("utf-8")
+    trained_through, global_step, step_count, beta1, beta2, epsilon = _COUNTERS.unpack(cur.take(_COUNTERS.size))
+    layout = (_read_shapes(cur), _read_shapes(cur))  # image, then text
+    n = cur.u64()
+    if n != _layout_size(layout):
+        raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8)
+    vector, m, v = (cur.array("<f8", n).astype(np.float64) for _ in range(3))
+    cur.end()
+    adam = AdamState(m, v, step_count, beta1, beta2, epsilon)
+    return Checkpoint(TwoTowerParams.wrap(vector, layout), adam, global_step, trained_through, method_id)

@@ -1,4 +1,5 @@
-"""Dense linear-algebra helpers, Adam, and a platform-stable seeded RNG.
+"""Row softmax and normalization, vector Adam, finite differences, and a
+platform-stable seeded RNG.
 
 Everything here is double precision and pure: the only mutable objects are
 AdamState and Rng, each owned by a single run.
@@ -6,7 +7,7 @@ AdamState and Rng, each owned by a single run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,18 +115,8 @@ class ShapeError(ValueError):
     pass
 
 
-class NumericError(ValueError):
+class NumericError(RuntimeError):
     pass
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def softmax_rows(m: np.ndarray) -> np.ndarray:
@@ -140,79 +131,62 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
-    if np.any(norms <= 1e-12):
-        raise NumericError("l2_normalize_rows: zero-norm row")
+    # written so that a NaN norm fails the test too
+    if not np.all(norms > 1e-12):
+        raise NumericError("l2_normalize_rows: zero-norm or NaN row")
     return m / norms
 
 
 @dataclass
 class AdamState:
-    """Adam moments for a named parameter set."""
+    """Adam moments, each a vector in the layout of the parameter vector."""
 
-    first_moment: dict[str, np.ndarray]
-    second_moment: dict[str, np.ndarray]
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     step_count: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
 
     @classmethod
-    def init_like(cls, params: dict[str, np.ndarray], beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return cls(
-            first_moment={k: np.zeros_like(v) for k, v in params.items()},
-            second_moment={k: np.zeros_like(v) for k, v in params.items()},
-            step_count=0,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
-        )
+    def init_like(cls, params: np.ndarray, beta1=0.9, beta2=0.999, epsilon=1e-8):
+        return cls(np.zeros_like(params), np.zeros_like(params), 0, beta1, beta2, epsilon)
 
 
 def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    params: np.ndarray,
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
-) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update. Returns fresh params and state."""
+) -> tuple[np.ndarray, AdamState]:
+    """One bias-corrected Adam update. Returns a fresh parameter vector and state."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
-    if set(params) != set(grads):
-        raise ShapeError(f"param/grad key mismatch: {set(params) ^ set(grads)}")
+    if grads.shape != params.shape:
+        raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
     t = state.step_count + 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    new_p, new_m, new_v = {}, {}, {}
-    for k, p in params.items():
-        g = grads[k]
-        if g.shape != p.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.shape} for {k}")
-        m = b1 * state.first_moment[k] + (1 - b1) * g
-        v = b2 * state.second_moment[k] + (1 - b2) * g * g
-        m_hat = m / (1 - b1**t)
-        v_hat = v / (1 - b2**t)
-        new_p[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-        new_m[k] = m
-        new_v[k] = v
-    new_state = AdamState(new_m, new_v, t, b1, b2, eps)
-    return new_p, new_state
+    m = b1 * state.first_moment + (1 - b1) * grads
+    v = b2 * state.second_moment + (1 - b2) * grads * grads
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t, b1, b2, eps)
 
 
-def finite_diff_grad(loss_fn, params: dict[str, np.ndarray], h: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central-difference gradient estimate, coordinate by coordinate."""
+def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of `loss_fn(params)`, coordinate by coordinate.
+
+    Each coordinate of the vector `params` is perturbed in place and restored.
+    """
     if h <= 0:
         raise ValueError("h must be > 0")
-    grads = {}
-    for k, p in params.items():
-        g = np.zeros_like(p)
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            f_plus = loss_fn(params)
-            flat_p[i] = orig - h
-            f_minus = loss_fn(params)
-            flat_p[i] = orig
-            flat_g[i] = (f_plus - f_minus) / (2 * h)
-        grads[k] = g
+    grads = np.zeros_like(params)
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + h
+        f_plus = loss_fn(params)
+        params[i] = orig - h
+        f_minus = loss_fn(params)
+        params[i] = orig
+        grads[i] = (f_plus - f_minus) / (2 * h)
     return grads

@@ -170,6 +170,24 @@ def _json_dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: int,
+                  per_step_size: int) -> StepContext:
+    """Step settings and a fresh ledger whose per-step budget is `per_step`
+    iterations of the model initialized for `first_step`."""
+    probe = init_params(cfg.dims, Rng(seed, 0).split("init", first_step))
+    ledger = BudgetLedger(per_step * macs_per_iteration(probe, cfg.batch_size))
+    return StepContext(
+        seed=seed,
+        dims=cfg.dims,
+        batch_size=cfg.batch_size,
+        per_step_iters=per_step,
+        schedule=cfg.schedule,
+        per_step_size=per_step_size,
+        lwf_lambda=cfg.lwf_lambda,
+        ledger=ledger,
+    )
+
+
 def run_method_seed(
     cfg: ExperimentConfig,
     datasets: list[TimestepDataset],
@@ -186,19 +204,8 @@ def run_method_seed(
     num_steps = len(timesteps)
     per_step = per_step_iterations(cfg.total_iters, num_steps)
 
-    probe = init_params(cfg.dims, Rng(seed, 0).split("init", timesteps[0]))
-    budget_c = per_step * macs_per_iteration(probe, cfg.batch_size)
-    ledger = BudgetLedger(budget_c)
-    ctx = StepContext(
-        seed=seed,
-        dims=cfg.dims,
-        batch_size=cfg.batch_size,
-        per_step_iters=per_step,
-        schedule=cfg.schedule,
-        per_step_size=cfg.stream.per_step_train_size,
-        lwf_lambda=cfg.lwf_lambda,
-        ledger=ledger,
-    )
+    ctx = _step_context(cfg, seed, timesteps[0], per_step, cfg.stream.per_step_train_size)
+    budget_c = ctx.ledger.budget_c_macs
 
     progress_path = run_dir / "progress.json"
     records: list[dict] = []
@@ -362,13 +369,7 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
                     prototype_ids=pool.prototype_ids,
                     prototypes=pool.prototypes,
                 ))
-            probe = init_params(cfg.dims, Rng(seed, 0).split("init", 1))
-            ledger = BudgetLedger(per_step * macs_per_iteration(probe, cfg.batch_size))
-            ctx = StepContext(
-                seed=seed, dims=cfg.dims, batch_size=cfg.batch_size,
-                per_step_iters=per_step, schedule=cfg.schedule,
-                per_step_size=shard, lwf_lambda=cfg.lwf_lambda, ledger=ledger,
-            )
+            ctx = _step_context(cfg, seed, 1, per_step, shard)
             spec = resolve_method("cumulative_all")
             prev = None
             for t in range(1, k + 1):

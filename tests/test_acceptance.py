@@ -102,26 +102,24 @@ def test_criterion_01_gradients_match_finite_differences(report):
         teacher = init_params(dims, sub.split("teacher"))
         imgs = sub.split("imgs").normal((n, dims.image_dim))
         txts = sub.split("txts").normal((n, dims.text_dim))
-        flat = {k: v.copy() for k, v in params.to_flat().items()}
+
+        # relative error per named tensor: each layer's W and b, and log_scale
+        def named(p):
+            return [a for layer in p.image_layers + p.text_layers for a in layer] + [p.vector[-1:]]
 
         _, grads = clip_loss_and_grads(params, imgs, txts)
-        fd = finite_diff_grad(
-            lambda fl: clip_loss_and_grads(TwoTowerParams.from_flat(fl), imgs, txts)[0], flat
-        )
-        for k in grads:
-            denom = max(1e-8, float(np.abs(fd[k]).max()))
-            worst = max(worst, float(np.abs(grads[k] - fd[k]).max()) / denom)
+        fd = finite_diff_grad(lambda _: clip_loss_and_grads(params, imgs, txts)[0], params.vector)
+        for got, want in zip(named(grads), named(TwoTowerParams.wrap(fd, params.layout))):
+            denom = max(1e-8, float(np.abs(want).max()))
+            worst = max(worst, float(np.abs(got - want).max()) / denom)
 
         _, grads = lwf_penalty_and_grads(teacher, params, imgs, txts, 0.8)
         fd = finite_diff_grad(
-            lambda fl: lwf_penalty_and_grads(
-                teacher, TwoTowerParams.from_flat(fl), imgs, txts, 0.8
-            )[0],
-            flat,
+            lambda _: lwf_penalty_and_grads(teacher, params, imgs, txts, 0.8)[0], params.vector
         )
-        for k in grads:
-            denom = max(1e-8, float(np.abs(fd[k]).max()))
-            worst = max(worst, float(np.abs(grads[k] - fd[k]).max()) / denom)
+        for got, want in zip(named(grads), named(TwoTowerParams.wrap(fd, params.layout))):
+            denom = max(1e-8, float(np.abs(want).max()))
+            worst = max(worst, float(np.abs(got - want).max()) / denom)
     elapsed = time.time() - start
     ok = worst <= 1e-4 and elapsed < 10.0
     report(1, ok, f"20 instances, worst rel err {worst:.2e} (<=1e-4), {elapsed:.1f}s (<10s)")

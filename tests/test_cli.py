@@ -79,6 +79,13 @@ class TestTrainEvalReport:
         printed = json.loads(capsys.readouterr().out)
         assert printed["method"] == "sequential"
 
+    def test_eval_with_truncated_checkpoint_is_exit_2(self, trained, capsys):
+        _, data, out = trained
+        last = out / "sequential" / "seed_0" / "step_002.ticc"
+        last.write_bytes(last.read_bytes()[:-5])
+        assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
+        assert "truncated file" in capsys.readouterr().err
+
     def test_eval_missing_run_is_nonzero(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost"),
                      "--data", str(tmp_path / "d")]) in (1, 2)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,49 @@ class TestTimestepFile:
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(FormatError, match="offset"):
             read_timestep_file(path)
+
+    def test_reads_and_writes_the_field_by_field_layout(self, tmp_path):
+        # a 2-dim image / 3-dim text file packed one field at a time
+        train = [(7, [1.0, -2.0], [0.5, 0.25, 3.0]), (2, [4.0, 5.0], [6.0, 7.0, 8.0])]
+        eval_r = [(1, [0.0, 1.0], [2.0, 3.0, 4.0])]
+        protos = [(1, [9.0, 8.0, 7.0]), (7, [-1.0, -2.0, -3.0])]
+        data = b"TICD" + struct.pack("<IIII", 1, 4, 2, 3)
+        for section in (train, eval_r, []):
+            data += struct.pack("<I", len(section))
+            for cid, img, txt in section:
+                data += struct.pack("<I", cid) + struct.pack("<2d", *img) + struct.pack("<3d", *txt)
+        data += struct.pack("<I", len(protos))
+        for cid, txt in protos:
+            data += struct.pack("<I", cid) + struct.pack("<3d", *txt)
+        path = tmp_path / "hand.ticd"
+        path.write_bytes(data)
+        ds = read_timestep_file(path)
+        assert ds.timestep == 4
+        assert ds.train.class_ids.tolist() == [7, 2] and ds.train.class_ids.dtype == np.int64
+        assert ds.train.images.tolist() == [[1.0, -2.0], [4.0, 5.0]]
+        assert ds.train.texts.tolist() == [[0.5, 0.25, 3.0], [6.0, 7.0, 8.0]]
+        assert ds.train.timesteps.tolist() == [4, 4]
+        assert ds.eval_retrieval.images.tolist() == [[0.0, 1.0]]
+        assert ds.eval_classification.images.shape == (0, 2)
+        assert ds.prototype_ids.tolist() == [1, 7]
+        assert ds.prototypes.tolist() == [[9.0, 8.0, 7.0], [-1.0, -2.0, -3.0]]
+        assert ds.train.images.flags.c_contiguous and ds.train.images.flags.writeable
+        write_timestep_file(ds, tmp_path / "again.ticd")
+        assert (tmp_path / "again.ticd").read_bytes() == data
+
+        # truncation names the first field cut off; trailing bytes the end
+        record = 4 + 8 * 2 + 8 * 3
+        train_rows = 4 + 16 + 4
+        for cut, offset in ((train_rows + 2, train_rows), (train_rows + 10, train_rows + 4),
+                            (train_rows + record + 30, train_rows + record + 20)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError) as exc:
+                read_timestep_file(path)
+            assert "truncated" in str(exc.value) and exc.value.offset == offset
+        path.write_bytes(data + b"\x00\x00")
+        with pytest.raises(FormatError, match="trailing") as exc:
+            read_timestep_file(path)
+        assert exc.value.offset == len(data)
 
     def test_empty_train_round_trips(self, tmp_path):
         ds = generate_stream(make_cfg())[0]

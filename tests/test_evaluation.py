@@ -12,7 +12,7 @@ from ticstream.evaluation import (
     zero_shot_accuracy,
 )
 from ticstream.model import ModelDims, init_params
-from ticstream.numerics import Rng, l2_normalize_rows
+from ticstream.numerics import NumericError, Rng, l2_normalize_rows
 from ticstream.schedule import BudgetLedger
 
 
@@ -77,6 +77,15 @@ def small_stream():
         static_class_count=2, seed=31,
     )
     return generate_stream(cfg)
+
+
+class TestRetrievalScore:
+    @pytest.mark.parametrize("column", ["images", "texts"])
+    def test_nan_input_row_raises(self, small_stream, column):
+        batch = small_stream[0].eval_retrieval.take(np.arange(6))
+        getattr(batch, column)[3, 0] = np.nan
+        with pytest.raises(NumericError):
+            retrieval_score(init_params(ModelDims(6, 5, 8, 4), Rng(0)), batch)
 
 
 class TestZeroShot:

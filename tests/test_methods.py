@@ -58,8 +58,7 @@ def run_through(method_id, stream, upto, ctx=None):
 
 
 def flat_equal(a, b):
-    fa, fb = a.to_flat(), b.to_flat()
-    return set(fa) == set(fb) and all(np.array_equal(fa[k], fb[k]) for k in fa)
+    return a.layout == b.layout and np.array_equal(a.vector, b.vector)
 
 
 class TestResolve:
@@ -94,10 +93,12 @@ class TestPatchArithmetic:
     def test_midpoint_elementwise(self):
         a = init_params(DIMS, Rng(3))
         b = init_params(DIMS, Rng(4))
-        mid = apply_patch(a, b, 0.5).to_flat()
-        fa, fb = a.to_flat(), b.to_flat()
-        for k in mid:
-            assert np.allclose(mid[k], 0.5 * fa[k] + 0.5 * fb[k], atol=1e-15)
+        mid = apply_patch(a, b, 0.5)
+        assert np.allclose(mid.vector, 0.5 * a.vector + 0.5 * b.vector, atol=1e-15)
+        w, bias = mid.text_layers[1]
+        assert np.allclose(w, 0.5 * a.text_layers[1][0] + 0.5 * b.text_layers[1][0], atol=1e-15)
+        assert np.allclose(bias, 0.5 * a.text_layers[1][1] + 0.5 * b.text_layers[1][1], atol=1e-15)
+        assert mid.log_scale == 0.5 * a.log_scale + 0.5 * b.log_scale
 
     def test_alpha_out_of_range(self):
         a = init_params(DIMS, Rng(0))

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ def small_batch(seed, n=3):
     return rng.split("img").normal((n, DIMS.image_dim)), rng.split("txt").normal((n, DIMS.text_dim))
 
 
+def tensors(p):
+    """The named tensors of a parameter set: each layer's W and b, then log_scale."""
+    return [a for layer in p.image_layers + p.text_layers for a in layer] + [p.vector[-1:]]
+
+
 def rel_err(got, want):
     denom = max(1e-8, float(np.abs(want).max()))
     return float(np.abs(np.asarray(got) - want).max()) / denom
@@ -33,9 +40,7 @@ def rel_err(got, want):
 
 class TestInit:
     def test_deterministic(self):
-        a = init_params(DIMS, Rng(3)).to_flat()
-        b = init_params(DIMS, Rng(3)).to_flat()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
+        assert np.array_equal(init_params(DIMS, Rng(3)).vector, init_params(DIMS, Rng(3)).vector)
 
     def test_biases_zero(self):
         p = init_params(DIMS, Rng(0))
@@ -68,6 +73,13 @@ class TestEncode:
         x = Rng(5).normal((3, 4))
         u = encode(p, x, "image")
         assert np.allclose(u, x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-12)
+
+    def test_nan_row_raises(self):
+        p = init_params(DIMS, Rng(2))
+        x = Rng(3).normal((4, DIMS.image_dim))
+        x[1, 2] = np.nan
+        with pytest.raises(NumericError):
+            encode(p, x, "image")
 
     def test_batch_independence(self):
         p = init_params(DIMS, Rng(4))
@@ -131,13 +143,9 @@ class TestGradients:
             p = init_params(DIMS, Rng(trial))
             imgs, txts = small_batch(trial + 100, n=4)
             _, grads = clip_loss_and_grads(p, imgs, txts)
-            flat = {k: v.copy() for k, v in p.to_flat().items()}
-            fd = finite_diff_grad(
-                lambda fl: clip_loss_and_grads(TwoTowerParams.from_flat(fl), imgs, txts)[0],
-                flat,
-            )
-            for k in grads:
-                assert rel_err(grads[k], fd[k]) < 1e-4, k
+            fd = finite_diff_grad(lambda _: clip_loss_and_grads(p, imgs, txts)[0], p.vector)
+            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams.wrap(fd, p.layout)))):
+                assert rel_err(got, want) < 1e-4, i
 
     def test_lwf_grads_match_finite_differences(self):
         for trial in range(5):
@@ -145,15 +153,11 @@ class TestGradients:
             student = init_params(DIMS, Rng(trial + 20))
             imgs, txts = small_batch(trial + 200, n=3)
             _, grads = lwf_penalty_and_grads(teacher, student, imgs, txts, 0.7)
-            flat = {k: v.copy() for k, v in student.to_flat().items()}
             fd = finite_diff_grad(
-                lambda fl: lwf_penalty_and_grads(
-                    teacher, TwoTowerParams.from_flat(fl), imgs, txts, 0.7
-                )[0],
-                flat,
+                lambda _: lwf_penalty_and_grads(teacher, student, imgs, txts, 0.7)[0], student.vector
             )
-            for k in grads:
-                assert rel_err(grads[k], fd[k]) < 1e-4, k
+            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams.wrap(fd, student.layout)))):
+                assert rel_err(got, want) < 1e-4, i
 
 
 class TestLwfPenalty:
@@ -162,7 +166,7 @@ class TestLwfPenalty:
         imgs, txts = small_batch(8, n=4)
         pen, grads = lwf_penalty_and_grads(p, p, imgs, txts, 1.0)
         assert abs(pen) < 1e-12
-        assert all(np.abs(g).max() < 1e-12 for g in grads.values())
+        assert np.abs(grads.vector).max() < 1e-12
 
     def test_single_pair_zero(self):
         t = init_params(DIMS, Rng(1))
@@ -192,15 +196,14 @@ class TestLwfPenalty:
 class TestTrainMinibatch:
     def make_ckpt(self, seed=0):
         p = init_params(DIMS, Rng(seed))
-        return Checkpoint(p, AdamState.init_like(p.to_flat()), 0, 0, "test")
+        return Checkpoint(p, AdamState.init_like(p.vector), 0, 0, "test")
 
     def test_lr_zero_keeps_params(self):
         ckpt = self.make_ckpt()
         imgs, txts = small_batch(1, n=4)
-        before = {k: v.copy() for k, v in ckpt.params.to_flat().items()}
+        before = ckpt.params.vector.copy()
         new, _ = train_minibatch(ckpt, imgs, txts, lr=0.0)
-        after = new.params.to_flat()
-        assert all(np.array_equal(before[k], after[k]) for k in before)
+        assert np.array_equal(new.params.vector, before)
         assert new.global_step == 1
 
     def test_loss_record_matches_clip_loss(self):
@@ -238,17 +241,16 @@ class TestTrainMinibatch:
     def test_teacher_step_matches_summed_wrapper_gradients(self):
         ckpt = self.make_ckpt(seed=3)
         ckpt.adam.step_count = 4
-        ckpt.adam.first_moment["log_scale"] += 0.1
+        ckpt.adam.first_moment[-1] += 0.1
         teacher = init_params(DIMS, Rng(4))
         imgs, txts = small_batch(5, n=7)
         loss, grads = clip_loss_and_grads(ckpt.params, imgs, txts)
         penalty, pgrads = lwf_penalty_and_grads(teacher, ckpt.params, imgs, txts, 0.6)
-        want, _ = adam_step(ckpt.params.to_flat(), {k: grads[k] + pgrads[k] for k in grads}, ckpt.adam, 1e-2)
+        want, _ = adam_step(ckpt.params.vector, grads.vector + pgrads.vector, ckpt.adam, 1e-2)
         new, rec = train_minibatch(ckpt, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6))
-        got = new.params.to_flat()
-        before = ckpt.params.to_flat()
-        for k in want:
-            assert rel_err(got[k] - before[k], want[k] - before[k]) <= 1e-12, k
+        named = zip(tensors(new.params), tensors(TwoTowerParams.wrap(want, ckpt.params.layout)), tensors(ckpt.params))
+        for i, (got, want_t, before) in enumerate(named):
+            assert rel_err(got - before, want_t - before) <= 1e-12, i
         assert (rec["loss"], rec["penalty"]) == (loss, penalty)
 
     def test_non_finite_input_stops_the_step(self):
@@ -272,33 +274,46 @@ class TestWorkBuffers:
             outs, copies = [], []
             for n, t in calls:
                 outs.append(_contrastive_step(p, *batches[n], targets[n] if t else None))
-                copies.append({k: g.copy() for k, g in outs[-1][2].items()})
+                copies.append(outs[-1][2].vector.copy())
                 # an earlier call's gradients survive this call
                 for out, copy in zip(outs, copies):
-                    assert all(np.array_equal(out[2][k], copy[k]) for k in copy)
+                    assert np.array_equal(out[2].vector, copy)
             assert outs[3][:2] == outs[0][:2]
-            assert all(np.array_equal(copies[3][k], copies[0][k]) for k in copies[0])
+            assert np.array_equal(copies[3], copies[0])
+
+
+def make_checkpoint(seed=0, method_id="x"):
+    p = init_params(DIMS, Rng(seed))
+    return Checkpoint(p, AdamState.init_like(p.vector), 0, 0, method_id)
 
 
 class TestCheckpointIO:
     def test_round_trip_bit_exact(self, tmp_path):
-        p = init_params(DIMS, Rng(33))
-        adam = AdamState.init_like(p.to_flat())
-        adam.first_moment["log_scale"] += 0.25
-        ckpt = Checkpoint(p, adam, global_step=17, trained_through_step=3, method_id="sequential")
+        ckpt = make_checkpoint(33, "sequential")
+        ckpt.global_step, ckpt.trained_through_step = 17, 3
+        ckpt.adam.first_moment[-1] += 0.25
+        ckpt.adam.second_moment[:5] = Rng(34).uniform(5)
+        ckpt.adam.step_count, ckpt.adam.beta2 = 17, 0.995
         path = tmp_path / "ck.ticc"
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
         assert back.method_id == "sequential"
         assert back.global_step == 17
         assert back.trained_through_step == 3
-        a, b = ckpt.params.to_flat(), back.params.to_flat()
-        assert all(np.array_equal(a[k], b[k]) for k in a)
-        assert all(
-            np.array_equal(adam.first_moment[k], back.adam.first_moment[k])
-            for k in adam.first_moment
-        )
-        assert back.adam.step_count == adam.step_count
+        assert back.params.layout == ckpt.params.layout
+        assert np.array_equal(back.params.vector, ckpt.params.vector)
+        assert np.array_equal(back.adam.first_moment, ckpt.adam.first_moment)
+        assert np.array_equal(back.adam.second_moment, ckpt.adam.second_moment)
+        assert (back.adam.step_count, back.adam.beta1, back.adam.beta2, back.adam.epsilon) == (17, 0.9, 0.995, 1e-8)
+
+    def test_loaded_params_are_writable_views(self, tmp_path):
+        path = tmp_path / "ck.ticc"
+        save_checkpoint(path, make_checkpoint())
+        params = load_checkpoint(path).params
+        params.image_layers[0][1][0] = 0.5
+        params.log_scale = 1.25
+        assert params.vector[DIMS.image_dim * DIMS.hidden_dim] == 0.5
+        assert params.vector[-1] == 1.25
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ticc"
@@ -308,21 +323,63 @@ class TestCheckpointIO:
         assert exc.value.offset == 0
 
     def test_unsupported_version(self, tmp_path):
-        p = init_params(DIMS, Rng(0))
-        ckpt = Checkpoint(p, AdamState.init_like(p.to_flat()), 0, 0, "x")
         path = tmp_path / "v.ticc"
-        save_checkpoint(path, ckpt)
+        save_checkpoint(path, make_checkpoint())
         data = bytearray(path.read_bytes())
         data[4:8] = (99).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="version"):
             load_checkpoint(path)
 
-    def test_truncation_reports_offset(self, tmp_path):
-        p = init_params(DIMS, Rng(0))
-        ckpt = Checkpoint(p, AdamState.init_like(p.to_flat()), 0, 0, "x")
-        path = tmp_path / "t.ticc"
+    def test_version_1_layout_refused(self, tmp_path):
+        # the version-1 layout: header, then named arrays (count, and per
+        # array its name, rank, dims and f64 data)
+        arrays = {"log_scale": np.array(2.0), "adam.meta": np.array([0.0, 0.9, 0.999, 1e-8])}
+        body = struct.pack("<I", len(arrays))
+        for name, arr in sorted(arrays.items()):
+            body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
+            body += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes()
+        path = tmp_path / "v1.ticc"
+        path.write_bytes(b"TICC" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<IQ", 0, 0) + body)
+        with pytest.raises(FormatError, match="version 1") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == 4
+
+    def test_vector_length_must_match_shapes(self, tmp_path):
+        ckpt = make_checkpoint()
+        n = ckpt.params.vector.size
+        path = tmp_path / "n.ticc"
         save_checkpoint(path, ckpt)
+        data = bytearray(path.read_bytes())
+        at = len(data) - 3 * 8 * n - 8
+        assert struct.unpack("<Q", data[at : at + 8]) == (n,)
+        data[at : at + 8] = struct.pack("<Q", n - 1)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="vector length") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == at
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "tail.ticc"
+        save_checkpoint(path, make_checkpoint())
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FormatError, match="trailing") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == size
+
+    def test_truncation_reports_offset(self, tmp_path):
+        path = tmp_path / "t.ticc"
+        save_checkpoint(path, make_checkpoint())
         path.write_bytes(path.read_bytes()[:50])
         with pytest.raises(FormatError, match="offset"):
             load_checkpoint(path)
+
+    def test_truncated_vector_reports_the_cut_value(self, tmp_path):
+        path = tmp_path / "t.ticc"
+        save_checkpoint(path, make_checkpoint())
+        data = path.read_bytes()
+        path.write_bytes(data[:-13])
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == len(data) - 16
