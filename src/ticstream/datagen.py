@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +59,8 @@ class StreamConfig:
         for step, count in self.class_birth_schedule:
             if not (1 <= step <= self.num_steps) or count < 1:
                 raise ConfigError(f"bad birth schedule entry ({step}, {count})")
-        if self.static_class_count + sum(c for _, c in self.class_birth_schedule) < 1:
-            raise ConfigError("at least one class required")
+        if self.static_class_count + sum(c for s, c in self.class_birth_schedule if s == 1) < 1:
+            raise ConfigError("no class alive at step 1: need a static class or a birth at step 1")
 
     def to_json(self) -> dict:
         d = asdict(self)
@@ -164,11 +164,12 @@ def _mixing_maps(cfg: StreamConfig):
     return a, b
 
 
-def _draw_batch(cfg, table, a, b, t, n, rng) -> RecordBatch:
-    alive = table.alive(t)
+def _draw_batch(cfg, alive, alive_latents, a, b, t, n, rng) -> RecordBatch:
+    """n records of step t; `alive` holds the class ids alive at t and
+    `alive_latents` their latent prototypes, one row each."""
     picks = np.floor(rng.split("cls").uniform(n) * len(alive)).astype(np.int64)
-    class_ids = np.asarray([alive[i] for i in picks], dtype=np.int64)
-    protos = np.stack([table.latent(c, t) for c in class_ids]) if n else np.zeros((0, cfg.latent_dim))
+    class_ids = alive[picks]
+    protos = alive_latents[picks]
     # latent perturbation is shared between modalities (keeps the paired
     # text retrievable); ambient noise is independent per modality
     eps = rng.split("noise").normal((n, cfg.latent_dim))
@@ -192,20 +193,21 @@ def generate_stream(cfg: StreamConfig) -> list[TimestepDataset]:
     datasets = []
     for t in range(1, cfg.num_steps + 1):
         step_rng = root.split("step", t)
+        ids = table.alive(t)
+        alive = np.asarray(ids, dtype=np.int64)
+        latents = np.stack([table.latent(c, t) for c in ids])
         # eval splits first, then training data
-        eval_r = _draw_batch(cfg, table, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_retrieval"))
-        eval_c = _draw_batch(cfg, table, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_classification"))
-        train = _draw_batch(cfg, table, a, b, t, cfg.per_step_train_size, step_rng.split("train"))
-        alive = table.alive(t)
-        protos = np.stack([table.latent(c, t) for c in alive]) @ b.T
+        eval_r = _draw_batch(cfg, alive, latents, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_retrieval"))
+        eval_c = _draw_batch(cfg, alive, latents, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_classification"))
+        train = _draw_batch(cfg, alive, latents, a, b, t, cfg.per_step_train_size, step_rng.split("train"))
         datasets.append(
             TimestepDataset(
                 timestep=t,
                 train=train,
                 eval_retrieval=eval_r,
                 eval_classification=eval_c,
-                prototype_ids=np.asarray(alive, dtype=np.int64),
-                prototypes=protos,
+                prototype_ids=alive,
+                prototypes=latents @ b.T,
             )
         )
     return datasets

@@ -3,6 +3,11 @@
 E[i][j] is the score of the model trained through step i on the eval data
 of step j. The diagonal mean is in-domain performance, the strict lower
 triangle backward transfer, the strict upper triangle forward transfer.
+
+Both metrics are top-1 scores. `_top1` finds each query's most similar
+gallery row one block of query rows at a time, in one reused buffer of
+about `_BLOCK_BYTES`, so an N×N similarity matrix is never built: recall@1
+runs it once per direction, zero-shot accuracy once against the prototypes.
 """
 
 from __future__ import annotations
@@ -18,8 +23,28 @@ from .schedule import BudgetLedger, eval_macs
 TASKS = ("retrieval", "classification")
 
 
+# Similarities held at once by `_top1`: a 1 MiB block stays inside the
+# 4 MiB L2 of the machine the figures in ROADMAP.md were measured on.
+_BLOCK_BYTES = 1 << 20
+
+
 class ProtocolError(ValueError):
     pass
+
+
+def _top1(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
+    """Index of each query's most similar gallery row; ties break to the
+    lowest index. Equal to `np.argmax(queries @ gallery.T, axis=1)`."""
+    n = len(queries)
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, len(gallery))))
+    sims = np.empty((min(rows, n), len(gallery)))
+    top = np.empty(n, dtype=np.intp)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = sims[: stop - start]
+        np.matmul(queries[start:stop], gallery.T, out=block)
+        block.argmax(axis=1, out=top[start:stop])
+    return top
 
 
 def recall_at_1(query_embs: np.ndarray, gallery_embs: np.ndarray, true_match: np.ndarray) -> float:
@@ -29,9 +54,7 @@ def recall_at_1(query_embs: np.ndarray, gallery_embs: np.ndarray, true_match: np
     """
     if len(query_embs) == 0:
         raise ProtocolError("empty query set")
-    sims = query_embs @ gallery_embs.T
-    top = np.argmax(sims, axis=1)
-    return float(np.mean(top == np.asarray(true_match)))
+    return float(np.mean(_top1(query_embs, gallery_embs) == np.asarray(true_match)))
 
 
 def retrieval_score(params: TwoTowerParams, batch: RecordBatch) -> float:
@@ -49,14 +72,14 @@ def zero_shot_accuracy(
     prototypes: np.ndarray,
 ) -> float:
     """Classify images against text-side class prototypes by cosine."""
-    present = set(int(c) for c in batch.class_ids)
-    known = set(int(c) for c in prototype_ids)
-    missing = present - known
-    if missing:
-        raise ProtocolError(f"no prototype for classes {sorted(missing)}")
+    prototype_ids = np.asarray(prototype_ids)
+    known = np.isin(batch.class_ids, prototype_ids)
+    if not known.all():
+        missing = np.unique(batch.class_ids[~known]).tolist()
+        raise ProtocolError(f"no prototype for classes {missing}")
     u = encode(params, batch.images, "image")
     p = encode(params, prototypes, "text")
-    pred = np.asarray(prototype_ids)[np.argmax(u @ p.T, axis=1)]
+    pred = prototype_ids[_top1(u, p)]
     return float(np.mean(pred == batch.class_ids))
 
 

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import ConfigError, RecordBatch, TimestepDataset
+from .datagen import ConfigError, TimestepDataset
 from .evaluation import retrieval_score
 from .model import (
     Checkpoint,

@@ -133,14 +133,13 @@ def _tower_forward(layers, x):
     caches = []
     h = x
     for i, (w, b) in enumerate(layers):
-        z = h @ w + b
-        if i < len(layers) - 1:
-            a = np.tanh(z)
-            caches.append((h, a))
-            h = a
-        else:
-            caches.append((h, None))
-            h = z
+        z = h @ w
+        z += b
+        last = i == len(layers) - 1
+        if not last:
+            np.tanh(z, out=z)
+        caches.append((h, None if last else z))
+        h = z
     return h, caches
 
 
@@ -439,7 +438,11 @@ def load_checkpoint(path) -> Checkpoint:
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", 4)
-    method_id = cur.take(cur.u32()).decode("utf-8")
+    id_offset = cur.pos + 4
+    try:
+        method_id = cur.take(cur.u32()).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError("method id is not UTF-8", id_offset) from e
     trained_through, global_step, step_count, beta1, beta2, epsilon = _COUNTERS.unpack(cur.take(_COUNTERS.size))
     layout = (_read_shapes(cur), _read_shapes(cur))  # image, then text
     n = cur.u64()

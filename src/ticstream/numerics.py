@@ -132,8 +132,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
     # written so that a NaN norm fails the test too
-    if not np.all(norms > 1e-12):
-        raise NumericError("l2_normalize_rows: zero-norm or NaN row")
+    if not np.all((norms > 1e-12) & (norms < np.inf)):
+        raise NumericError("l2_normalize_rows: zero-norm or non-finite row")
     return m / norms
 
 

@@ -12,7 +12,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from .datagen import (
     load_stream,
     write_stream,
 )
-from .evaluation import build_performance_matrix, summarize, zero_shot_accuracy
+from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .methods import PatchState, StepContext, resolve_method, run_step
 from .model import (
     Checkpoint,

@@ -47,6 +47,14 @@ class TestGen:
         bad.write_text(json.dumps(cfg))
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
 
+    def test_no_class_at_step_1_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["stream"].update(static_class_count=0, class_birth_schedule=[[2, 2]])
+        bad.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        assert "no class alive at step 1" in capsys.readouterr().err
+
 
 class TestTrainEvalReport:
     @pytest.fixture()
@@ -85,6 +93,15 @@ class TestTrainEvalReport:
         last.write_bytes(last.read_bytes()[:-5])
         assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
         assert "truncated file" in capsys.readouterr().err
+
+    def test_eval_with_undecodable_method_id_is_exit_2(self, trained, capsys):
+        _, data, out = trained
+        last = out / "sequential" / "seed_0" / "step_002.ticc"
+        raw = bytearray(last.read_bytes())
+        raw[12] = 0xFF  # first byte of the method id, after magic, version and its length
+        last.write_bytes(bytes(raw))
+        assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
+        assert "byte offset 12" in capsys.readouterr().err
 
     def test_eval_missing_run_is_nonzero(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost"),

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -108,6 +109,18 @@ class TestGenerateStream:
         with pytest.raises(ConfigError):
             make_cfg(class_birth_schedule=((9, 1),)).validate()
 
+    def test_no_class_alive_at_step_1_rejected(self):
+        cfg = make_cfg(static_class_count=0, class_birth_schedule=((2, 2),))
+        with pytest.raises(ConfigError, match="step 1"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="step 1"):
+            generate_stream(cfg)
+
+    def test_birth_at_step_1_alone_is_enough(self):
+        stream = generate_stream(make_cfg(static_class_count=0, class_birth_schedule=((1, 1), (3, 2))))
+        assert [len(ds.prototype_ids) for ds in stream] == [1, 1, 3, 3]
+        assert np.all(stream[0].train.class_ids == 0)
+
 
 class TestAggregate:
     def test_identity_when_k_is_one(self):
@@ -137,7 +150,23 @@ class TestAggregate:
             aggregate_early_steps(stream, 5)
 
 
+# SHA-256 of each .ticd file of make_cfg()'s stream. Generation is a pure
+# function of the config, so any change to how a stream is drawn or written
+# that moves one byte shows here.
+PINNED_STREAM_SHA256 = {
+    "step_001.ticd": "3a8320ec4ad4e71e19e9d732475dd90e3e212b956f6311063eda3f5760a0bd09",
+    "step_002.ticd": "bd716321a53e88e4f7e679c36a63c8e927a44443b92eee9f2c02ec1a3979ec64",
+    "step_003.ticd": "5e5f5cfe7b1f9ae6e3678d6fcfa7d27cbb1514010d18f1ef57e5e4d7b34ffe08",
+    "step_004.ticd": "46b604e9d46145fa06dd51fafa62fea3e76e6f724ffea6511fd560ecf50694ad",
+}
+
+
 class TestTimestepFile:
+    def test_stream_bytes_pinned(self, tmp_path):
+        write_stream(generate_stream(make_cfg()), make_cfg(), tmp_path)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.ticd")}
+        assert digests == PINNED_STREAM_SHA256
+
     def test_round_trip_bit_exact(self, tmp_path):
         ds = generate_stream(make_cfg())[2]
         path = tmp_path / "step.ticd"

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
-from ticstream.datagen import StreamConfig, generate_stream
+from ticstream.datagen import RecordBatch, StreamConfig, generate_stream
 from ticstream.evaluation import (
+    _BLOCK_BYTES,
     PerformanceMatrix,
     ProtocolError,
+    _top1,
     build_performance_matrix,
     recall_at_1,
     retrieval_score,
     summarize,
     zero_shot_accuracy,
 )
-from ticstream.model import ModelDims, init_params
+from ticstream.model import ModelDims, encode, init_params
 from ticstream.numerics import NumericError, Rng, l2_normalize_rows
 from ticstream.schedule import BudgetLedger
 
@@ -66,6 +68,71 @@ class TestRecallAt1:
     def test_empty_rejected(self):
         with pytest.raises(ProtocolError):
             recall_at_1(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+
+
+def blocked_shapes(n_queries, n_gallery):
+    """Asserts that `_top1` splits n_queries into several blocks, the last one short."""
+    rows = _BLOCK_BYTES // (8 * n_gallery)
+    assert n_queries > 2 * rows and n_queries % rows != 0
+
+
+class TestTop1:
+    # integer-valued embeddings: every dot product is exact, whatever the
+    # summation order, so ties are exact too, and there are many of them
+    def int_embeddings(self, rng, n, d=8):
+        return np.floor(rng.uniform(n * d) * 7 - 3).reshape(n, d)
+
+    def test_matches_full_matrix_with_exact_ties(self):
+        rng = Rng(17)
+        gallery = self.int_embeddings(rng.split("g"), 2048)
+        gallery[1500:1600] = gallery[100:200]  # duplicated rows: the earlier copy must win
+        queries = self.int_embeddings(rng.split("q"), 333)
+        blocked_shapes(len(queries), len(gallery))
+        top = _top1(queries, gallery)
+        sims = queries @ gallery.T
+        first_max = [np.flatnonzero(row == row.max())[0] for row in sims]
+        assert np.array_equal(top, first_max)
+        assert np.sum((sims == sims.max(axis=1, keepdims=True)).sum(axis=1) > 1) > 50  # rows with ties
+        assert not np.any((top >= 1500) & (top < 1600))
+
+    def test_recall_both_directions_match_full_matrix(self):
+        rng = Rng(18)
+        u = l2_normalize_rows(rng.split("u").normal((2048, 6)))
+        v = l2_normalize_rows(u + 0.3 * rng.split("v").normal((2048, 6)))
+        v[1000] = v[10]  # tie: text 10 and text 1000 are the same row
+        truth = np.arange(2048)
+        sims = u @ v.T
+        for q, g, full in ((u, v, sims), (v, u, sims.T)):
+            expected = float(np.mean(np.argmax(full, axis=1) == truth))
+            assert recall_at_1(q, g, truth) == expected
+        assert 0.0 < recall_at_1(u, v, truth) < 1.0
+
+    def test_zero_shot_matches_full_matrix(self):
+        rng = Rng(19)
+        params = init_params(ModelDims(6, 5, 8, 4), Rng(0))
+        n_protos = 2048
+        prototypes = rng.split("p").normal((n_protos, 5))
+        prototypes[n_protos // 2:] = prototypes[: n_protos // 2]  # every prototype twice
+        prototype_ids = 3 * np.arange(n_protos, dtype=np.int64) + 1
+        images = rng.split("i").normal((333, 6))
+        u = encode(params, images, "image")
+        p = encode(params, prototypes, "text")
+        pred = prototype_ids[np.argmax(u @ p.T, axis=1)]
+        assert np.all(pred < prototype_ids[n_protos // 2])  # ties went to the first copy
+        class_ids = pred.copy()
+        class_ids[::3] = prototype_ids[5]  # wrong for most of these rows
+        batch = RecordBatch(class_ids, images, np.zeros((333, 5)), np.ones(333, dtype=np.int64))
+        blocked_shapes(len(batch), n_protos)
+        expected = float(np.mean(pred == class_ids))
+        assert zero_shot_accuracy(params, batch, prototype_ids, prototypes) == expected
+        assert 0.5 < expected < 1.0
+
+    def test_single_block_and_empty_queries(self):
+        rng = Rng(20)
+        g = self.int_embeddings(rng.split("g"), 5)
+        q = self.int_embeddings(rng.split("q"), 3)
+        assert np.array_equal(_top1(q, g), np.argmax(q @ g.T, axis=1))
+        assert _top1(q[:0], g).shape == (0,)
 
 
 @pytest.fixture(scope="module")

@@ -62,6 +62,14 @@ class TestL2NormalizeRows:
         with pytest.raises(NumericError):
             l2_normalize_rows(m)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e200])
+    def test_non_finite_norm_rejected(self, value):
+        # 1e200 is finite, but its square overflows the norm to inf
+        m = np.ones((3, 2))
+        m[2, 1] = value
+        with np.errstate(over="ignore"), pytest.raises(NumericError):
+            l2_normalize_rows(m)
+
 
 class TestAdam:
     def test_lr_zero_keeps_params_bit_identical(self):
