@@ -9,6 +9,7 @@ from .datagen import (
     read_timestep_file,
     write_timestep_file,
 )
+from .errors import ConfigError, FormatError, NumericError, RunError, TicError
 from .evaluation import (
     EvalSummary,
     PerformanceMatrix,

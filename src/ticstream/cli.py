@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: gen, train, eval, report, iid-split. Exit codes: 0 success,
-1 config error, 2 runtime error.
+Subcommands: gen, train, eval, report, iid-split, run. Exit codes: 0 success,
+1 for a `ConfigError`, 2 for any other error (see `ticstream.errors`).
 """
 
 from __future__ import annotations
@@ -11,10 +11,10 @@ import json
 import sys
 from pathlib import Path
 
-from .datagen import ConfigError, generate_stream, write_stream
+from .datagen import generate_stream, write_stream
+from .errors import ConfigError, RunError
 from .runner import (
     ExperimentConfig,
-    ReportError,
     emit_report,
     evaluate_run,
     iid_split_experiment,
@@ -25,7 +25,12 @@ from .runner import (
 
 
 def _load_config(path) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(json.loads(Path(path).read_text()))
+    try:
+        cfg = ExperimentConfig.from_json(json.loads(Path(path).read_text()))
+    except KeyError as exc:
+        raise ConfigError(f"config {path}: missing field {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:  # TypeError: an unknown field
+        raise ConfigError(f"config {path}: {exc}") from exc
     cfg.validate()
     return cfg
 
@@ -59,15 +64,18 @@ def _cmd_report(args) -> int:
     for root in args.runs:
         manifests.extend(sorted(Path(root).glob("**/manifest.json")))
     if not manifests:
-        raise ReportError(f"no manifests under {args.runs}")
+        raise RunError(f"no manifests under {args.runs}")
     out = emit_report(manifests, args.out, args.format)
     print(f"report written to {out}")
     return 0
 
 
 def _cmd_iid_split(args) -> int:
+    try:
+        splits = [int(s) for s in args.splits.split(",")]
+    except ValueError:
+        raise ConfigError(f"--splits must be comma-separated integers, got {args.splits!r}") from None
     cfg = _load_config(args.config)
-    splits = [int(s) for s in args.splits.split(",")]
     table = iid_split_experiment(cfg, splits)
     for k in splits:
         print(f"splits={k}: accuracy {table[k]:.4f}")
@@ -127,7 +135,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ValueError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

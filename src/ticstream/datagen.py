@@ -18,15 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import FormatError, _Cursor
+from .errors import ConfigError, FormatError
+from .model import _Cursor
 from .numerics import Rng
 
 STREAM_MAGIC = b"TICD"
 STREAM_VERSION = 1
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -270,14 +267,12 @@ def write_timestep_file(ds: TimestepDataset, path) -> None:
 
 
 def read_timestep_file(path) -> TimestepDataset:
-    with open(path, "rb") as f:
-        buf = f.read()
-    cur = _Cursor(buf)
+    cur = _Cursor(path)
     if cur.take(4) != STREAM_MAGIC:
-        raise FormatError("bad magic", 0)
+        raise FormatError("bad magic", 0, path)
     version, timestep, image_dim, text_dim = struct.unpack("<IIII", cur.take(16))
     if version != STREAM_VERSION:
-        raise FormatError(f"unsupported stream version {version}", 4)
+        raise FormatError(f"unsupported stream version {version}", 4, path)
 
     def read_section(dtype: np.dtype) -> list[np.ndarray]:
         """Columns of the next section: class ids as int64, vectors as float64."""

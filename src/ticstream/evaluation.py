@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import RecordBatch, TimestepDataset
+from .errors import RunError
 from .model import TwoTowerParams, encode
 from .schedule import BudgetLedger, eval_macs
 
@@ -26,10 +27,6 @@ TASKS = ("retrieval", "classification")
 # Similarities held at once by `_top1`: a 1 MiB block stays inside the
 # 4 MiB L2 of the machine the figures in ROADMAP.md were measured on.
 _BLOCK_BYTES = 1 << 20
-
-
-class ProtocolError(ValueError):
-    pass
 
 
 def _top1(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
@@ -53,7 +50,7 @@ def recall_at_1(query_embs: np.ndarray, gallery_embs: np.ndarray, true_match: np
     Ties break to the lowest gallery index.
     """
     if len(query_embs) == 0:
-        raise ProtocolError("empty query set")
+        raise RunError("empty query set")
     return float(np.mean(_top1(query_embs, gallery_embs) == np.asarray(true_match)))
 
 
@@ -72,11 +69,13 @@ def zero_shot_accuracy(
     prototypes: np.ndarray,
 ) -> float:
     """Classify images against text-side class prototypes by cosine."""
+    if len(batch) == 0:
+        raise RunError("empty query set")
     prototype_ids = np.asarray(prototype_ids)
     known = np.isin(batch.class_ids, prototype_ids)
     if not known.all():
         missing = np.unique(batch.class_ids[~known]).tolist()
-        raise ProtocolError(f"no prototype for classes {missing}")
+        raise RunError(f"no prototype for classes {missing}")
     u = encode(params, batch.images, "image")
     p = encode(params, prototypes, "text")
     pred = prototype_ids[_top1(u, p)]
@@ -102,10 +101,6 @@ class PerformanceMatrix:
             "forward": summary.forward_transfer,
         }
 
-    def to_csv_rows(self) -> list[tuple[int, int, float]]:
-        t = self.num_steps
-        return [(i + 1, j + 1, float(self.entries[i, j])) for i in range(t) for j in range(t)]
-
 
 @dataclass
 class EvalSummary:
@@ -121,11 +116,9 @@ def build_performance_matrix(
     ledger: BudgetLedger | None = None,
 ) -> PerformanceMatrix:
     if task not in TASKS:
-        raise ProtocolError(f"unknown task {task!r}")
+        raise RunError(f"unknown task {task!r}")
     if len(params_per_step) != len(eval_sets):
-        raise ProtocolError(
-            f"{len(params_per_step)} checkpoints vs {len(eval_sets)} eval sets"
-        )
+        raise RunError(f"{len(params_per_step)} checkpoints vs {len(eval_sets)} eval sets")
     t = len(eval_sets)
     entries = np.zeros((t, t))
     for i, params in enumerate(params_per_step):

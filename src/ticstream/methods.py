@@ -13,7 +13,8 @@ from typing import Callable
 
 import numpy as np
 
-from .datagen import ConfigError, TimestepDataset
+from .datagen import TimestepDataset
+from .errors import ConfigError, RunError
 from .evaluation import retrieval_score
 from .model import (
     Checkpoint,
@@ -24,7 +25,7 @@ from .model import (
     teacher_targets,
     train_minibatch,
 )
-from .numerics import AdamState, Rng, ShapeError
+from .numerics import AdamState, Rng
 from .replay import BufferPolicy, ReplayPlan, assemble_training_set, plan_replay, sample_buffer
 from .schedule import (
     LWF_TEACHER_SHARE,
@@ -48,10 +49,6 @@ METHOD_IDS = (
 )
 
 PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
-
-
-class ProtocolError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def apply_patch(prev: TwoTowerParams, new: TwoTowerParams, alpha: float) -> TwoT
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError("alpha must be in [0, 1]")
     if prev.layout != new.layout:
-        raise ShapeError("patch operands have different parameter shapes")
+        raise RunError("patch operands have different parameter shapes")
     return TwoTowerParams.wrap((1 - alpha) * prev.vector + alpha * new.vector, prev.layout)
 
 
@@ -142,7 +139,7 @@ def _fresh_checkpoint(params: TwoTowerParams, t: int, method_id: str) -> Checkpo
 def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):
     n = len(records)
     if n == 0:
-        raise ProtocolError(f"step {t}: empty training set")
+        raise RunError(f"step {t}: empty training set")
     bs = min(batch_size, n)
     iter_macs = macs_per_iteration(ckpt.params, bs)
     order = None
@@ -218,9 +215,9 @@ def run_step(
     needs_prev = spec.init_source in ("last_checkpoint", "last_patched") and not is_initial
     if needs_prev:
         if spec.init_source == "last_checkpoint" and prev_ckpt is None:
-            raise ProtocolError(f"{spec.id}: step {t} requires the previous checkpoint")
+            raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
         if spec.init_source == "last_patched" and prev_patch is None:
-            raise ProtocolError(f"{spec.id}: step {t} requires the previous patch state")
+            raise RunError(f"{spec.id}: step {t} requires the previous patch state")
 
     # initialization
     if spec.init_source == "random" or is_initial:

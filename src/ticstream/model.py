@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import AdamState, NumericError, Rng, ShapeError, adam_step, l2_normalize_rows
+from .errors import FormatError, NumericError, RunError
+from .numerics import AdamState, Rng, adam_step, l2_normalize_rows
 
 INIT_INV_TEMPERATURE = 1.0 / 0.07
 MAX_INV_TEMPERATURE = 100.0
@@ -74,7 +75,7 @@ class TwoTowerParams:
 
     def _bind(self, vector: np.ndarray, layout: Layout) -> None:
         if vector.shape != (_layout_size(layout),):
-            raise ShapeError(f"vector shape {vector.shape} does not match the layout {layout}")
+            raise RunError(f"vector shape {vector.shape} does not match the layout {layout}")
         self.vector, self.layout = vector, layout
         towers, pos = [], 0
         for shapes in layout:
@@ -97,10 +98,6 @@ class TwoTowerParams:
 
     def copy(self) -> "TwoTowerParams":
         return TwoTowerParams.wrap(self.vector.copy(), self.layout)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.image_layers[-1][0].shape[1]
 
 
 @dataclass
@@ -174,7 +171,7 @@ def encode(params: TwoTowerParams, inputs: np.ndarray, tower: str) -> np.ndarray
     layers = params.image_layers if tower == "image" else params.text_layers
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != layers[0][0].shape[0]:
-        raise ShapeError(f"encode: input shape {inputs.shape} incompatible with tower {tower}")
+        raise RunError(f"encode: input shape {inputs.shape} incompatible with tower {tower}")
     raw, _ = _tower_forward(layers, inputs)
     return l2_normalize_rows(raw)
 
@@ -240,9 +237,9 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
     if n == 0:
         raise ValueError("empty batch")
     if texts.shape[0] != n:
-        raise ShapeError("image/text batch sizes differ")
+        raise RunError("image/text batch sizes differ")
     if teacher is not None and (teacher.images.shape[0] != n or teacher.texts.shape[0] != n):
-        raise ShapeError("teacher targets do not match the batch")
+        raise RunError("teacher targets do not match the batch")
     u, v, (cache_u, nu), (cache_v, nv) = _encode_with_caches(params, images, texts)
     scale = float(np.exp(params.log_scale))
     sims, e, grad, *rest = _work_buffers(n, 3 if teacher is None else 4)
@@ -366,20 +363,16 @@ def train_minibatch(
 _COUNTERS = struct.Struct("<IQQddd")
 
 
-class FormatError(RuntimeError):
-    def __init__(self, message: str, offset: int):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
-
-
 class _Cursor:
-    def __init__(self, buf: bytes):
-        self.buf = buf
+    def __init__(self, path):
+        with open(path, "rb") as f:
+            self.buf = f.read()
+        self.path = path
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.buf):
-            raise FormatError("truncated file", self.pos)
+            raise FormatError("truncated file", self.pos, self.path)
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
@@ -401,12 +394,12 @@ class _Cursor:
             whole, part = divmod(len(self.buf) - self.pos, dtype.itemsize)
             fields = [dtype.fields[name][:2] for name in dtype.names] if dtype.names else [(dtype, 0)]
             cut = next(off for field, off in fields if off + field.itemsize > part)
-            raise FormatError("truncated file", self.pos + whole * dtype.itemsize + cut)
+            raise FormatError("truncated file", self.pos + whole * dtype.itemsize + cut, self.path)
         return np.frombuffer(self.take(dtype.itemsize * n), dtype=dtype)
 
     def end(self) -> None:
         if self.pos != len(self.buf):
-            raise FormatError("trailing bytes", self.pos)
+            raise FormatError("trailing bytes", self.pos, self.path)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -430,24 +423,22 @@ def _read_shapes(cur: _Cursor) -> tuple[tuple[int, int], ...]:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        buf = f.read()
-    cur = _Cursor(buf)
+    cur = _Cursor(path)
     if cur.take(4) != CHECKPOINT_MAGIC:
-        raise FormatError("bad magic", 0)
+        raise FormatError("bad magic", 0, path)
     version = cur.u32()
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", 4)
+        raise FormatError(f"unsupported checkpoint version {version}", 4, path)
     id_offset = cur.pos + 4
     try:
         method_id = cur.take(cur.u32()).decode("utf-8")
     except UnicodeDecodeError as e:
-        raise FormatError("method id is not UTF-8", id_offset) from e
+        raise FormatError("method id is not UTF-8", id_offset, path) from e
     trained_through, global_step, step_count, beta1, beta2, epsilon = _COUNTERS.unpack(cur.take(_COUNTERS.size))
     layout = (_read_shapes(cur), _read_shapes(cur))  # image, then text
     n = cur.u64()
     if n != _layout_size(layout):
-        raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8)
+        raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8, path)
     vector, m, v = (cur.array("<f8", n).astype(np.float64) for _ in range(3))
     cur.end()
     adam = AdamState(m, v, step_count, beta1, beta2, epsilon)

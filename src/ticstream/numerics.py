@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericError, RunError
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -111,14 +113,6 @@ class Rng:
         return self.permutation(n)[:k]
 
 
-class ShapeError(ValueError):
-    pass
-
-
-class NumericError(RuntimeError):
-    pass
-
-
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     if not np.all(np.isfinite(m)):
@@ -163,7 +157,7 @@ def adam_step(
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if grads.shape != params.shape:
-        raise ShapeError(f"grad shape {grads.shape} != param shape {params.shape}")
+        raise RunError(f"grad shape {grads.shape} != param shape {params.shape}")
     t = state.step_count + 1
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
     m = b1 * state.first_moment + (1 - b1) * grads

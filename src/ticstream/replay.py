@@ -10,13 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .datagen import RecordBatch, TimestepDataset
+from .errors import RunError
 from .numerics import Rng
 
 POLICIES = ("all", "exp", "equal")
-
-
-class PlanError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -25,7 +22,7 @@ class BufferPolicy:
 
     def __post_init__(self):
         if self.kind not in POLICIES:
-            raise PlanError(f"unknown buffer policy {self.kind!r}")
+            raise RunError(f"unknown buffer policy {self.kind!r}")
 
 
 @dataclass
@@ -73,10 +70,10 @@ def _equal_counts(t: int, buffer_size: int) -> dict[int, int]:
 def plan_replay(policy: BufferPolicy, t: int, per_step_size: int, actual_sizes: dict[int, int]) -> ReplayPlan:
     """Per-source sample counts for step t under the given buffer policy."""
     if t < 1:
-        raise PlanError("t must be >= 1")
+        raise RunError("t must be >= 1")
     for j in range(1, t + 1):
         if j not in actual_sizes:
-            raise PlanError(f"actual_sizes missing step {j}")
+            raise RunError(f"actual_sizes missing step {j}")
     current = min(per_step_size, actual_sizes[t])
     if t == 1:
         return ReplayPlan(1, {}, current)
@@ -100,7 +97,7 @@ def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -
             continue
         train = by_step[j].train
         if count > len(train):
-            raise PlanError(f"step {j}: plan wants {count} of {len(train)} records")
+            raise RunError(f"step {j}: plan wants {count} of {len(train)} records")
         idx = rng.split("sample", j).choice(len(train), count)
         parts.append(train.take(idx))
     if not parts:

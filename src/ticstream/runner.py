@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from .datagen import (
-    ConfigError,
     StreamConfig,
     TimestepDataset,
     aggregate_early_steps,
@@ -26,6 +25,7 @@ from .datagen import (
     load_stream,
     write_stream,
 )
+from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .methods import PatchState, StepContext, resolve_method, run_step
 from .model import (
@@ -44,10 +44,6 @@ from .schedule import (
 )
 
 ARTIFACT_VERSION = 1
-
-
-class ReportError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -72,6 +68,11 @@ class ExperimentConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (1 <= self.merge_first_k <= self.stream.num_steps):
             raise ConfigError("merge_first_k out of range")
+        # one step's LR cycle, checked here so that a bad one fails before any step trains
+        per_step = per_step_iterations(self.total_iters, self.stream.num_steps - self.merge_first_k + 1)
+        self.schedule.with_total(per_step).validate()
+        if self.lwf_lambda < 0:
+            raise ConfigError("lwf_lambda must be >= 0")
         for m in self.methods:
             resolve_method(m)
 
@@ -396,7 +397,7 @@ def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
             manifest = json.loads(mp.read_text())
             metrics = json.loads((mp.parent / manifest["metrics_file"]).read_text())
         except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise ReportError(f"unreadable manifest {mp}: {exc}") from exc
+            raise RunError(f"unreadable manifest {mp}: {exc}") from exc
         method, seed = manifest["method"], manifest["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]

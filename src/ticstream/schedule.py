@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, asdict
 
-from .datagen import ConfigError
+from .errors import ConfigError, RunError
 from .model import TwoTowerParams
 
 TRAIN_MAC_MULTIPLIER = 3  # forward + 2x-forward backward
@@ -81,14 +81,6 @@ def per_step_iterations(total_iters: int, num_steps: int) -> int:
     return total_iters // num_steps
 
 
-def step_iterations(total_iters: int, num_steps: int, t: int) -> int:
-    """Iterations for step t; the remainder goes to the final step."""
-    base = per_step_iterations(total_iters, num_steps)
-    if t == num_steps:
-        return base + total_iters % num_steps
-    return base
-
-
 def forward_macs_per_sample(params: TwoTowerParams) -> int:
     total = 0
     for layers in (params.image_layers, params.text_layers):
@@ -139,7 +131,7 @@ class BudgetLedger:
         allowed = multiplier * self.budget_c_macs
         used = self.train_macs.get(t, 0)
         if used > allowed * (1 + tol):
-            raise BudgetError(f"step {t}: consumed {used} MACs > {multiplier} x C = {allowed}")
+            raise RunError(f"step {t}: consumed {used} MACs > {multiplier} x C = {allowed}")
 
     def to_json(self) -> dict:
         return {
@@ -157,7 +149,3 @@ class BudgetLedger:
             eval_macs={int(k): v for k, v in d["eval_macs"].items()},
             train_iters={int(k): v for k, v in d["train_iters"].items()},
         )
-
-
-class BudgetError(RuntimeError):
-    pass

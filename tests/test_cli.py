@@ -4,6 +4,8 @@ import pytest
 
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
+from ticstream.model import ModelDims, init_params, load_checkpoint, save_checkpoint
+from ticstream.numerics import AdamState, Rng
 from ticstream.runner import ExperimentConfig
 from ticstream.schedule import ScheduleConfig
 
@@ -36,9 +38,39 @@ class TestGen:
         assert (tmp_path / "data" / "stream_manifest.json").exists()
         assert "2 timestep files" in capsys.readouterr().out
 
-    def test_missing_config_is_exit_1(self, tmp_path):
+    def test_missing_config_is_exit_1(self, tmp_path, capsys):
         assert main(["gen", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "d")]) == 1
+        assert "nope.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "Expecting property name"),
+        ("[]", "list indices"),
+    ])
+    def test_unparsable_config_is_exit_1(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    def test_missing_field_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        del cfg["batch_size"]
+        bad.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "missing field 'batch_size'" in err
+
+    def test_unknown_field_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["schedule"]["warmup"] = 3
+        bad.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "'warmup'" in err
 
     def test_invalid_config_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -103,6 +135,16 @@ class TestTrainEvalReport:
         assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
         assert "byte offset 12" in capsys.readouterr().err
 
+    def test_eval_with_checkpoint_of_other_shape_is_exit_2(self, trained, capsys):
+        _, data, out = trained
+        last = out / "sequential" / "seed_0" / "step_002.ticc"
+        ckpt = load_checkpoint(last)
+        ckpt.params = init_params(ModelDims(image_dim=7, text_dim=5, hidden_dim=8, embed_dim=4), Rng(0))
+        ckpt.adam = AdamState.init_like(ckpt.params.vector)
+        save_checkpoint(last, ckpt)
+        assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
+        assert "incompatible with tower image" in capsys.readouterr().err
+
     def test_eval_missing_run_is_nonzero(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost"),
                      "--data", str(tmp_path / "d")]) in (1, 2)
@@ -142,3 +184,21 @@ class TestRunAndIid:
     def test_iid_split_on_drifting_stream_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["iid-split", "--config", str(cfg), "--splits", "1"]) == 1
+
+    def test_iid_split_non_integer_split_is_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["iid-split", "--config", str(cfg), "--splits", "1,two"]) == 1
+        assert "--splits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(lwf_lambda=-0.5), "lwf_lambda must be >= 0"),
+        # 12 iterations over 2 steps leave 6 per step, fewer than the warmup
+        (dict(schedule=ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=0, warmup_iters=7)),
+         "warmup_iters"),
+    ])
+    def test_bad_run_config_is_exit_1_before_any_work(self, tmp_path, capsys, overrides, message):
+        cfg = write_config(tmp_path, methods=["lwf"], **overrides)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("**/*.ticc"))
+        assert not (tmp_path / "runs").exists()

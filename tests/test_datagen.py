@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ticstream.datagen import (
-    ConfigError,
     RecordBatch,
     StreamConfig,
     aggregate_early_steps,
@@ -15,7 +14,7 @@ from ticstream.datagen import (
     write_stream,
     write_timestep_file,
 )
-from ticstream.model import FormatError
+from ticstream.errors import ConfigError, FormatError
 
 
 def make_cfg(**overrides):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ticstream.datagen import RecordBatch, StreamConfig, generate_stream
+from ticstream.errors import NumericError, RunError
 from ticstream.evaluation import (
     _BLOCK_BYTES,
     PerformanceMatrix,
-    ProtocolError,
     _top1,
     build_performance_matrix,
     recall_at_1,
@@ -14,7 +14,7 @@ from ticstream.evaluation import (
     zero_shot_accuracy,
 )
 from ticstream.model import ModelDims, encode, init_params
-from ticstream.numerics import NumericError, Rng, l2_normalize_rows
+from ticstream.numerics import Rng, l2_normalize_rows
 from ticstream.schedule import BudgetLedger
 
 
@@ -66,7 +66,7 @@ class TestRecallAt1:
         assert recall_at_1(q, g, truth) == recall_at_1(7.5 * q, g, truth)
 
     def test_empty_rejected(self):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RunError, match="empty query set"):
             recall_at_1(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
 
 
@@ -181,10 +181,17 @@ class TestZeroShot:
         sigma = np.sqrt(p * (1 - p) / n_total)
         assert abs(np.mean(accs) - p) < 5 * sigma + 0.05
 
+    def test_empty_batch_rejected(self, small_stream):
+        ds = small_stream[0]
+        params = init_params(ModelDims(6, 5, 8, 4), Rng(0))
+        with pytest.raises(RunError, match="empty query set"):
+            zero_shot_accuracy(params, ds.eval_classification.take(np.arange(0)),
+                               ds.prototype_ids, ds.prototypes)
+
     def test_missing_prototype_rejected(self, small_stream):
         ds = small_stream[0]
         params = init_params(ModelDims(6, 5, 8, 4), Rng(0))
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RunError, match="no prototype for classes"):
             zero_shot_accuracy(params, ds.eval_classification,
                                ds.prototype_ids[:1], ds.prototypes[:1])
 
@@ -221,7 +228,7 @@ class TestPerformanceMatrix:
         assert led.total_eval_macs() > 0
 
     def test_count_mismatch(self, small_stream):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RunError, match="2 checkpoints vs 3 eval sets"):
             build_performance_matrix(self.make_params(2), small_stream, "retrieval")
 
 

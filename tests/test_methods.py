@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from ticstream.datagen import StreamConfig, generate_stream
+from ticstream.errors import ConfigError, RunError
 from ticstream.methods import (
     METHOD_IDS,
-    ConfigError,
     PatchState,
-    ProtocolError,
     StepContext,
     apply_patch,
     resolve_method,
@@ -14,7 +13,7 @@ from ticstream.methods import (
     tune_patch_alpha,
 )
 from ticstream.model import ModelDims, init_params
-from ticstream.numerics import Rng, ShapeError
+from ticstream.numerics import Rng
 from ticstream.schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
@@ -108,7 +107,7 @@ class TestPatchArithmetic:
     def test_shape_mismatch(self):
         a = init_params(DIMS, Rng(0))
         b = init_params(ModelDims(6, 5, 9, 4), Rng(0))
-        with pytest.raises(ShapeError):
+        with pytest.raises(RunError, match="different parameter shapes"):
             apply_patch(a, b, 0.5)
 
 
@@ -168,7 +167,7 @@ class TestRunStepBasics:
 
     def test_missing_prev_checkpoint_rejected(self, stream):
         spec = resolve_method("sequential")
-        with pytest.raises(ProtocolError):
+        with pytest.raises(RunError, match="requires the previous checkpoint"):
             run_step(spec, 2, stream, None, None, make_ctx())
 
     def test_restart_ignores_history(self, stream):
@@ -245,7 +244,7 @@ class TestBudgets:
     def test_overbudget_step_raises(self, stream):
         ctx = make_ctx(budget_mult=0.5)
         spec = resolve_method("sequential")
-        with pytest.raises(Exception):
+        with pytest.raises(RunError, match="consumed"):
             run_step(spec, 1, stream, None, None, ctx)
 
 

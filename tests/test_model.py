@@ -5,7 +5,6 @@ import pytest
 
 from ticstream.model import (
     Checkpoint,
-    FormatError,
     ModelDims,
     TwoTowerParams,
     clip_loss_and_grads,
@@ -18,7 +17,8 @@ from ticstream.model import (
     teacher_targets,
     train_minibatch,
 )
-from ticstream.numerics import AdamState, NumericError, Rng, adam_step, finite_diff_grad
+from ticstream.errors import FormatError, NumericError
+from ticstream.numerics import AdamState, Rng, adam_step, finite_diff_grad
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
 

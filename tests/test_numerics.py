@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
+from ticstream.errors import NumericError, RunError
 from ticstream.numerics import (
     AdamState,
-    NumericError,
     Rng,
-    ShapeError,
     adam_step,
     finite_diff_grad,
     l2_normalize_rows,
@@ -105,7 +104,7 @@ class TestAdam:
     def test_shape_mismatch(self):
         params = np.zeros(4)
         grads = np.zeros(3)
-        with pytest.raises(ShapeError):
+        with pytest.raises(RunError, match="grad shape"):
             adam_step(params, grads, AdamState.init_like(params), 0.01)
 
     def test_out_of_place(self):

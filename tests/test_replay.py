@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from ticstream.datagen import StreamConfig, generate_stream
+from ticstream.errors import RunError
 from ticstream.numerics import Rng
 from ticstream.replay import (
     BufferPolicy,
-    PlanError,
     ReplayPlan,
     assemble_training_set,
     plan_replay,
@@ -93,7 +93,7 @@ class TestPlanGeneral:
                     assert plan.total() <= 2 * d
 
     def test_unknown_policy(self):
-        with pytest.raises(PlanError):
+        with pytest.raises(RunError, match="unknown buffer policy"):
             BufferPolicy("fifo")
 
 
@@ -134,7 +134,7 @@ class TestSampling:
 
     def test_overdraw_rejected(self, stream):
         plan = ReplayPlan(2, {1: 31}, 30)
-        with pytest.raises(PlanError):
+        with pytest.raises(RunError, match="plan wants 31 of 30"):
             sample_buffer(plan, stream, Rng(0))
 
 

@@ -4,10 +4,10 @@ import shutil
 import numpy as np
 import pytest
 
-from ticstream.datagen import ConfigError, StreamConfig
+from ticstream.datagen import StreamConfig
+from ticstream.errors import ConfigError, FormatError, RunError
 from ticstream.runner import (
     ExperimentConfig,
-    ReportError,
     emit_report,
     evaluate_run,
     iid_split_experiment,
@@ -153,6 +153,16 @@ class TestRunExperiment:
             mp = json.loads((pp.parent / "metrics.json").read_text())
             assert ms["retrieval"]["entries"] == mp["retrieval"]["entries"]
 
+    def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TIC_THREADS", "2")
+        cfg = tiny_config(tmp_path)
+        manifests = run_experiment(cfg)
+        ckpt = manifests[0].parent / "step_001.ticc"
+        ckpt.write_bytes(ckpt.read_bytes()[:-5])
+        with pytest.raises(FormatError, match="truncated file") as exc:
+            run_experiment(cfg)
+        assert str(ckpt) in str(exc.value)
+
     def test_merge_first_k(self, tmp_path):
         cfg = tiny_config(tmp_path, merge_first_k=2)
         manifests = run_experiment(cfg)
@@ -220,7 +230,7 @@ class TestReports:
     def test_unreadable_manifest(self, tmp_path):
         bad = tmp_path / "manifest.json"
         bad.write_text("{not json")
-        with pytest.raises(ReportError):
+        with pytest.raises(RunError, match="unreadable manifest"):
             emit_report([bad], tmp_path / "r.csv")
 
     def test_unknown_format(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ticstream.datagen import ConfigError
+from ticstream.errors import ConfigError, RunError
 from ticstream.model import ModelDims, init_params
 from ticstream.numerics import Rng
 from ticstream.schedule import (
@@ -16,7 +16,6 @@ from ticstream.schedule import (
     macs_per_iteration,
     oracle_total_multiplier,
     per_step_iterations,
-    step_iterations,
 )
 
 
@@ -99,11 +98,6 @@ class TestIterationSplit:
     def test_single_step(self):
         assert per_step_iterations(1234, 1) == 1234
 
-    def test_remainder_goes_to_final_step(self):
-        assert step_iterations(10, 3, 1) == 3
-        assert step_iterations(10, 3, 2) == 3
-        assert step_iterations(10, 3, 3) == 4
-
 
 class TestMacs:
     def make_params(self):
@@ -137,7 +131,7 @@ class TestLedger:
         assert led.total_eval_macs() == 7
         led.assert_within(1, 1.0)
         led.charge_train(1, 1, 1)
-        with pytest.raises(Exception):
+        with pytest.raises(RunError, match="consumed 101 MACs"):
             led.assert_within(1, 1.0)
 
     def test_json_round_trip(self):
