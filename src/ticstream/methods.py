@@ -137,6 +137,12 @@ def _fresh_checkpoint(params: TwoTowerParams, t: int, method_id: str) -> Checkpo
 
 
 def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):
+    """Train iterations [it_start, it_stop) from `ckpt`; returns the trained
+    checkpoint and the per-iteration losses.
+
+    The segment trains its own copy of `ckpt`, made once here, and updates
+    it in place; `ckpt` itself is never changed.
+    """
     n = len(records)
     if n == 0:
         raise RunError(f"step {t}: empty training set")
@@ -150,6 +156,7 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
     if lwf is not None:
         # the teacher is frozen for the whole segment: embed its pairs once
         targets = teacher_targets(lwf[0], records.images, records.texts, lwf[1])
+    ckpt = ckpt.copy()
     for it in range(it_start, it_stop):
         if order is None or pos + bs > n:
             order = rng.split("epoch", epoch).permutation(n)
@@ -159,7 +166,7 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
         pos += bs
         lr = lr_at(sched, it, is_first)
         teacher = None if targets is None else targets.take(idx)
-        ckpt, rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher)
+        rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher)
         losses.append(rec["loss"] + rec["penalty"])
         ledger.charge_train(t, bill * iter_macs, 1)
     release_work_buffers()
@@ -219,13 +226,13 @@ def run_step(
         if spec.init_source == "last_patched" and prev_patch is None:
             raise RunError(f"{spec.id}: step {t} requires the previous patch state")
 
-    # initialization
+    # initialization; the training segment copies what it starts from
     if spec.init_source == "random" or is_initial:
         params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t))
     elif spec.init_source == "last_patched":
-        params = prev_patch.patched_params.copy()
+        params = prev_patch.patched_params
     else:
-        params = prev_ckpt.params.copy()
+        params = prev_ckpt.params
     ckpt = _fresh_checkpoint(params, t, spec.id)
 
     # data
@@ -270,7 +277,7 @@ def run_step(
     patch_state = None
     if spec.id == "patching":
         if is_initial:
-            patch_state = PatchState(deploy.params.copy(), [1.0])
+            patch_state = PatchState(deploy.params, [1.0])
         else:
             prev_sets = [d for d in datasets if d.timestep < t]
             alpha = tune_patch_alpha(prev_patch.patched_params, deploy.params, prev_sets, ctx.ledger, t)

@@ -7,21 +7,26 @@ independent oracle in the test suite. The similarity-distillation penalty
 directions) backs the warm-start regularization method.
 
 One kernel, `_contrastive_step`, computes the contrastive loss, the penalty
-and their summed gradients with one student forward and one backward; the
-public loss functions are thin wrappers over it. Its B x B work matrices are
-module-level, reused across calls, reallocated when B changes and freed by
-`release_work_buffers` when a training loop ends. The kernel is therefore not
-re-entrant: one training loop per process (the experiment pool runs its jobs
-in separate processes). The penalty takes the teacher's embeddings
-precomputed (`teacher_targets`); a training segment embeds its whole training
-set once, which is valid only because the teacher is frozen while the student
-trains.
+and their summed gradients with one student forward and one backward, and
+writes the gradients into a vector its caller owns; the public loss functions
+are thin wrappers over it that return fresh ones. `train_minibatch` updates a
+checkpoint its caller owns in place (parameters, Adam moments, step count),
+through the checkpoint's own gradient vector, so a training segment that
+copies its starting checkpoint once allocates no parameter-sized vector per
+iteration. The kernel's B x B work matrices are module-level, reused across
+calls, reallocated when B changes and freed by `release_work_buffers` when a
+training loop ends. The kernel is therefore not re-entrant: one training
+loop per process (the experiment pool runs its jobs in separate processes).
+The penalty takes the teacher's embeddings precomputed (`teacher_targets`);
+a training segment embeds its whole training set once, which is valid only
+because the teacher is frozen while the student trains.
 """
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,6 +112,14 @@ class Checkpoint:
     global_step: int
     trained_through_step: int
     method_id: str
+    # gradient of the last `train_minibatch` step, allocated by the first one;
+    # not part of the checkpoint file
+    grads: TwoTowerParams | None = field(default=None, repr=False, compare=False)
+
+    def copy(self) -> "Checkpoint":
+        """A copy that shares no array with this checkpoint."""
+        return Checkpoint(self.params.copy(), self.adam.copy(), self.global_step,
+                          self.trained_through_step, self.method_id)
 
 
 def init_params(dims: ModelDims, rng: Rng) -> TwoTowerParams:
@@ -156,7 +169,7 @@ def _tower_backward(layers, caches, d_out, grads):
 
 def _normalize_with_cache(raw):
     norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    if np.any(norms <= 1e-12):
+    if norms.min() <= 1e-12:  # min propagates NaN, so a NaN norm fails too
         raise NumericError("zero-norm embedding row")
     return raw / norms, norms
 
@@ -177,11 +190,13 @@ def encode(params: TwoTowerParams, inputs: np.ndarray, tower: str) -> np.ndarray
 
 
 def _encode_with_caches(params, images, texts):
-    raw_u, cache_u = _tower_forward(params.image_layers, np.asarray(images, dtype=np.float64))
-    raw_v, cache_v = _tower_forward(params.text_layers, np.asarray(texts, dtype=np.float64))
-    u, nu = _normalize_with_cache(raw_u)
-    v, nv = _normalize_with_cache(raw_v)
-    return u, v, (cache_u, nu), (cache_v, nv)
+    """Both towers' unit embeddings as one (2B, E) array, image rows first,
+    their norms, and each tower's forward caches. Normalization acts on each
+    row alone, so one call over both towers computes what two would."""
+    raw_u, cache_u = _tower_forward(params.image_layers, images)
+    raw_v, cache_v = _tower_forward(params.text_layers, texts)
+    unit, norms = _normalize_with_cache(np.concatenate((raw_u, raw_v)))
+    return unit, norms, cache_u, cache_v
 
 
 @dataclass(frozen=True)
@@ -223,13 +238,14 @@ def release_work_buffers() -> None:
     _work.clear()
 
 
-def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTargets | None = None, clip: bool = True):
+def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerParams,
+                      teacher: TeacherTargets | None = None, clip: bool = True):
     """Contrastive loss, distillation penalty and their summed student gradients.
 
     One student forward and one backward. With `clip` false the contrastive
-    term stays out of the gradients (its loss is still returned). Returns
-    (loss, penalty, grads), grads a fresh `TwoTowerParams` in the layout of
-    `params`; nothing returned aliases the work buffers.
+    term stays out of the gradients (its loss is still returned). Writes the
+    gradients into `grads`, in the layout of `params`, and returns
+    (loss, penalty).
     """
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
@@ -240,7 +256,8 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
         raise RunError("image/text batch sizes differ")
     if teacher is not None and (teacher.images.shape[0] != n or teacher.texts.shape[0] != n):
         raise RunError("teacher targets do not match the batch")
-    u, v, (cache_u, nu), (cache_v, nv) = _encode_with_caches(params, images, texts)
+    unit, norms, cache_u, cache_v = _encode_with_caches(params, images, texts)
+    u, v = unit[:n], unit[n:]
     scale = float(np.exp(params.log_scale))
     sims, e, grad, *rest = _work_buffers(n, 3 if teacher is None else 4)
     np.matmul(u, v.T, out=sims)
@@ -251,7 +268,8 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
     np.exp(e, out=grad)
     rows, cols = grad.sum(axis=1), grad.sum(axis=0)
     g_diag = np.diagonal(grad)
-    loss = 0.5 * (-np.log(g_diag / rows).mean() - np.log(g_diag / cols).mean())
+    # .sum() / n is np.mean's own arithmetic, without its Python overhead
+    loss = 0.5 * (-np.log(g_diag / rows).sum() / n - np.log(g_diag / cols).sum() / n)
 
     lam, penalty = 0.0, 0.0
     if teacher is not None:
@@ -288,19 +306,24 @@ def _contrastive_step(params: TwoTowerParams, images, texts, teacher: TeacherTar
     if clip:
         grad.reshape(-1)[:: n + 1] -= 1.0 / n
 
-    d_raw_u = _normalize_backward(scale * (grad @ v), u, nu)
-    d_raw_v = _normalize_backward(scale * (grad.T @ u), v, nv)
+    d_unit = np.concatenate((grad @ v, grad.T @ u))
+    d_unit *= scale
+    d_raw = _normalize_backward(d_unit, unit, norms)
     np.multiply(grad, sims, out=sims)
-    grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
-    _tower_backward(params.image_layers, cache_u, d_raw_u, grads.image_layers)
-    _tower_backward(params.text_layers, cache_v, d_raw_v, grads.text_layers)
+    _tower_backward(params.image_layers, cache_u, d_raw[:n], grads.image_layers)
+    _tower_backward(params.text_layers, cache_v, d_raw[n:], grads.text_layers)
     grads.log_scale = scale * float(sims.sum())
-    return float(loss), penalty, grads
+    return float(loss), penalty
+
+
+def _fresh_grads(params: TwoTowerParams) -> TwoTowerParams:
+    return TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
 
 
 def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.ndarray):
     """Symmetric contrastive loss with diagonal targets and its gradients."""
-    loss, _, grads = _contrastive_step(params, images, texts)
+    grads = _fresh_grads(params)
+    loss, _ = _contrastive_step(params, images, texts, grads)
     return loss, grads
 
 
@@ -316,12 +339,16 @@ def lwf_penalty_and_grads(
     Gradients flow to the student only.
     """
     targets = teacher_targets(teacher, images, texts, lam)
-    _, penalty, grads = _contrastive_step(student, images, texts, targets, clip=False)
+    grads = _fresh_grads(student)
+    _, penalty = _contrastive_step(student, images, texts, grads, targets, clip=False)
     return penalty, grads
 
 
+_MAX_LOG_SCALE = float(np.log(MAX_INV_TEMPERATURE))
+
+
 def clamp_log_scale(params: TwoTowerParams) -> TwoTowerParams:
-    params.log_scale = min(params.log_scale, float(np.log(MAX_INV_TEMPERATURE)))
+    params.log_scale = min(params.log_scale, _MAX_LOG_SCALE)
     return params
 
 
@@ -331,24 +358,23 @@ def train_minibatch(
     texts: np.ndarray,
     lr: float,
     lwf: TeacherTargets | None = None,
-) -> tuple[Checkpoint, dict]:
-    """One forward/backward/Adam step; returns the new checkpoint and a loss record.
+) -> dict:
+    """One forward/backward/Adam step on `ckpt`, in place; returns a loss record.
 
-    `lwf` holds the teacher's targets for exactly these pairs.
+    The caller owns `ckpt`: its parameter vector and Adam moments are
+    updated where they are, so no other object may share them (see
+    `Checkpoint.copy`). `lwf` holds the teacher's targets for exactly these
+    pairs.
     """
-    loss, penalty, grads = _contrastive_step(ckpt.params, images, texts, lwf)
-    if not (np.isfinite((loss, penalty)).all() and np.isfinite(grads.vector).all()):
+    if ckpt.grads is None:
+        ckpt.grads = _fresh_grads(ckpt.params)
+    loss, penalty = _contrastive_step(ckpt.params, images, texts, ckpt.grads, lwf)
+    if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(ckpt.grads.vector).all()):
         raise NumericError(f"non-finite loss, penalty or gradient at global_step {ckpt.global_step}")
-    vector, new_adam = adam_step(ckpt.params.vector, grads.vector, ckpt.adam, lr)
-    new_params = clamp_log_scale(TwoTowerParams.wrap(vector, ckpt.params.layout))
-    new_ckpt = Checkpoint(
-        params=new_params,
-        adam=new_adam,
-        global_step=ckpt.global_step + 1,
-        trained_through_step=ckpt.trained_through_step,
-        method_id=ckpt.method_id,
-    )
-    return new_ckpt, {"loss": loss, "penalty": penalty, "lr": lr}
+    adam_step(ckpt.params.vector, ckpt.grads.vector, ckpt.adam, lr)
+    clamp_log_scale(ckpt.params)
+    ckpt.global_step += 1
+    return {"loss": loss, "penalty": penalty, "lr": lr}
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Row softmax and normalization, vector Adam, finite differences, and a
-platform-stable seeded RNG.
+"""Row normalization, vector Adam, finite differences, and a platform-stable
+seeded RNG.
 
-Everything here is double precision and pure: the only mutable objects are
-AdamState and Rng, each owned by a single run.
+Everything here is double precision. `adam_step` updates the parameter
+vector and its `AdamState` in place, so each belongs to one training loop;
+`Rng` advances its own state. Every other function is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -113,15 +114,6 @@ class Rng:
         return self.permutation(n)[:k]
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
-    if not np.all(np.isfinite(m)):
-        raise NumericError("softmax_rows: non-finite input")
-    z = m - m.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.float64)
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
@@ -133,7 +125,8 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments, each a vector in the layout of the parameter vector."""
+    """Adam moments, each a vector in the layout of the parameter vector, and
+    the scratch vectors of their update, allocated by the first `adam_step`."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -141,30 +134,48 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def init_like(cls, params: np.ndarray, beta1=0.9, beta2=0.999, epsilon=1e-8):
         return cls(np.zeros_like(params), np.zeros_like(params), 0, beta1, beta2, epsilon)
 
+    def copy(self) -> "AdamState":
+        """A copy that shares no array with this state."""
+        return AdamState(self.first_moment.copy(), self.second_moment.copy(), self.step_count,
+                         self.beta1, self.beta2, self.epsilon)
 
-def adam_step(
-    params: np.ndarray,
-    grads: np.ndarray,
-    state: AdamState,
-    lr: float,
-) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update. Returns a fresh parameter vector and state."""
+
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of `params` and `state`, in place."""
     if lr < 0:
         raise ValueError("lr must be >= 0")
     if grads.shape != params.shape:
         raise RunError(f"grad shape {grads.shape} != param shape {params.shape}")
-    t = state.step_count + 1
+    if state._scratch is None:
+        state._scratch = np.empty((2,) + params.shape)
+    step, denom = state._scratch
+    state.step_count += 1
+    t = state.step_count
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    m = b1 * state.first_moment + (1 - b1) * grads
-    v = b2 * state.second_moment + (1 - b2) * grads * grads
-    m_hat = m / (1 - b1**t)
-    v_hat = v / (1 - b2**t)
-    return params - lr * m_hat / (np.sqrt(v_hat) + eps), AdamState(m, v, t, b1, b2, eps)
+    m, v = state.first_moment, state.second_moment
+    # m' = b1 m + (1-b1) g, v' = b2 v + ((1-b2) g) g and
+    # p' = p - (lr (m'/(1-b1^t))) / (sqrt(v'/(1-b2^t)) + eps), one rounded
+    # operation at a time in exactly this order: the trained bytes depend on it
+    m *= b1
+    np.multiply(grads, 1 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(grads, 1 - b2, out=step)
+    step *= grads
+    v += step
+    np.divide(m, 1 - b1**t, out=step)
+    step *= lr
+    np.divide(v, 1 - b2**t, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    step /= denom
+    params -= step
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -349,6 +349,11 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
     for k in splits:
         if k not in (1, 2, 4, 8):
             raise ConfigError("splits must be among {1, 2, 4, 8}")
+        # each split's LR cycle, checked before any split trains
+        try:
+            cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k)).validate()
+        except ConfigError as exc:
+            raise ConfigError(f"split {k}: {exc}") from exc
     pool_cfg = StreamConfig(**{**cfg.stream.to_json(), "num_steps": 1,
                                "class_birth_schedule": ()})
     pool = generate_stream(pool_cfg)[0]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ticstream import runner
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.model import ModelDims, init_params, load_checkpoint, save_checkpoint
@@ -180,6 +181,24 @@ class TestRunAndIid:
         assert main(["iid-split", "--config", str(cfg), "--splits", "1,2"]) == 0
         out = capsys.readouterr().out
         assert "splits=1" in out and "splits=2" in out
+
+    def test_iid_split_checks_every_split_before_any_trains(self, tmp_path, capsys, monkeypatch):
+        # 8 iterations leave 1 per step at k = 8, fewer than the warmup of 2;
+        # k = 1, 2 and 4 fit, and must not train before split 8 is refused
+        stream = StreamConfig(
+            num_steps=1, per_step_train_size=32, per_step_eval_size=8,
+            image_dim=6, text_dim=5, latent_dim=4,
+            class_birth_schedule=(), drift_angle=0.0, noise_sigma=0.1,
+            static_class_count=3, seed=23,
+        )
+        cfg = write_config(tmp_path, stream=stream, total_iters=8)
+        calls = []
+        run_step = runner.run_step
+        monkeypatch.setattr(runner, "run_step", lambda *args: calls.append(args) or run_step(*args))
+        assert main(["iid-split", "--config", str(cfg), "--splits", "1,2,4,8"]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "split 8" in err and "warmup_iters" in err
 
     def test_iid_split_on_drifting_stream_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)

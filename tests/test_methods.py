@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ticstream import methods
 from ticstream.datagen import StreamConfig, generate_stream
 from ticstream.errors import ConfigError, RunError
 from ticstream.methods import (
@@ -12,7 +13,7 @@ from ticstream.methods import (
     run_step,
     tune_patch_alpha,
 )
-from ticstream.model import ModelDims, init_params
+from ticstream.model import ModelDims, init_params, save_checkpoint
 from ticstream.numerics import Rng
 from ticstream.schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
@@ -307,3 +308,35 @@ class TestConstCosine:
         out, _ = run_through("sequential", stream, 1)
         deploy, carry, *_ = out[0]
         assert flat_equal(deploy.params, carry.params)
+
+
+class TestSegmentsOwnTheirState:
+    """Training updates parameters and Adam moments in place, so each segment
+    trains a copy: what it starts from is never changed."""
+
+    def test_decay_branch_leaves_the_carry_unchanged(self, stream, tmp_path, monkeypatch):
+        starts = []
+        train_segment = methods._train_segment
+
+        def spy(ckpt, *args):
+            path = tmp_path / f"start_{len(starts)}.ticc"
+            save_checkpoint(path, ckpt)
+            starts.append((ckpt, path))
+            return train_segment(ckpt, *args)
+
+        monkeypatch.setattr(methods, "_train_segment", spy)
+        out, _ = run_through("sequential", stream, 2, make_ctx(kind="const_cosine"))
+        assert len(starts) == 4  # two segments per step
+        step1_carry = out[0][1]
+        assert starts[1][0] is step1_carry  # the decay branch starts from the carry
+        for ckpt, path in starts:
+            save_checkpoint(tmp_path / "now.ticc", ckpt)
+            assert (tmp_path / "now.ticc").read_bytes() == path.read_bytes()
+
+    def test_patching_leaves_the_previous_patch_unchanged(self, stream):
+        ctx = make_ctx(budget_mult=2.0)
+        spec = resolve_method("patching")
+        _, carry, patch, _ = run_step(spec, 1, stream, None, None, ctx)
+        before = patch.patched_params.vector.copy()
+        run_step(spec, 2, stream, carry, patch, ctx)
+        assert np.array_equal(patch.patched_params.vector, before)

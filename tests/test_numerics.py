@@ -8,32 +8,7 @@ from ticstream.numerics import (
     adam_step,
     finite_diff_grad,
     l2_normalize_rows,
-    softmax_rows,
 )
-
-
-class TestSoftmaxRows:
-    def test_uniform_logits(self):
-        assert np.allclose(softmax_rows(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
-
-    def test_large_logits_no_overflow(self):
-        out = softmax_rows(np.array([[1000.0, 1000.0]]))
-        assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
-
-    def test_hand_example(self):
-        out = softmax_rows(np.array([[1.0, 0.0]]))
-        e = np.e
-        assert np.allclose(out, [[e / (e + 1), 1 / (e + 1)]], atol=1e-12)
-
-    def test_rows_sum_to_one_property(self):
-        rng = Rng(3)
-        for trial in range(50):
-            m = rng.split(trial).normal((6, 9)) * 50
-            assert np.abs(softmax_rows(m).sum(axis=1) - 1).max() < 1e-12
-
-    def test_nan_rejected(self):
-        with pytest.raises(NumericError):
-            softmax_rows(np.array([[np.nan, 0.0]]))
 
 
 class TestL2NormalizeRows:
@@ -70,35 +45,44 @@ class TestL2NormalizeRows:
             l2_normalize_rows(m)
 
 
+def adam_reference(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+    """The out-of-place update adam_step replaced, as the oracle of its
+    in-place arithmetic: returns (params, m, v) after step t."""
+    m = b1 * m + (1 - b1) * grads
+    v = b2 * v + (1 - b2) * grads * grads
+    m_hat = m / (1 - b1**t)
+    v_hat = v / (1 - b2**t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 class TestAdam:
     def test_lr_zero_keeps_params_bit_identical(self):
         params = Rng(1).normal(6)
-        grads = Rng(2).normal(6)
+        before = params.copy()
         state = AdamState.init_like(params)
-        new_p, new_s = adam_step(params, grads, state, lr=0.0)
-        assert np.array_equal(new_p, params)
-        assert new_s.step_count == 1
-        assert np.abs(new_s.first_moment).max() > 0  # moments still move
+        adam_step(params, Rng(2).normal(6), state, lr=0.0)
+        assert np.array_equal(params, before)
+        assert state.step_count == 1
+        assert np.abs(state.first_moment).max() > 0  # moments still move
 
     def test_first_step_hand_computation(self):
         params = np.array([0.0])
         grads = np.array([1.0])
-        state = AdamState.init_like(params)
-        new_p, _ = adam_step(params, grads, state, lr=0.001)
+        adam_step(params, grads, AdamState.init_like(params), lr=0.001)
         # bias-corrected m_hat = v_hat = 1, so the step is -lr / (1 + eps)
-        assert abs(float(new_p[0]) + 0.001) < 1e-8
+        assert abs(float(params[0]) + 0.001) < 1e-8
 
     def test_identical_params_get_identical_updates(self):
         params = np.array([0.5, 0.5])
         grads = np.array([0.3, 0.3])
-        new_p, _ = adam_step(params, grads, AdamState.init_like(params), lr=0.01)
-        assert float(new_p[0]) == float(new_p[1])
+        adam_step(params, grads, AdamState.init_like(params), lr=0.01)
+        assert float(params[0]) == float(params[1])
 
     def test_step_count_increases(self):
         params = np.array([1.0])
         state = AdamState.init_like(params)
         for expect in (1, 2, 3):
-            params, state = adam_step(params, np.array([0.1]), state, 0.01)
+            adam_step(params, np.array([0.1]), state, 0.01)
             assert state.step_count == expect
 
     def test_shape_mismatch(self):
@@ -107,13 +91,33 @@ class TestAdam:
         with pytest.raises(RunError, match="grad shape"):
             adam_step(params, grads, AdamState.init_like(params), 0.01)
 
-    def test_out_of_place(self):
-        # checkpoints may share a parameter vector, so nothing is updated in place
-        params = Rng(3).normal(5)
+    def test_in_place_matches_out_of_place_reference_bitwise(self):
+        # from non-zero moments part-way through a run, with a changing lr
+        rng = Rng(3)
+        params = rng.split("p").normal(40)
+        state = AdamState(rng.split("m").normal(40) * 0.1, rng.split("v").uniform(40) * 0.01, 7,
+                          0.9, 0.995, 1e-8)
+        want_p, want_m, want_v = params.copy(), state.first_moment.copy(), state.second_moment.copy()
+        moments = state.first_moment, state.second_moment
+        for i, lr in enumerate((3e-3, 1e-3, 0.0, 2e-2)):
+            grads = rng.split("g", i).normal(40)
+            want_p, want_m, want_v = adam_reference(want_p, grads, want_m, want_v, 8 + i, lr, b2=0.995)
+            adam_step(params, grads, state, lr)
+            assert state.step_count == 8 + i
+            assert params.tobytes() == want_p.tobytes()
+            assert state.first_moment.tobytes() == want_m.tobytes()
+            assert state.second_moment.tobytes() == want_v.tobytes()
+        # the moments were updated where they are
+        assert state.first_moment is moments[0] and state.second_moment is moments[1]
+
+    def test_copy_shares_no_array(self):
+        params = Rng(5).normal(3)
         state = AdamState.init_like(params)
-        kept = params.copy(), state.first_moment.copy(), state.second_moment.copy()
-        adam_step(params, Rng(4).normal(5), state, 0.1)
-        assert all(np.array_equal(a, b) for a, b in zip(kept, (params, state.first_moment, state.second_moment)))
+        adam_step(params, Rng(6).normal(3), state, 0.1)
+        twin = state.copy()
+        adam_step(params, Rng(7).normal(3), twin, 0.1)
+        assert state.step_count == 1 and twin.step_count == 2
+        assert not np.array_equal(state.first_moment, twin.first_moment)
 
 
 class TestFiniteDiff:

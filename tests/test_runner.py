@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -169,6 +170,58 @@ class TestRunExperiment:
         manifest = json.loads(manifests[0].read_text())
         assert [r["step"] for r in manifest["steps"]] == [2, 3]
         assert manifest["steps"][0]["train_set_size"] == 48
+
+
+# SHA-256 of every .ticc, progress.json and metrics.json of two tiny runs
+# (see TestTrainingBytesPinned.digests). Training is meant to be a pure
+# function of the config, so any change that moves one bit of a trained
+# parameter, an Adam moment or a logged loss shows here. The pins hold for a
+# given NumPy and BLAS build; only a change of those is reason to re-pin.
+PINNED_TRAINING_SHA256 = {
+    "patching": {
+        "metrics.json": "0d1fad97555ed68931b8be05bc2430fa1fadff7762f2d6d280b79d5262f0ee85",
+        "progress.json": "758a5cf49a9316096ccdac5ec62be37703804ba3d93419039e209a14d69b5241",
+        "step_001.ticc": "d2f2205d01ad5ac1ec6a259d4c17582111488d5e0e6a372dac78c1f8a7023d59",
+        "step_001_carry.ticc": "88b9a3cfdb09e400c9d3a91228b1762131ba0d746d0afac18261f87795a3930d",
+        "step_002.ticc": "a8a136425ca13e3976167cf7e840da9590eddb26686ba2f61ca93ae08b5d96ee",
+        "step_002_carry.ticc": "eae65a0b61990372576c91378baa61d1363fe2b88a54b7112028aef765114966",
+        "step_003.ticc": "5d6e3456540f4649fe1267aca8abcc3870710b71f646bd83f872862e39e18648",
+        "step_003_carry.ticc": "f0c5b1f6bbde741bf2fcd93c115532570aaff3ad7a35fbefb944831b804bbd06",
+    },
+    "lwf": {
+        "metrics.json": "decdec404e89c36b43fbfd68f31fd542a831cb12278d8ad5768395ae57408748",
+        "progress.json": "0b1a48a8426086ea12681345b749fec93b77515ad10379f296a1611c71abe3b7",
+        "step_001.ticc": "034d73ebfb4cf8c56d92de8aac628664fab5d2b1d8ea6f88b2bf97ca0019cff3",
+        "step_002.ticc": "941a4440426f5e488233f9210563125c7db36da5acd2bf126dbc50c9bea96d63",
+        "step_003.ticc": "ba22da290fa44beba14c9405aae60b24c567b0f9671651971e8e2154e1fe00e8",
+    },
+}
+
+
+class TestTrainingBytesPinned:
+    @staticmethod
+    def digests(tmp_path, method):
+        # patching: const_cosine at B=32, so carry checkpoints and the patch
+        # alpha grid are covered; lwf: warmup_cosine with the teacher penalty
+        kind, batch = ("const_cosine", 32) if method == "patching" else ("warmup_cosine", 16)
+        cfg = tiny_config(
+            tmp_path, stream=StreamConfig(
+                num_steps=3, per_step_train_size=64, per_step_eval_size=16,
+                image_dim=6, text_dim=5, latent_dim=4,
+                class_birth_schedule=((1, 3),), drift_angle=0.3, noise_sigma=0.1,
+                static_class_count=2, seed=11,
+            ),
+            schedule=ScheduleConfig(kind=kind, max_lr=3e-3, total_iters=0, warmup_iters=2),
+            methods=[method], total_iters=48, batch_size=batch,
+        )
+        run_dir = tmp_path / method / "seed_0"
+        run_method_seed(cfg, _prepare_datasets(cfg), method, 0, run_dir)
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(run_dir.iterdir())
+                if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
+
+    @pytest.mark.parametrize("method", sorted(PINNED_TRAINING_SHA256))
+    def test_training_bytes_pinned(self, tmp_path, method):
+        assert self.digests(tmp_path, method) == PINNED_TRAINING_SHA256[method]
 
 
 class TestEvaluateRun:
