@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--out", required=True)
     t.set_defaults(fn=_cmd_train)
 
-    e = sub.add_parser("eval", help="rebuild metrics for an existing run")
+    e = sub.add_parser("eval", help="score a finished run")
     e.add_argument("--run", required=True)
     e.add_argument("--data", required=True)
     e.set_defaults(fn=_cmd_eval)

@@ -3,7 +3,7 @@
 TicError
 ├── ConfigError   the config or the command line is wrong (exit 1)
 └── RunError      an artifact, a computation or an invariant failed (exit 2)
-    ├── FormatError   a malformed .ticc or .ticd file
+    ├── FormatError   a malformed .ticc, .ticd or run-directory JSON file
     └── NumericError  a non-finite or zero-norm value
 """
 

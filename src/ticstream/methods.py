@@ -242,12 +242,11 @@ def run_step(
     # full-length cycle covering t budgets worth of iterations
     if spec.id == "oracle":
         iters = pos * ctx.per_step_iters
-        sched = ctx.schedule.with_total(iters)
         is_first = True
     else:
         iters = ctx.per_step_iters
-        sched = ctx.schedule.with_total(iters)
         is_first = is_initial or spec.init_source == "random"
+    sched = ctx.schedule.with_total(iters)
 
     lwf = None
     bill = 1.0

@@ -1,8 +1,9 @@
-"""Experiment orchestration: the T-step loop, persistence, and reports.
+"""Experiment orchestration: a trainer, a read-only scorer, and reports.
 
-Every run is a (method, seed) pair owning one output directory. All
-randomness is keyed by (seed, step, purpose), so a run killed at a step
-boundary resumes bit-identically from its saved checkpoints.
+Every run is a (method, seed) pair owning one output directory. `train_run`
+keys all randomness by (seed, step, purpose), so a run killed at a step
+boundary resumes bit-identically from its saved checkpoints; `score_run`
+scores a finished run's checkpoints and writes only metrics.json.
 """
 
 from __future__ import annotations
@@ -25,16 +26,10 @@ from .datagen import (
     load_stream,
     write_stream,
 )
-from .errors import ConfigError, RunError
+from .errors import ConfigError, FormatError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .methods import PatchState, StepContext, resolve_method, run_step
-from .model import (
-    Checkpoint,
-    ModelDims,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
-)
+from .model import ModelDims, init_params, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import (
     BudgetLedger,
@@ -70,7 +65,7 @@ class ExperimentConfig:
             raise ConfigError("merge_first_k out of range")
         # one step's LR cycle, checked here so that a bad one fails before any step trains
         per_step = per_step_iterations(self.total_iters, self.stream.num_steps - self.merge_first_k + 1)
-        self.schedule.with_total(per_step).validate()
+        self.schedule.with_total(per_step)
         if self.lwf_lambda < 0:
             raise ConfigError("lwf_lambda must be >= 0")
         for m in self.methods:
@@ -171,6 +166,24 @@ def _json_dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True))
 
 
+def _read_json(path: Path, *keys: str) -> dict:
+    """A run directory's JSON file; undecodable JSON or a missing key is refused naming the file."""
+    try:
+        obj = json.loads(path.read_text())
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"unreadable {path.stem}: {exc.reason}", exc.start, str(path)) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"unreadable {path.stem}: {exc.msg}", exc.pos, str(path)) from exc
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise RunError(f"{path}: missing field {key!r}")
+    return obj
+
+
+def _checkpoint_paths(run_dir: Path, t: int) -> tuple[Path, Path]:  # deploy, const-cosine carry
+    return run_dir / f"step_{t:03d}.ticc", run_dir / f"step_{t:03d}_carry.ticc"
+
+
 def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: int,
                   per_step_size: int) -> StepContext:
     """Step settings and a fresh ledger whose per-step budget is `per_step`
@@ -189,74 +202,60 @@ def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: i
     )
 
 
-def run_method_seed(
-    cfg: ExperimentConfig,
-    datasets: list[TimestepDataset],
-    method_id: str,
-    seed: int,
-    run_dir,
-) -> dict:
-    """Run one (method, seed) pair over all steps; resumable at step boundaries."""
-    start = time.time()
+def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
+              run_dir) -> dict:
+    """Train the steps that progress.json does not count as done; returns the progress."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     spec = resolve_method(method_id)
     timesteps = [d.timestep for d in datasets]
-    num_steps = len(timesteps)
-    per_step = per_step_iterations(cfg.total_iters, num_steps)
-
+    per_step = per_step_iterations(cfg.total_iters, len(timesteps))
     ctx = _step_context(cfg, seed, timesteps[0], per_step, cfg.stream.per_step_train_size)
-    budget_c = ctx.ledger.budget_c_macs
 
     progress_path = run_dir / "progress.json"
-    records: list[dict] = []
-    done_through = 0
+    progress = {"done_through": 0, "records": [], "ledger": ctx.ledger.to_json()}
     if progress_path.exists():
-        progress = json.loads(progress_path.read_text())
-        records = progress["records"]
-        done_through = progress["done_through"]
+        progress = _read_json(progress_path, "done_through", "records", "ledger")
         ctx.ledger = BudgetLedger.from_json(progress["ledger"])
+    done, records = progress["done_through"], progress["records"]
 
-    prev_ckpt: Checkpoint | None = None
-    prev_patch: PatchState | None = None
-    deploy_paths: dict[int, str] = {}
-    for i, t in enumerate(timesteps):
-        deploy_path = run_dir / f"step_{t:03d}.ticc"
-        carry_path = run_dir / f"step_{t:03d}_carry.ticc"
-        deploy_paths[t] = deploy_path.name
-        if i < done_through:
-            deploy = load_checkpoint(deploy_path)
-            carry = load_checkpoint(carry_path) if carry_path.exists() else deploy
-            prev_ckpt = carry
-            if spec.id == "patching":
-                alphas = [r["alpha"] for r in records[: i + 1]]
-                prev_patch = PatchState(deploy.params, alphas)
-            continue
-        deploy, carry, prev_patch, rec = run_step(spec, t, datasets, prev_ckpt, prev_patch, ctx)
-        prev_ckpt = carry
+    # warm start from the last finished step only: its carry model, and for patching its deployed model
+    prev_ckpt = prev_patch = None
+    if 0 < done < len(timesteps):
+        deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[done - 1])
+        prev_ckpt = load_checkpoint(carry_path if carry_path.exists() else deploy_path)
+        if spec.id == "patching":
+            deploy = load_checkpoint(deploy_path) if carry_path.exists() else prev_ckpt
+            prev_patch = PatchState(deploy.params, [r["alpha"] for r in records])
+
+    for i in range(done, len(timesteps)):
+        deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[i])
+        deploy, prev_ckpt, prev_patch, rec = run_step(spec, timesteps[i], datasets, prev_ckpt, prev_patch, ctx)
         save_checkpoint(deploy_path, deploy)
         if cfg.schedule.kind == "const_cosine":
-            save_checkpoint(carry_path, carry)
+            save_checkpoint(carry_path, prev_ckpt)
         records.append(rec)
-        _json_dump(progress_path, {
-            "done_through": i + 1,
-            "records": records,
-            "ledger": ctx.ledger.to_json(),
-        })
+        progress = {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()}
+        _json_dump(progress_path, progress)
+    return progress
 
-    # evaluation: matrices over deployable checkpoints, eval MACs billed fresh
-    params_per_step = [load_checkpoint(run_dir / deploy_paths[t]).params for t in timesteps]
-    eval_ledger = BudgetLedger(budget_c)
-    eval_ledger.train_macs = dict(ctx.ledger.train_macs)
-    eval_ledger.train_iters = dict(ctx.ledger.train_iters)
-    retrieval = build_performance_matrix(params_per_step, datasets, "retrieval", eval_ledger)
-    classification = build_performance_matrix(params_per_step, datasets, "classification", eval_ledger)
+
+def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
+              run_dir) -> dict:
+    """Score a finished run's deploy checkpoints into metrics.json, billing eval MACs afresh beside
+    progress.json's training bill; a run with a step left to train is refused."""
+    run_dir = Path(run_dir)
+    progress_path = run_dir / "progress.json"
+    progress = _read_json(progress_path, "done_through", "ledger") if progress_path.exists() else {"done_through": 0}
+    if progress["done_through"] < len(datasets):
+        raise RunError(f"{run_dir}: unfinished run, step {datasets[progress['done_through']].timestep} is not trained")
+    ledger = BudgetLedger.from_json({**progress["ledger"], "eval_macs": {}})
+    params_per_step = [load_checkpoint(_checkpoint_paths(run_dir, d.timestep)[0]).params for d in datasets]
+    retrieval = build_performance_matrix(params_per_step, datasets, "retrieval", ledger)
+    classification = build_performance_matrix(params_per_step, datasets, "classification", ledger)
 
     static = _static_holdout(datasets, cfg.stream.static_class_count)
-    static_per_step = None
-    if static is not None:
-        batch, pids, protos = static
-        static_per_step = [zero_shot_accuracy(p, batch, pids, protos) for p in params_per_step]
+    static_per_step = None if static is None else [zero_shot_accuracy(p, *static) for p in params_per_step]
 
     metrics = {
         "method": method_id,
@@ -265,23 +264,31 @@ def run_method_seed(
         "classification": classification.to_json(),
         "static_per_step": static_per_step,
         "static_final": static_per_step[-1] if static_per_step else None,
-        "ledger": eval_ledger.to_json(),
+        "ledger": ledger.to_json(),
     }
     _json_dump(run_dir / "metrics.json", metrics)
+    return metrics
 
+
+def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
+                    run_dir) -> dict:
+    """Train one (method, seed) pair over all steps, score it and write its manifest."""
+    start = time.time()
+    records = train_run(cfg, datasets, method_id, seed, run_dir)["records"]
+    metrics = score_run(cfg, datasets, method_id, seed, run_dir)
     manifest = {
         "artifact_version": ARTIFACT_VERSION,
         "method": method_id,
         "seed": seed,
         "config": cfg.to_json(),
-        "checkpoints": {str(t): deploy_paths[t] for t in timesteps},
+        "checkpoints": {str(d.timestep): f"step_{d.timestep:03d}.ticc" for d in datasets},
         "steps": records,
-        "alphas": [r.get("alpha") for r in records] if spec.id == "patching" else None,
-        "ledger": eval_ledger.to_json(),
+        "alphas": [r.get("alpha") for r in records] if method_id == "patching" else None,
+        "ledger": metrics["ledger"],
         "metrics_file": "metrics.json",
         "wall_clock_seconds": time.time() - start,
     }
-    _json_dump(run_dir / "manifest.json", manifest)
+    _json_dump(Path(run_dir) / "manifest.json", manifest)
     return metrics
 
 
@@ -329,12 +336,10 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 
 def evaluate_run(run_dir, data_dir) -> dict:
-    """Rebuild metrics for an existing run directory from its checkpoints."""
-    run_dir = Path(run_dir)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
+    """Score a finished run directory from its checkpoints; rewrites only metrics.json."""
+    manifest = _read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
     cfg = ExperimentConfig.from_json(manifest["config"])
-    datasets = _prepare_datasets(cfg, data_dir)
-    return run_method_seed(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
+    return score_run(cfg, _prepare_datasets(cfg, data_dir), manifest["method"], manifest["seed"], run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +356,7 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
             raise ConfigError("splits must be among {1, 2, 4, 8}")
         # each split's LR cycle, checked before any split trains
         try:
-            cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k)).validate()
+            cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k))
         except ConfigError as exc:
             raise ConfigError(f"split {k}: {exc}") from exc
     pool_cfg = StreamConfig(**{**cfg.stream.to_json(), "num_steps": 1,
@@ -397,12 +402,8 @@ def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
     """One row per (method, seed, task, metric) plus per-run MAC totals."""
     rows = []
     for mp in manifest_paths:
-        mp = Path(mp)
-        try:
-            manifest = json.loads(mp.read_text())
-            metrics = json.loads((mp.parent / manifest["metrics_file"]).read_text())
-        except (OSError, json.JSONDecodeError, KeyError) as exc:
-            raise RunError(f"unreadable manifest {mp}: {exc}") from exc
+        manifest = _read_json(Path(mp), "method", "seed", "metrics_file")
+        metrics = _read_json(Path(mp).parent / manifest["metrics_file"])
         method, seed = manifest["method"], manifest["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]

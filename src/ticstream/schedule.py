@@ -10,7 +10,7 @@ backward = 2x forward, so a training iteration bills 3x the forward cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, RunError
 from .model import TwoTowerParams
@@ -44,14 +44,14 @@ class ScheduleConfig:
             raise ConfigError("warmup_on_subsequent must be in [0, 1]")
 
     def with_total(self, total_iters: int) -> "ScheduleConfig":
-        d = asdict(self)
-        d["total_iters"] = total_iters
-        return ScheduleConfig(**d)
+        """This schedule as one validated cycle of `total_iters` iterations."""
+        cycle = replace(self, total_iters=total_iters)
+        cycle.validate()
+        return cycle
 
 
 def lr_at(cfg: ScheduleConfig, it: int, is_first_step: bool = True) -> float:
     """Learning rate for iteration `it` (0-based) of a run of total_iters."""
-    cfg.validate()
     if not (0 <= it < cfg.total_iters):
         raise IndexError(f"iteration {it} out of range [0, {cfg.total_iters})")
     w = cfg.warmup_iters if is_first_step else round(cfg.warmup_on_subsequent * cfg.warmup_iters)

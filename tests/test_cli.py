@@ -120,6 +120,48 @@ class TestTrainEvalReport:
         printed = json.loads(capsys.readouterr().out)
         assert printed["method"] == "sequential"
 
+    def test_eval_changes_no_artifact_of_a_finished_run(self, trained):
+        _, data, out = trained
+        run_dir = out / "sequential" / "seed_0"
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 0
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_eval_refuses_an_unfinished_run(self, trained, capsys):
+        _, data, out = trained
+        run_dir = out / "sequential" / "seed_0"
+        # a run killed after step 1: step-1 artifacts and a progress.json counting one step
+        (run_dir / "step_002.ticc").unlink()
+        progress = json.loads((run_dir / "progress.json").read_text())
+        ledger = progress["ledger"]
+        for key in ("train_macs", "eval_macs", "train_iters"):
+            ledger[key] = {t: v for t, v in ledger[key].items() if t == "1"}
+        (run_dir / "progress.json").write_text(json.dumps(
+            {"done_through": 1, "records": progress["records"][:1], "ledger": ledger}
+        ))
+        trimmed = (run_dir / "progress.json").read_bytes()
+        assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 2
+        assert "step 2 is not trained" in capsys.readouterr().err
+        assert [p.name for p in run_dir.glob("*.ticc")] == ["step_001.ticc"]
+        assert (run_dir / "progress.json").read_bytes() == trimmed
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("corrupt", [
+        lambda raw: raw[:20],  # truncated inside a string
+        lambda raw: raw[:5] + b"\xff" + raw[6:],  # a byte that is not UTF-8
+    ], ids=["truncated", "not_utf8"])
+    def test_corrupt_progress_is_exit_2_naming_the_file(self, trained, capsys, command, corrupt):
+        cfg, data, out = trained
+        progress = out / "sequential" / "seed_0" / "progress.json"
+        progress.write_bytes(corrupt(progress.read_bytes()))
+        argv = {
+            "train": ["train", "--config", str(cfg), "--data", str(data),
+                      "--method", "sequential", "--seed", "0", "--out", str(out)],
+            "eval": ["eval", "--run", str(progress.parent), "--data", str(data)],
+        }[command]
+        assert main(argv) == 2
+        assert str(progress) in capsys.readouterr().err
+
     def test_eval_with_truncated_checkpoint_is_exit_2(self, trained, capsys):
         _, data, out = trained
         last = out / "sequential" / "seed_0" / "step_002.ticc"

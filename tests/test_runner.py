@@ -103,12 +103,25 @@ class TestRunMethodSeed:
                 dir_b / f"step_{t:03d}.ticc"
             ).read_bytes()
 
-    def test_resume_from_step_boundary_is_bit_identical(self, tmp_path):
-        cfg, full_dir, _ = self.run_once(tmp_path, sub="full")
+    @pytest.mark.parametrize("method, kind", [
+        ("sequential", "warmup_cosine"),
+        # const_cosine writes carry checkpoints: patching resumes from its
+        # patched deploy model and alpha list, lwf from the carry, which is
+        # also its teacher
+        ("patching", "const_cosine"),
+        ("lwf", "const_cosine"),
+    ])
+    def test_resume_from_step_boundary_is_bit_identical(self, tmp_path, method, kind):
+        schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
+        # 16 iterations a step, so the decay branch moves the parameters
+        cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
+        datasets = _prepare_datasets(cfg)
+        full_dir, part_dir = (tmp_path / sub / method / "seed_0" for sub in ("full", "part"))
+        run_method_seed(cfg, datasets, method, 0, full_dir)
         # simulate a run killed after step 1: keep only step-1 artifacts
-        part_dir = tmp_path / "part" / "sequential" / "seed_0"
         part_dir.mkdir(parents=True)
-        shutil.copy(full_dir / "step_001.ticc", part_dir / "step_001.ticc")
+        for ckpt in full_dir.glob("step_001*.ticc"):
+            shutil.copy(ckpt, part_dir / ckpt.name)
         progress = json.loads((full_dir / "progress.json").read_text())
         ledger = progress["ledger"]
         for key in ("train_macs", "eval_macs", "train_iters"):
@@ -119,12 +132,12 @@ class TestRunMethodSeed:
             "ledger": ledger,
         }
         (part_dir / "progress.json").write_text(json.dumps(trimmed))
-        datasets = _prepare_datasets(cfg)
-        run_method_seed(cfg, datasets, "sequential", 0, part_dir)
-        for t in (2, 3):
-            assert (part_dir / f"step_{t:03d}.ticc").read_bytes() == (
-                full_dir / f"step_{t:03d}.ticc"
-            ).read_bytes()
+        run_method_seed(cfg, datasets, method, 0, part_dir)
+        compared = sorted(p.name for p in full_dir.iterdir()
+                          if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json"))
+        assert len(compared) == (8 if kind == "const_cosine" else 5)
+        for name in compared:
+            assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
     def test_completed_run_is_not_retrained(self, tmp_path):
         cfg, run_dir, _ = self.run_once(tmp_path)
@@ -285,6 +298,16 @@ class TestReports:
         bad.write_text("{not json")
         with pytest.raises(RunError, match="unreadable manifest"):
             emit_report([bad], tmp_path / "r.csv")
+
+    def test_manifest_missing_field(self, tmp_path):
+        cfg = tiny_config(tmp_path)
+        manifests = run_experiment(cfg)
+        manifest = json.loads(manifests[0].read_text())
+        del manifest["metrics_file"]
+        manifests[0].write_text(json.dumps(manifest))
+        with pytest.raises(RunError, match="missing field 'metrics_file'") as exc:
+            emit_report(manifests, tmp_path / "r.csv")
+        assert str(manifests[0]) in str(exc.value)
 
     def test_unknown_format(self, tmp_path):
         cfg = tiny_config(tmp_path)

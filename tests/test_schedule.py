@@ -153,3 +153,8 @@ class TestValidation:
     def test_bad_lr_order(self):
         with pytest.raises(ConfigError):
             ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, min_lr=2e-3, total_iters=10).validate()
+
+    def test_with_total_validates_the_cycle(self):
+        # a warmup that fits 1000 iterations but not a 50-iteration cycle
+        with pytest.raises(ConfigError, match="warmup_iters"):
+            wc(warmup=100).with_total(50)
