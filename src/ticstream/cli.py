@@ -29,7 +29,7 @@ def _load_config(path) -> ExperimentConfig:
         cfg = ExperimentConfig.from_json(json.loads(Path(path).read_text()))
     except KeyError as exc:
         raise ConfigError(f"config {path}: missing field {exc}") from exc
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:  # TypeError: an unknown field
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:  # TypeError: an unknown nested field
         raise ConfigError(f"config {path}: {exc}") from exc
     cfg.validate()
     return cfg

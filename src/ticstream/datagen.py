@@ -6,12 +6,12 @@ classes never move. A record samples a latent point around its class
 prototype (the perturbation is shared between modalities, so the paired
 text stays retrievable), then maps it through fixed seeded mixing matrices
 into image and text feature space. Eval splits are drawn before the
-training split at every step.
+training split at every step. The `.ticd` layout is defined beside
+`write_timestep_file` and read and written through `formats`.
 """
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .model import _Cursor
+from .formats import Cursor, atomic_write, read_json, write_json
 from .numerics import Rng
 
 STREAM_MAGIC = b"TICD"
@@ -262,21 +262,20 @@ def write_timestep_file(ds: TimestepDataset, path) -> None:
     for b in (ds.train, ds.eval_retrieval, ds.eval_classification):
         chunks.append(_pack_section(records, class_id=b.class_ids, image=b.images, text=b.texts))
     chunks.append(_pack_section(_prototype_dtype(text_dim), class_id=ds.prototype_ids, text=ds.prototypes))
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    atomic_write(path, b"".join(chunks))
 
 
 def read_timestep_file(path) -> TimestepDataset:
-    cur = _Cursor(path)
+    cur = Cursor(path)
     if cur.take(4) != STREAM_MAGIC:
         raise FormatError("bad magic", 0, path)
-    version, timestep, image_dim, text_dim = struct.unpack("<IIII", cur.take(16))
+    version, timestep, image_dim, text_dim = cur.unpack("<IIII")
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported stream version {version}", 4, path)
 
     def read_section(dtype: np.dtype) -> list[np.ndarray]:
         """Columns of the next section: class ids as int64, vectors as float64."""
-        rows = cur.array(dtype, cur.u32())
+        rows = cur.array(dtype, *cur.unpack("<I"))
         return [rows["class_id"].astype(np.int64)] + [rows[n].astype(np.float64, order="C") for n in dtype.names[1:]]
 
     records = _record_dtype(image_dim, text_dim)
@@ -294,23 +293,24 @@ def read_timestep_file(path) -> TimestepDataset:
 
 
 def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) -> Path:
-    """Write per-step files plus a JSON manifest; returns the manifest path."""
+    """Write per-step files, then the JSON manifest; returns the manifest path. The manifest
+    marks a complete stream, so an old one goes first and a cut-off write leaves none."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    mpath = out / "stream_manifest.json"
+    mpath.unlink(missing_ok=True)
     paths = []
     for ds in datasets:
         p = out / f"step_{ds.timestep:03d}.ticd"
         write_timestep_file(ds, p)
         paths.append(p.name)
-    manifest = {"num_steps": len(datasets), "config": cfg.to_json(), "files": paths}
-    mpath = out / "stream_manifest.json"
-    mpath.write_text(json.dumps(manifest, indent=2))
+    write_json(mpath, {"num_steps": len(datasets), "config": cfg.to_json(), "files": paths})
     return mpath
 
 
 def load_stream(data_dir) -> tuple[list[TimestepDataset], StreamConfig]:
     data_dir = Path(data_dir)
-    manifest = json.loads((data_dir / "stream_manifest.json").read_text())
+    manifest = read_json(data_dir / "stream_manifest.json", "config", "files")
     cfg = StreamConfig.from_json(manifest["config"])
     datasets = [read_timestep_file(data_dir / name) for name in manifest["files"]]
     return datasets, cfg

@@ -1,0 +1,89 @@
+"""How an artifact reaches disk, and how a bad one is refused.
+
+Every file the package writes (.ticc, .ticd, stream_manifest.json,
+progress.json, metrics.json, manifest.json, the CSV/JSON report) goes through
+`atomic_write`, so a process killed at any instant leaves each artifact whole,
+old or new; a stray `*.tmp` it leaves is harmless and replaced by the next
+write. Every artifact is read through `Cursor` or `read_json`, which refuse a
+malformed file with a `FormatError` naming it. The .ticc and .ticd byte
+layouts live beside their types, in `model` and `datagen`.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import struct
+from pathlib import Path
+
+import numpy as np
+
+from .errors import FormatError, RunError
+
+
+def atomic_write(path, data: bytes) -> None:
+    """Replace `path` with `data` in one step: a reader sees the old bytes or the new, never part."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")  # never *.ticc or *.ticd, so no reader takes it for one
+    with open(tmp, "wb") as f:
+        f.write(data)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(tmp, path)
+
+
+def write_json(path, obj) -> None:
+    atomic_write(path, json.dumps(obj, indent=2, sort_keys=True).encode())
+
+
+def read_json(path, *keys: str) -> dict:
+    """A JSON artifact; undecodable JSON or a missing key is refused naming the file."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"unreadable {path.stem}: {exc.reason}", exc.start, str(path)) from exc
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"unreadable {path.stem}: {exc.msg}", exc.pos, str(path)) from exc
+    for key in keys:
+        if not isinstance(obj, dict) or key not in obj:
+            raise RunError(f"{path}: missing field {key!r}")
+    return obj
+
+
+class Cursor:
+    """Reads a binary artifact front to back; a short or overlong file is refused at its offset."""
+
+    def __init__(self, path):
+        self.buf = Path(path).read_bytes()
+        self.path = path
+        self.pos = 0
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.buf):
+            raise FormatError("truncated file", self.pos, self.path)
+        out = self.buf[self.pos : self.pos + n]
+        self.pos += n
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        """The next fields of struct format `fmt`."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, dtype, n: int) -> np.ndarray:
+        """The next n items of `dtype`, read-only over the buffer.
+
+        A truncated read reports the offset of the first field that is cut
+        off, as reading the items one field at a time would.
+        """
+        dtype = np.dtype(dtype)
+        if self.pos + dtype.itemsize * n > len(self.buf):
+            whole, part = divmod(len(self.buf) - self.pos, dtype.itemsize)
+            fields = [dtype.fields[name][:2] for name in dtype.names] if dtype.names else [(dtype, 0)]
+            cut = next(off for field, off in fields if off + field.itemsize > part)
+            raise FormatError("truncated file", self.pos + whole * dtype.itemsize + cut, self.path)
+        return np.frombuffer(self.take(dtype.itemsize * n), dtype=dtype)
+
+    def end(self) -> None:
+        if self.pos != len(self.buf):
+            raise FormatError("trailing bytes", self.pos, self.path)

@@ -19,7 +19,8 @@ training loop ends. The kernel is therefore not re-entrant: one training
 loop per process (the experiment pool runs its jobs in separate processes).
 The penalty takes the teacher's embeddings precomputed (`teacher_targets`);
 a training segment embeds its whole training set once, which is valid only
-because the teacher is frozen while the student trains.
+because the teacher is frozen while the student trains. The `.ticc` layout is
+defined beside `save_checkpoint` and read and written through `formats`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FormatError, NumericError, RunError
+from .formats import Cursor, atomic_write
 from .numerics import AdamState, Rng, adam_step, l2_normalize_rows
 
 INIT_INV_TEMPERATURE = 1.0 / 0.07
@@ -386,83 +388,43 @@ def train_minibatch(
 # each that many f64s. Nothing follows.
 # ---------------------------------------------------------------------------
 
-_COUNTERS = struct.Struct("<IQQddd")
-
-
-class _Cursor:
-    def __init__(self, path):
-        with open(path, "rb") as f:
-            self.buf = f.read()
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise FormatError("truncated file", self.pos, self.path)
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def array(self, dtype, n: int) -> np.ndarray:
-        """The next n items of `dtype`, read-only over the buffer.
-
-        A truncated read reports the offset of the first field that is cut
-        off, as reading the items one field at a time would.
-        """
-        dtype = np.dtype(dtype)
-        if self.pos + dtype.itemsize * n > len(self.buf):
-            whole, part = divmod(len(self.buf) - self.pos, dtype.itemsize)
-            fields = [dtype.fields[name][:2] for name in dtype.names] if dtype.names else [(dtype, 0)]
-            cut = next(off for field, off in fields if off + field.itemsize > part)
-            raise FormatError("truncated file", self.pos + whole * dtype.itemsize + cut, self.path)
-        return np.frombuffer(self.take(dtype.itemsize * n), dtype=dtype)
-
-    def end(self) -> None:
-        if self.pos != len(self.buf):
-            raise FormatError("trailing bytes", self.pos, self.path)
+_COUNTERS = "<IQQddd"
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     mid = ckpt.method_id.encode("utf-8")
     params, adam = ckpt.params, ckpt.adam
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(mid)), mid,
-              _COUNTERS.pack(ckpt.trained_through_step, ckpt.global_step,
-                             adam.step_count, adam.beta1, adam.beta2, adam.epsilon)]
+              struct.pack(_COUNTERS, ckpt.trained_through_step, ckpt.global_step,
+                          adam.step_count, adam.beta1, adam.beta2, adam.epsilon)]
     for shapes in params.layout:
         chunks.append(struct.pack(f"<{1 + 2 * len(shapes)}I", len(shapes), *(d for s in shapes for d in s)))
     chunks.append(struct.pack("<Q", params.vector.size))
     for vector in (params.vector, adam.first_moment, adam.second_moment):
         chunks.append(vector.astype("<f8").tobytes())
-    with open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    atomic_write(path, b"".join(chunks))
 
 
-def _read_shapes(cur: _Cursor) -> tuple[tuple[int, int], ...]:
-    count = cur.u32()
+def _read_shapes(cur: Cursor) -> tuple[tuple[int, int], ...]:
+    (count,) = cur.unpack("<I")
     return tuple(map(tuple, cur.array("<u4", 2 * count).reshape(count, 2).tolist()))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    cur = _Cursor(path)
+    cur = Cursor(path)
     if cur.take(4) != CHECKPOINT_MAGIC:
         raise FormatError("bad magic", 0, path)
-    version = cur.u32()
+    (version,) = cur.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", 4, path)
     id_offset = cur.pos + 4
     try:
-        method_id = cur.take(cur.u32()).decode("utf-8")
+        method_id = cur.take(*cur.unpack("<I")).decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError("method id is not UTF-8", id_offset, path) from e
-    trained_through, global_step, step_count, beta1, beta2, epsilon = _COUNTERS.unpack(cur.take(_COUNTERS.size))
+    trained_through, global_step, step_count, beta1, beta2, epsilon = cur.unpack(_COUNTERS)
     layout = (_read_shapes(cur), _read_shapes(cur))  # image, then text
-    n = cur.u64()
+    (n,) = cur.unpack("<Q")
     if n != _layout_size(layout):
         raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8, path)
     vector, m, v = (cur.array("<f8", n).astype(np.float64) for _ in range(3))

@@ -1,19 +1,21 @@
 """Experiment orchestration: a trainer, a read-only scorer, and reports.
 
 Every run is a (method, seed) pair owning one output directory. `train_run`
-keys all randomness by (seed, step, purpose), so a run killed at a step
-boundary resumes bit-identically from its saved checkpoints; `score_run`
-scores a finished run's checkpoints and writes only metrics.json.
+keys all randomness by (seed, step, purpose) and writes each artifact whole
+(`formats.atomic_write`), so a run killed at any instant resumes
+bit-identically from its last finished step; `score_run` scores a finished
+run's checkpoints and writes only metrics.json.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,9 @@ from .datagen import (
     load_stream,
     write_stream,
 )
-from .errors import ConfigError, FormatError, RunError
+from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
+from .formats import atomic_write, read_json, write_json
 from .methods import PatchState, StepContext, resolve_method, run_step
 from .model import ModelDims, init_params, load_checkpoint, save_checkpoint
 from .numerics import Rng
@@ -76,30 +79,16 @@ class ExperimentConfig:
         return ModelDims(self.stream.image_dim, self.stream.text_dim, self.hidden_dim, self.embed_dim)
 
     def to_json(self) -> dict:
-        d = {
-            "stream": self.stream.to_json(),
-            "schedule": {
-                "kind": self.schedule.kind,
-                "max_lr": self.schedule.max_lr,
-                "min_lr": self.schedule.min_lr,
-                "warmup_iters": self.schedule.warmup_iters,
-                "decay_fraction": self.schedule.decay_fraction,
-                "warmup_on_subsequent": self.schedule.warmup_on_subsequent,
-            },
-            "methods": list(self.methods),
-            "seeds": list(self.seeds),
-            "total_iters": self.total_iters,
-            "batch_size": self.batch_size,
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "merge_first_k": self.merge_first_k,
-            "lwf_lambda": self.lwf_lambda,
-            "output_dir": self.output_dir,
-        }
+        d = asdict(self)
+        d["stream"] = self.stream.to_json()
+        del d["schedule"]["total_iters"]  # set per step
         return d
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
+        """The config `to_json` wrote; an unknown top-level field is a ConfigError naming it."""
+        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
+            raise ConfigError(f"unknown field {unknown[0]!r}")
         sched = dict(d["schedule"])
         sched.setdefault("total_iters", 0)
         return cls(
@@ -162,24 +151,6 @@ def _static_holdout(datasets: list[TimestepDataset], static_count: int):
     return batch, first.prototype_ids[keep], first.prototypes[keep]
 
 
-def _json_dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True))
-
-
-def _read_json(path: Path, *keys: str) -> dict:
-    """A run directory's JSON file; undecodable JSON or a missing key is refused naming the file."""
-    try:
-        obj = json.loads(path.read_text())
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"unreadable {path.stem}: {exc.reason}", exc.start, str(path)) from exc
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"unreadable {path.stem}: {exc.msg}", exc.pos, str(path)) from exc
-    for key in keys:
-        if not isinstance(obj, dict) or key not in obj:
-            raise RunError(f"{path}: missing field {key!r}")
-    return obj
-
-
 def _checkpoint_paths(run_dir: Path, t: int) -> tuple[Path, Path]:  # deploy, const-cosine carry
     return run_dir / f"step_{t:03d}.ticc", run_dir / f"step_{t:03d}_carry.ticc"
 
@@ -215,7 +186,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     progress_path = run_dir / "progress.json"
     progress = {"done_through": 0, "records": [], "ledger": ctx.ledger.to_json()}
     if progress_path.exists():
-        progress = _read_json(progress_path, "done_through", "records", "ledger")
+        progress = read_json(progress_path, "done_through", "records", "ledger")
         ctx.ledger = BudgetLedger.from_json(progress["ledger"])
     done, records = progress["done_through"], progress["records"]
 
@@ -236,7 +207,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
             save_checkpoint(carry_path, prev_ckpt)
         records.append(rec)
         progress = {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()}
-        _json_dump(progress_path, progress)
+        write_json(progress_path, progress)
     return progress
 
 
@@ -246,7 +217,7 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     progress.json's training bill; a run with a step left to train is refused."""
     run_dir = Path(run_dir)
     progress_path = run_dir / "progress.json"
-    progress = _read_json(progress_path, "done_through", "ledger") if progress_path.exists() else {"done_through": 0}
+    progress = read_json(progress_path, "done_through", "ledger") if progress_path.exists() else {"done_through": 0}
     if progress["done_through"] < len(datasets):
         raise RunError(f"{run_dir}: unfinished run, step {datasets[progress['done_through']].timestep} is not trained")
     ledger = BudgetLedger.from_json({**progress["ledger"], "eval_macs": {}})
@@ -266,7 +237,7 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
         "static_final": static_per_step[-1] if static_per_step else None,
         "ledger": ledger.to_json(),
     }
-    _json_dump(run_dir / "metrics.json", metrics)
+    write_json(run_dir / "metrics.json", metrics)
     return metrics
 
 
@@ -288,7 +259,7 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
         "metrics_file": "metrics.json",
         "wall_clock_seconds": time.time() - start,
     }
-    _json_dump(Path(run_dir) / "manifest.json", manifest)
+    write_json(Path(run_dir) / "manifest.json", manifest)
     return metrics
 
 
@@ -337,7 +308,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints; rewrites only metrics.json."""
-    manifest = _read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
+    manifest = read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
     cfg = ExperimentConfig.from_json(manifest["config"])
     return score_run(cfg, _prepare_datasets(cfg, data_dir), manifest["method"], manifest["seed"], run_dir)
 
@@ -402,8 +373,8 @@ def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
     """One row per (method, seed, task, metric) plus per-run MAC totals."""
     rows = []
     for mp in manifest_paths:
-        manifest = _read_json(Path(mp), "method", "seed", "metrics_file")
-        metrics = _read_json(Path(mp).parent / manifest["metrics_file"])
+        manifest = read_json(Path(mp), "method", "seed", "metrics_file")
+        metrics = read_json(Path(mp).parent / manifest["metrics_file"])
         method, seed = manifest["method"], manifest["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]
@@ -416,18 +387,16 @@ def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
         ledger = BudgetLedger.from_json(metrics["ledger"])
         rows.append([method, seed, "compute", "train_macs_total", ledger.total_train_macs()])
         rows.append([method, seed, "compute", "eval_macs_total", ledger.total_eval_macs()])
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    header = ["method", "seed", "task", "metric", "value"]
     if fmt == "csv":
-        with open(out_path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["method", "seed", "task", "metric", "value"])
-            w.writerows(rows)
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header] + rows)
+        text = buf.getvalue()
     elif fmt == "json":
-        out_path.write_text(json.dumps(
-            [dict(zip(["method", "seed", "task", "metric", "value"], r)) for r in rows],
-            indent=2,
-        ))
+        text = json.dumps([dict(zip(header, r)) for r in rows], indent=2)
     else:
         raise ConfigError(f"unknown report format {fmt!r}")
+    out_path = Path(out_path)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    atomic_write(out_path, text.encode())
     return out_path

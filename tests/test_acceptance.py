@@ -3,7 +3,8 @@
 Each test checks one release criterion and prints a single PASS/FAIL line
 to the terminal (bypassing pytest capture). Criteria 7, 8, and 10 share
 one reference-scale experiment over seeds {0, 1, 2}; everything else runs
-on small purpose-built instances.
+on small purpose-built instances. Criteria 7-10 also hold the figures they
+print to the pinned reference values in REFERENCE_FIGURES.
 """
 
 import json
@@ -74,6 +75,26 @@ def reference_results(tmp_path_factory):
         metrics = json.loads((mp.parent / "metrics.json").read_text())
         by_method.setdefault(metrics["method"], []).append(metrics)
     return {"cfg": cfg, "by_method": by_method, "elapsed": elapsed}
+
+
+# The figures criteria 7-10 print, to the printed 4 decimals. Each run is a
+# pure function of its config, so they hold exactly for a given NumPy and
+# BLAS build; the criteria's own bounds are checked beside them, unchanged.
+REFERENCE_FIGURES = {
+    7: {"cumulative_all backward": "0.4742", "sequential backward": "0.4500",
+        "in-domain diff": "0.0173", "patching backward": "0.4678",
+        "cumulative_equal backward": "0.4694", "cumulative_exp backward": "0.4690"},
+    8: {"static gap": "0.0127", "compute ratio": "0.4000"},
+    9: {"k=1": "0.6576", "k=2": "0.6589", "k=4": "0.6445", "k=8": "0.6458", "max diff": "0.0130"},
+    10: {"lag 0": "0.4801", "lag 1": "0.4518", "lag 2": "0.4167", "lag 3": "0.3607"},
+}
+
+
+def off_reference(num: int, figures: dict) -> str:
+    """The report's note on `figures` against REFERENCE_FIGURES[num]; empty when all match."""
+    off = [f"{k} {figures[k]:.4f} (pinned {v})" for k, v in REFERENCE_FIGURES[num].items()
+           if f"{figures[k]:.4f}" != v]
+    return "; off the pinned figures: " + ", ".join(off) if off else ""
 
 
 def mean_retrieval(results, method, key):
@@ -275,17 +296,23 @@ def test_criterion_07_method_ordering(report, reference_results):
     seq_id = mean_retrieval(reference_results, "sequential", "in_domain")
     all_id = mean_retrieval(reference_results, "cumulative_all", "in_domain")
     elapsed = reference_results["elapsed"]
+    off = off_reference(7, {
+        "cumulative_all backward": all_bwd, "sequential backward": seq_bwd,
+        "in-domain diff": abs(seq_id - all_id), "patching backward": patch_bwd,
+        "cumulative_equal backward": eq_bwd, "cumulative_exp backward": exp_bwd,
+    })
     ok = (
         all_bwd > seq_bwd
         and abs(seq_id - all_id) <= 0.03
         and patch_bwd >= seq_bwd
         and eq_bwd >= exp_bwd
         and elapsed < 15 * 60
+        and not off
     )
     report(7, ok, f"backward: cum-all {all_bwd:.4f} > seq {seq_bwd:.4f}; "
                   f"|in-domain diff| {abs(seq_id - all_id):.4f} (<=0.03); "
                   f"patching {patch_bwd:.4f} >= seq; equal {eq_bwd:.4f} >= exp {exp_bwd:.4f}; "
-                  f"{elapsed:.0f}s (<900s)")
+                  f"{elapsed:.0f}s (<900s){off}")
 
 
 def test_criterion_08_oracle_gap_and_efficiency(report, reference_results):
@@ -302,9 +329,10 @@ def test_criterion_08_oracle_gap_and_efficiency(report, reference_results):
     t = reference_results["cfg"].stream.num_steps
     ratio = train_macs("cumulative_all") / train_macs("oracle")
     bound = 2 / (t + 1)
-    ok = gap <= 0.03 and ratio <= bound + 1e-9
+    off = off_reference(8, {"static gap": gap, "compute ratio": ratio})
+    ok = gap <= 0.03 and ratio <= bound + 1e-9 and not off
     report(8, ok, f"static accuracy gap {gap:.4f} (<=0.03); "
-                  f"compute ratio {ratio:.4f} (<= 2/(T+1) = {bound:.4f})")
+                  f"compute ratio {ratio:.4f} (<= 2/(T+1) = {bound:.4f}){off}")
 
 
 def test_criterion_09_iid_split(report, tmp_path):
@@ -315,9 +343,10 @@ def test_criterion_09_iid_split(report, tmp_path):
     cfg.total_iters = 2000
     table = iid_split_experiment(cfg, splits=(1, 2, 4, 8))
     diffs = {k: abs(table[k] - table[1]) for k in (2, 4, 8)}
-    ok = max(diffs.values()) <= 0.02
+    off = off_reference(9, {**{f"k={k}": table[k] for k in (1, 2, 4, 8)}, "max diff": max(diffs.values())})
+    ok = max(diffs.values()) <= 0.02 and not off
     report(9, ok, "accuracy " + ", ".join(f"k={k}: {table[k]:.4f}" for k in (1, 2, 4, 8))
-                  + f"; max |acc(k)-acc(1)| {max(diffs.values()):.4f} (<=0.02)")
+                  + f"; max |acc(k)-acc(1)| {max(diffs.values()):.4f} (<=0.02){off}")
 
 
 def test_criterion_10_forward_transfer_decay(report, reference_results):
@@ -327,9 +356,10 @@ def test_criterion_10_forward_transfer_decay(report, reference_results):
     ]
     e = np.mean(mats, axis=0)
     lags = [float(np.mean([e[i, i + d] for i in range(4 - d)])) for d in range(4)]
-    ok = all(a >= b for a, b in zip(lags, lags[1:]))
+    off = off_reference(10, {f"lag {d}": v for d, v in enumerate(lags)})
+    ok = all(a >= b for a, b in zip(lags, lags[1:])) and not off
     report(10, ok, "mean zero-shot accuracy by lag "
-                   + ", ".join(f"{v:.4f}" for v in lags) + " (non-increasing)")
+                   + ", ".join(f"{v:.4f}" for v in lags) + f" (non-increasing){off}")
 
 
 def test_criterion_11_determinism_and_resume(report, tmp_path):

@@ -73,6 +73,15 @@ class TestGen:
         err = capsys.readouterr().err
         assert str(bad) in err and "'warmup'" in err
 
+    def test_unknown_top_level_field_is_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["lwf_lamda"] = 0.5
+        bad.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and "unknown field 'lwf_lamda'" in err
+
     def test_invalid_config_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
         cfg = json.loads(write_config(tmp_path).read_text())
@@ -161,6 +170,20 @@ class TestTrainEvalReport:
         }[command]
         assert main(argv) == 2
         assert str(progress) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: raw[:30], "unreadable stream_manifest"),
+        (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "files"}).encode(),
+         "missing field 'files'"),
+    ], ids=["truncated", "no_files"])
+    def test_corrupt_stream_manifest_is_exit_2_naming_the_file(self, trained, capsys, corrupt, message):
+        cfg, data, out = trained
+        manifest = data / "stream_manifest.json"
+        manifest.write_bytes(corrupt(manifest.read_bytes()))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--method", "sequential", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
 
     def test_eval_with_truncated_checkpoint_is_exit_2(self, trained, capsys):
         _, data, out = trained

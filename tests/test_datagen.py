@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from ticstream import datagen
 from ticstream.datagen import (
     RecordBatch,
     StreamConfig,
@@ -259,3 +260,22 @@ class TestTimestepFile:
         assert len(back) == len(stream)
         for a, b in zip(stream, back):
             assert np.array_equal(a.train.images, b.train.images)
+
+    def test_cut_off_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
+        # a stream B written over stream A and killed after its first step
+        # file must not pass for A, nor for B
+        cfg_a, cfg_b = make_cfg(), make_cfg(seed=100)
+        write_stream(generate_stream(cfg_a), cfg_a, tmp_path)
+        written = []
+
+        def write_one_then_stop(ds, path):
+            if written:
+                raise KeyboardInterrupt
+            written.append(path)
+            write_timestep_file(ds, path)
+
+        monkeypatch.setattr(datagen, "write_timestep_file", write_one_then_stop)
+        with pytest.raises(KeyboardInterrupt):
+            write_stream(generate_stream(cfg_b), cfg_b, tmp_path)
+        assert [p.name for p in written] == ["step_001.ticd"]
+        assert not (tmp_path / "stream_manifest.json").exists()

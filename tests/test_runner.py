@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import json
+import os
 import shutil
 
 import numpy as np
@@ -145,6 +147,74 @@ class TestRunMethodSeed:
         datasets = _prepare_datasets(cfg)
         run_method_seed(cfg, datasets, "sequential", 0, run_dir)
         assert (run_dir / "step_003.ticc").read_bytes() == before
+
+
+class Stop(BaseException):
+    """A kill: nothing in the package catches it."""
+
+
+def stop_at(n):
+    """os.replace that raises Stop on its nth call instead of replacing."""
+    calls = itertools.count(1)
+    real = os.replace
+
+    def replace(src, dst):
+        if next(calls) == n:
+            raise Stop
+        real(src, dst)
+
+    return replace
+
+
+def torn_at(n):
+    """os.fsync that, on its nth call, halves the temp file it was to sync and
+    raises Stop: a kill midway through writing an artifact."""
+    calls = itertools.count(1)
+    real = os.fsync
+
+    def fsync(fd):
+        if next(calls) == n:
+            os.ftruncate(fd, os.fstat(fd).st_size // 2)
+            raise Stop
+        real(fd)
+
+    return fsync
+
+
+class TestKilledRunResumes:
+    @staticmethod
+    def artifacts(run_dir):
+        files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        manifest.pop("wall_clock_seconds")
+        return files, manifest
+
+    # artifact writes: a deploy checkpoint, a carry one under const_cosine and
+    # progress.json per step, then metrics.json and manifest.json
+    @pytest.mark.parametrize("method, kind, writes", [
+        ("patching", "const_cosine", 11),
+        ("lwf", "warmup_cosine", 8),
+    ])
+    def test_killed_at_any_write_resumes_bit_exactly(self, tmp_path, monkeypatch, method, kind, writes):
+        schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
+        cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
+        datasets = _prepare_datasets(cfg)
+        run_method_seed(cfg, datasets, method, 0, tmp_path / "full")
+        want = self.artifacts(tmp_path / "full")
+        kills = [("replace", n, stop_at(n)) for n in range(1, writes + 2)]
+        kills.append(("fsync", writes // 2, torn_at(writes // 2)))
+        stops = 0
+        for name, n, kill in kills:
+            run_dir = tmp_path / f"{name}_{n}"
+            with monkeypatch.context() as m:
+                m.setattr(os, name, kill)
+                try:
+                    run_method_seed(cfg, datasets, method, 0, run_dir)
+                except Stop:
+                    stops += 1
+            run_method_seed(cfg, datasets, method, 0, run_dir)
+            assert self.artifacts(run_dir) == want, (name, n)
+        assert stops == writes + 1  # each write once, and the torn one
 
 
 class TestRunExperiment:
