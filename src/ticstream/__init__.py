@@ -21,7 +21,6 @@ from .evaluation import (
 from .methods import (
     METHOD_IDS,
     MethodSpec,
-    PatchState,
     apply_patch,
     resolve_method,
     run_step,
@@ -61,7 +60,6 @@ from .schedule import (
     ScheduleConfig,
     lr_at,
     macs_per_iteration,
-    oracle_total_multiplier,
     per_step_iterations,
 )
 

@@ -2,13 +2,13 @@
 
 Each method is a triple (initialization source, data policy, compute
 multiplier). One step = assemble data, train a fixed number of minibatch
-iterations under the step's LR cycle, bill the ledger, hand back the
-checkpoint (plus the interpolated model for the patching method).
+iterations under the step's LR cycle, bill the ledger, hand back the deploy
+and carry checkpoints: a run's whole state between steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -21,7 +21,6 @@ from .model import (
     ModelDims,
     TwoTowerParams,
     init_params,
-    release_work_buffers,
     teacher_targets,
     train_minibatch,
 )
@@ -77,12 +76,6 @@ def resolve_method(method_id: str) -> MethodSpec:
         raise ConfigError(f"unknown method {method_id!r}; known: {METHOD_IDS}")
     init, data, uses_lwf, mult = _TABLE[method_id]
     return MethodSpec(method_id, init, data, uses_lwf, mult)
-
-
-@dataclass
-class PatchState:
-    patched_params: TwoTowerParams
-    alpha_history: list[float] = field(default_factory=list)
 
 
 def apply_patch(prev: TwoTowerParams, new: TwoTowerParams, alpha: float) -> TwoTowerParams:
@@ -157,6 +150,7 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
         # the teacher is frozen for the whole segment: embed its pairs once
         targets = teacher_targets(lwf[0], records.images, records.texts, lwf[1])
     ckpt = ckpt.copy()
+    work = []  # the kernel's B x B scratch matrices, kept for the whole loop
     for it in range(it_start, it_stop):
         if order is None or pos + bs > n:
             order = rng.split("epoch", epoch).permutation(n)
@@ -166,10 +160,9 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
         pos += bs
         lr = lr_at(sched, it, is_first)
         teacher = None if targets is None else targets.take(idx)
-        rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher)
+        rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher, work)
         losses.append(rec["loss"] + rec["penalty"])
         ledger.charge_train(t, bill * iter_macs, 1)
-    release_work_buffers()
     return ckpt, losses
 
 
@@ -204,35 +197,33 @@ def run_step(
     spec: MethodSpec,
     t: int,
     datasets: list[TimestepDataset],
-    prev_ckpt: Checkpoint | None,
-    prev_patch: PatchState | None,
+    prev_deploy: Checkpoint | None,
+    prev_carry: Checkpoint | None,
     ctx: StepContext,
-) -> tuple[Checkpoint, Checkpoint, PatchState | None, dict]:
-    """Execute one method step.
+) -> tuple[Checkpoint, Checkpoint, dict]:
+    """Execute one method step from the previous step's deploy and carry checkpoints.
 
-    Returns (deploy checkpoint, carry checkpoint for the next step's init,
-    patch state, step record). Deploy and carry differ only for the
-    const-cosine schedule, where the decayed branch is deployable and the
-    pre-decay model continues training.
+    Returns (deploy checkpoint, carry checkpoint, step record), the run's
+    whole state for the next step. Under the const-cosine schedule the
+    decayed branch is deployed and the pre-decay model is the carry;
+    otherwise both are the trained model. `patching` deploys instead its
+    interpolation of the previous deploy model and the trained one, with the
+    alpha in the record, and warm-starts from the previous deploy model; every
+    other warm start, and the `lwf` teacher, use the previous carry.
     """
     # with merged early steps the first position's timestep can exceed 1, so
     # "first step" means first position in the (possibly aggregated) stream
     pos = sorted(d.timestep for d in datasets).index(t) + 1
     is_initial = pos == 1
-    needs_prev = spec.init_source in ("last_checkpoint", "last_patched") and not is_initial
-    if needs_prev:
-        if spec.init_source == "last_checkpoint" and prev_ckpt is None:
-            raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
-        if spec.init_source == "last_patched" and prev_patch is None:
-            raise RunError(f"{spec.id}: step {t} requires the previous patch state")
+    prev = prev_deploy if spec.init_source == "last_patched" else prev_carry
+    if spec.init_source != "random" and not is_initial and prev is None:
+        raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
 
     # initialization; the training segment copies what it starts from
     if spec.init_source == "random" or is_initial:
         params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t))
-    elif spec.init_source == "last_patched":
-        params = prev_patch.patched_params
     else:
-        params = prev_ckpt.params
+        params = prev.params
     ckpt = _fresh_checkpoint(params, t, spec.id)
 
     # data
@@ -251,7 +242,7 @@ def run_step(
     lwf = None
     bill = 1.0
     if spec.uses_lwf and not is_initial:
-        lwf = (prev_ckpt.params, ctx.lwf_lambda)
+        lwf = (prev_carry.params, ctx.lwf_lambda)
         bill = 1.0 + LWF_TEACHER_SHARE
 
     rng = Rng(ctx.seed, 0).split("trainloop", t)
@@ -273,24 +264,6 @@ def run_step(
 
     ctx.ledger.assert_within(t, spec.compute_multiplier_at(pos))
 
-    patch_state = None
-    if spec.id == "patching":
-        if is_initial:
-            patch_state = PatchState(deploy.params, [1.0])
-        else:
-            prev_sets = [d for d in datasets if d.timestep < t]
-            alpha = tune_patch_alpha(prev_patch.patched_params, deploy.params, prev_sets, ctx.ledger, t)
-            patched = apply_patch(prev_patch.patched_params, deploy.params, alpha)
-            patch_state = PatchState(patched, prev_patch.alpha_history + [alpha])
-        # the deployable model is the patched one
-        deploy = Checkpoint(
-            params=patch_state.patched_params,
-            adam=deploy.adam,
-            global_step=deploy.global_step,
-            trained_through_step=t,
-            method_id=spec.id,
-        )
-
     record = {
         "step": t,
         "plan": plan.to_json(),
@@ -299,6 +272,13 @@ def run_step(
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
         "final_loss": float(losses[-1]) if losses else 0.0,
     }
-    if patch_state is not None:
-        record["alpha"] = patch_state.alpha_history[-1]
-    return deploy, carry, patch_state, record
+    if spec.id == "patching":
+        alpha = 1.0
+        if not is_initial:
+            prev_sets = [d for d in datasets if d.timestep < t]
+            alpha = tune_patch_alpha(prev_deploy.params, deploy.params, prev_sets, ctx.ledger, t)
+            # the deployable model is the patched one
+            deploy = Checkpoint(apply_patch(prev_deploy.params, deploy.params, alpha), deploy.adam,
+                                deploy.global_step, t, spec.id)
+        record["alpha"] = alpha
+    return deploy, carry, record

@@ -13,14 +13,13 @@ are thin wrappers over it that return fresh ones. `train_minibatch` updates a
 checkpoint its caller owns in place (parameters, Adam moments, step count),
 through the checkpoint's own gradient vector, so a training segment that
 copies its starting checkpoint once allocates no parameter-sized vector per
-iteration. The kernel's B x B work matrices are module-level, reused across
-calls, reallocated when B changes and freed by `release_work_buffers` when a
-training loop ends. The kernel is therefore not re-entrant: one training
-loop per process (the experiment pool runs its jobs in separate processes).
-The penalty takes the teacher's embeddings precomputed (`teacher_targets`);
-a training segment embeds its whole training set once, which is valid only
-because the teacher is frozen while the student trains. The `.ticc` layout is
-defined beside `save_checkpoint` and read and written through `formats`.
+iteration. The kernel's B x B work matrices are a list that its caller keeps
+between calls (a training segment keeps one for its whole loop), so the
+kernel shares no state between calls and is re-entrant. The penalty takes the
+teacher's embeddings precomputed (`teacher_targets`); a training segment
+embeds its whole training set once, which is valid only because the teacher
+is frozen while the student trains. The `.ticc` layout is defined beside
+`save_checkpoint` and read and written through `formats`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 
 from .errors import FormatError, NumericError, RunError
 from .formats import Cursor, atomic_write
-from .numerics import AdamState, Rng, adam_step, l2_normalize_rows
+from .numerics import AdamState, Rng, adam_step, l2_normalize_rows, row_norms
 
 INIT_INV_TEMPERATURE = 1.0 / 0.07
 MAX_INV_TEMPERATURE = 100.0
@@ -169,13 +168,6 @@ def _tower_backward(layers, caches, d_out, grads):
             d = d @ layers[i][0].T
 
 
-def _normalize_with_cache(raw):
-    norms = np.sqrt((raw * raw).sum(axis=1, keepdims=True))
-    if norms.min() <= 1e-12:  # min propagates NaN, so a NaN norm fails too
-        raise NumericError("zero-norm embedding row")
-    return raw / norms, norms
-
-
 def _normalize_backward(d_unit, unit, norms):
     # d(raw) for u = raw/|raw|
     return (d_unit - (d_unit * unit).sum(axis=1, keepdims=True) * unit) / norms
@@ -197,8 +189,9 @@ def _encode_with_caches(params, images, texts):
     row alone, so one call over both towers computes what two would."""
     raw_u, cache_u = _tower_forward(params.image_layers, images)
     raw_v, cache_v = _tower_forward(params.text_layers, texts)
-    unit, norms = _normalize_with_cache(np.concatenate((raw_u, raw_v)))
-    return unit, norms, cache_u, cache_v
+    raw = np.concatenate((raw_u, raw_v))
+    norms = row_norms(raw)
+    return raw / norms, norms, cache_u, cache_v
 
 
 @dataclass(frozen=True)
@@ -222,32 +215,16 @@ def teacher_targets(teacher: TwoTowerParams, images: np.ndarray, texts: np.ndarr
     return TeacherTargets(encode(teacher, images, "image"), encode(teacher, texts, "text"), teacher.log_scale, lam)
 
 
-# B x B float64 scratch matrices of `_contrastive_step`, reused while B holds
-_work: list[np.ndarray] = []
-
-
-def _work_buffers(n: int, count: int) -> list[np.ndarray]:
-    if _work and _work[0].shape[0] != n:
-        _work.clear()
-    while len(_work) < count:
-        _work.append(np.empty((n, n)))
-    return _work
-
-
-def release_work_buffers() -> None:
-    """Free the contrastive kernel's work matrices. A training loop calls this
-    when it ends, so that they hold no memory outside training."""
-    _work.clear()
-
-
 def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerParams,
-                      teacher: TeacherTargets | None = None, clip: bool = True):
+                      teacher: TeacherTargets | None = None, clip: bool = True,
+                      work: list[np.ndarray] | None = None):
     """Contrastive loss, distillation penalty and their summed student gradients.
 
     One student forward and one backward. With `clip` false the contrastive
     term stays out of the gradients (its loss is still returned). Writes the
     gradients into `grads`, in the layout of `params`, and returns
-    (loss, penalty).
+    (loss, penalty). `work` holds the B x B float64 scratch matrices, reused
+    while B holds.
     """
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
@@ -261,7 +238,13 @@ def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerPara
     unit, norms, cache_u, cache_v = _encode_with_caches(params, images, texts)
     u, v = unit[:n], unit[n:]
     scale = float(np.exp(params.log_scale))
-    sims, e, grad, *rest = _work_buffers(n, 3 if teacher is None else 4)
+    if work is None:
+        work = []
+    elif work and work[0].shape[0] != n:
+        work.clear()
+    while len(work) < (3 if teacher is None else 4):
+        work.append(np.empty((n, n)))
+    sims, e, grad, *rest = work
     np.matmul(u, v.T, out=sims)
     # one exponential serves both softmax directions; logits are bounded by
     # the clamped scale so a global max shift cannot overflow
@@ -360,19 +343,23 @@ def train_minibatch(
     texts: np.ndarray,
     lr: float,
     lwf: TeacherTargets | None = None,
+    work: list[np.ndarray] | None = None,
 ) -> dict:
     """One forward/backward/Adam step on `ckpt`, in place; returns a loss record.
 
     The caller owns `ckpt`: its parameter vector and Adam moments are
     updated where they are, so no other object may share them (see
     `Checkpoint.copy`). `lwf` holds the teacher's targets for exactly these
-    pairs.
+    pairs, and `work` the kernel's B x B scratch matrices.
     """
     if ckpt.grads is None:
         ckpt.grads = _fresh_grads(ckpt.params)
-    loss, penalty = _contrastive_step(ckpt.params, images, texts, ckpt.grads, lwf)
-    if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(ckpt.grads.vector).all()):
-        raise NumericError(f"non-finite loss, penalty or gradient at global_step {ckpt.global_step}")
+    try:
+        loss, penalty = _contrastive_step(ckpt.params, images, texts, ckpt.grads, lwf, work=work)
+        if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(ckpt.grads.vector).all()):
+            raise NumericError("non-finite loss, penalty or gradient")
+    except NumericError as exc:  # name the iteration that produced it
+        raise NumericError(f"{exc} at global_step {ckpt.global_step}") from None
     adam_step(ckpt.params.vector, ckpt.grads.vector, ckpt.adam, lr)
     clamp_log_scale(ckpt.params)
     ckpt.global_step += 1

@@ -114,13 +114,18 @@ class Rng:
         return self.permutation(n)[:k]
 
 
-def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=np.float64)
+def row_norms(m: np.ndarray) -> np.ndarray:
+    """Each row's L2 norm, as an (n, 1) column; a zero, NaN or infinite norm is a NumericError."""
     norms = np.sqrt((m * m).sum(axis=1, keepdims=True))
     # written so that a NaN norm fails the test too
     if not np.all((norms > 1e-12) & (norms < np.inf)):
-        raise NumericError("l2_normalize_rows: zero-norm or non-finite row")
-    return m / norms
+        raise NumericError("zero-norm or non-finite embedding row")
+    return norms
+
+
+def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
+    m = np.asarray(m, dtype=np.float64)
+    return m / row_norms(m)
 
 
 @dataclass

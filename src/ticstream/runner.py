@@ -31,7 +31,7 @@ from .datagen import (
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .formats import atomic_write, read_json, write_json
-from .methods import PatchState, StepContext, resolve_method, run_step
+from .methods import StepContext, resolve_method, run_step
 from .model import ModelDims, init_params, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import (
@@ -190,21 +190,19 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
         ctx.ledger = BudgetLedger.from_json(progress["ledger"])
     done, records = progress["done_through"], progress["records"]
 
-    # warm start from the last finished step only: its carry model, and for patching its deployed model
-    prev_ckpt = prev_patch = None
+    # a run's state between steps is its last finished step's deploy and carry checkpoints
+    deploy = carry = None
     if 0 < done < len(timesteps):
         deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[done - 1])
-        prev_ckpt = load_checkpoint(carry_path if carry_path.exists() else deploy_path)
-        if spec.id == "patching":
-            deploy = load_checkpoint(deploy_path) if carry_path.exists() else prev_ckpt
-            prev_patch = PatchState(deploy.params, [r["alpha"] for r in records])
+        deploy = load_checkpoint(deploy_path)
+        carry = load_checkpoint(carry_path) if carry_path.exists() else deploy
 
     for i in range(done, len(timesteps)):
         deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[i])
-        deploy, prev_ckpt, prev_patch, rec = run_step(spec, timesteps[i], datasets, prev_ckpt, prev_patch, ctx)
+        deploy, carry, rec = run_step(spec, timesteps[i], datasets, deploy, carry, ctx)
         save_checkpoint(deploy_path, deploy)
         if cfg.schedule.kind == "const_cosine":
-            save_checkpoint(carry_path, prev_ckpt)
+            save_checkpoint(carry_path, carry)
         records.append(rec)
         progress = {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()}
         write_json(progress_path, progress)
@@ -254,7 +252,7 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
         "config": cfg.to_json(),
         "checkpoints": {str(d.timestep): f"step_{d.timestep:03d}.ticc" for d in datasets},
         "steps": records,
-        "alphas": [r.get("alpha") for r in records] if method_id == "patching" else None,
+        "alphas": [r["alpha"] for r in records if "alpha" in r] or None,
         "ledger": metrics["ledger"],
         "metrics_file": "metrics.json",
         "wall_clock_seconds": time.time() - start,
@@ -263,15 +261,21 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
     return metrics
 
 
+def _stored_datasets(cfg: ExperimentConfig, data_dir) -> list[TimestepDataset]:
+    """The stream in `data_dir`, which must be `cfg`'s; a missing one is an error."""
+    datasets, stored = load_stream(data_dir)
+    if stored != cfg.stream:
+        raise ConfigError("stored stream config differs from experiment config")
+    return aggregate_early_steps(datasets, cfg.merge_first_k)
+
+
 def _prepare_datasets(cfg: ExperimentConfig, data_dir=None) -> list[TimestepDataset]:
+    """The stream in `data_dir`, or `cfg`'s stream generated (and written there) when it holds none."""
     if data_dir is not None and (Path(data_dir) / "stream_manifest.json").exists():
-        datasets, stored = load_stream(data_dir)
-        if stored != cfg.stream:
-            raise ConfigError("stored stream config differs from experiment config")
-    else:
-        datasets = generate_stream(cfg.stream)
-        if data_dir is not None:
-            write_stream(datasets, cfg.stream, data_dir)
+        return _stored_datasets(cfg, data_dir)
+    datasets = generate_stream(cfg.stream)
+    if data_dir is not None:
+        write_stream(datasets, cfg.stream, data_dir)
     return aggregate_early_steps(datasets, cfg.merge_first_k)
 
 
@@ -307,10 +311,11 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 
 def evaluate_run(run_dir, data_dir) -> dict:
-    """Score a finished run directory from its checkpoints; rewrites only metrics.json."""
+    """Score a finished run directory from its checkpoints and the stream in `data_dir`;
+    rewrites only metrics.json, and a missing stream is an error."""
     manifest = read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
     cfg = ExperimentConfig.from_json(manifest["config"])
-    return score_run(cfg, _prepare_datasets(cfg, data_dir), manifest["method"], manifest["seed"], run_dir)
+    return score_run(cfg, _stored_datasets(cfg, data_dir), manifest["method"], manifest["seed"], run_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +358,9 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
                 ))
             ctx = _step_context(cfg, seed, 1, per_step, shard)
             spec = resolve_method("cumulative_all")
-            prev = None
+            deploy = carry = None
             for t in range(1, k + 1):
-                deploy, carry, _, _ = run_step(spec, t, datasets, prev, None, ctx)
-                prev = carry
+                deploy, carry, _ = run_step(spec, t, datasets, deploy, carry, ctx)
             accs.append(zero_shot_accuracy(
                 deploy.params, pool.eval_classification, pool.prototype_ids, pool.prototypes
             ))

@@ -98,13 +98,6 @@ def eval_macs(params: TwoTowerParams, num_samples: int) -> int:
     return forward_macs_per_sample(params) * num_samples
 
 
-def oracle_total_multiplier(num_steps: int) -> int:
-    """Total compute of the from-scratch retraining baseline, as a multiple of C."""
-    if num_steps < 1:
-        raise ConfigError("num_steps must be >= 1")
-    return num_steps * (num_steps + 1) // 2
-
-
 @dataclass
 class BudgetLedger:
     """Per-step MAC accounting against the per-step budget C."""

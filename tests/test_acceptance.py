@@ -215,9 +215,9 @@ def test_criterion_04_budget_ledger_t7(report):
         ctx = StepContext(seed=0, dims=dims, batch_size=8, per_step_iters=per_step,
                           schedule=sched, per_step_size=32, lwf_lambda=1.0, ledger=ledger)
         spec = resolve_method(method)
-        prev, patch = None, None
+        deploy = carry = None
         for t in range(1, 8):
-            _, prev, patch, _ = run_step(spec, t, datasets, prev, patch, ctx)
+            deploy, carry, _ = run_step(spec, t, datasets, deploy, carry, ctx)
         totals[method] = ledger.total_train_macs()
 
     oracle_ok = int(totals["oracle"]) == 28 * c and totals["oracle"] == int(totals["oracle"])

@@ -211,6 +211,13 @@ class TestTrainEvalReport:
         assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
         assert "incompatible with tower image" in capsys.readouterr().err
 
+    def test_eval_reads_the_stream_and_never_writes_one(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        data = tmp_path / "no_stream"
+        assert main(["eval", "--run", str(out / "sequential" / "seed_0"), "--data", str(data)]) == 2
+        assert str(data / "stream_manifest.json") in capsys.readouterr().err
+        assert not data.exists()
+
     def test_eval_missing_run_is_nonzero(self, tmp_path):
         assert main(["eval", "--run", str(tmp_path / "ghost"),
                      "--data", str(tmp_path / "d")]) in (1, 2)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,6 @@ from ticstream.datagen import StreamConfig, generate_stream
 from ticstream.errors import ConfigError, RunError
 from ticstream.methods import (
     METHOD_IDS,
-    PatchState,
     StepContext,
     apply_patch,
     resolve_method,
@@ -48,17 +50,46 @@ def make_ctx(seed=0, kind="warmup_cosine", per_step_iters=PER_STEP_ITERS, budget
 def run_through(method_id, stream, upto, ctx=None):
     spec = resolve_method(method_id)
     ctx = ctx or make_ctx()
-    prev, patch = None, None
+    deploy = carry = None
     out = []
     for t in range(1, upto + 1):
-        deploy, carry, patch, rec = run_step(spec, t, stream, prev, patch, ctx)
-        prev = carry
-        out.append((deploy, carry, patch, rec))
+        deploy, carry, rec = run_step(spec, t, stream, deploy, carry, ctx)
+        out.append((deploy, carry, rec))
     return out, ctx
 
 
 def flat_equal(a, b):
     return a.layout == b.layout and np.array_equal(a.vector, b.vector)
+
+
+def method_id_comparisons(source: str) -> list[tuple[int, str]]:
+    """(line, id) for each comparison or `case` in `source` against a method id literal."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+        operands += [node.value] if isinstance(node, ast.MatchValue) else []
+        for operand in operands:
+            for e in operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]:
+                if isinstance(e, ast.Constant) and e.value in METHOD_IDS:
+                    found.append((node.lineno, e.value))
+    return sorted(found)
+
+
+def test_scanner_finds_method_id_comparisons():
+    source = ('if spec.id == "patching": pass\nok = m in ("oracle", "restart")\nx = "lwf" != y\n'
+              'match m:\n    case "sequential": pass\n'
+              'name = "patching"\nresolve_method("lwf")\nok = kind == "const_cosine"\n')
+    assert method_id_comparisons(source) == [
+        (1, "patching"), (2, "oracle"), (2, "restart"), (3, "lwf"), (5, "sequential"),
+    ]
+
+
+def test_only_methods_compares_against_method_ids():
+    # what differs between methods lives in their table and `run_step`; every
+    # other module handles a method only through its id and its step records
+    for path in sorted(Path(methods.__file__).parent.glob("*.py")):
+        if path.name != "methods.py":
+            assert method_id_comparisons(path.read_text()) == [], path.name
 
 
 class TestResolve:
@@ -176,8 +207,8 @@ class TestRunStepBasics:
         out, _ = run_through("restart", stream, 2)
         spec = resolve_method("restart")
         ctx = make_ctx(budget_mult=2.0)
-        fake_prev = run_through("sequential", stream, 1)[0][0][1]
-        deploy, *_ = run_step(spec, 2, stream, fake_prev, None, ctx)
+        fake_deploy, fake_carry, _ = run_through("sequential", stream, 1)[0][0]
+        deploy, *_ = run_step(spec, 2, stream, fake_deploy, fake_carry, ctx)
         assert flat_equal(deploy.params, out[1][0].params)
 
     def test_adam_state_reset_each_step(self, stream):
@@ -187,7 +218,7 @@ class TestRunStepBasics:
 
     def test_step_record_fields(self, stream):
         out, _ = run_through("cumulative_all", stream, 2)
-        rec = out[1][3]
+        rec = out[1][2]
         assert rec["step"] == 2
         assert rec["iterations"] == PER_STEP_ITERS
         assert rec["train_set_size"] == 80  # all of steps 1 and 2
@@ -197,23 +228,23 @@ class TestRunStepBasics:
 class TestDataAssembly:
     def test_sequential_uses_only_new(self, stream):
         out, _ = run_through("sequential", stream, 3)
-        plan = out[2][3]["plan"]
+        plan = out[2][2]["plan"]
         assert plan["per_source_counts"] == {}
         assert plan["current_count"] == 40
 
     def test_cumulative_all_takes_everything(self, stream):
         out, _ = run_through("cumulative_all", stream, 3)
-        plan = out[2][3]["plan"]
+        plan = out[2][2]["plan"]
         assert plan["per_source_counts"] == {"1": 40, "2": 40}
 
     def test_exp_buffer_at_step_three(self, stream):
         out, _ = run_through("cumulative_exp", stream, 3)
-        plan = out[2][3]["plan"]
+        plan = out[2][2]["plan"]
         assert plan["per_source_counts"] == {"1": 20, "2": 20}
 
     def test_equal_buffer_at_step_four(self, stream):
         out, _ = run_through("cumulative_equal", stream, 4)
-        plan = out[3][3]["plan"]
+        plan = out[3][2]["plan"]
         counts = plan["per_source_counts"]
         assert sum(counts.values()) == 40
         assert max(counts.values()) - min(counts.values()) <= 1
@@ -273,22 +304,26 @@ class TestLwfBehavior:
 class TestPatchingMethod:
     def test_first_step_alpha_is_one(self, stream):
         out, _ = run_through("patching", stream, 1, make_ctx(budget_mult=2.0))
-        _, _, patch, rec = out[0]
+        _, _, rec = out[0]
         assert rec["alpha"] == 1.0
-        assert patch.alpha_history == [1.0]
 
     def test_deploy_is_patched_model(self, stream):
+        # the patched model is deployed as a checkpoint of the step that trained it
         out, _ = run_through("patching", stream, 2, make_ctx(budget_mult=2.0))
-        deploy, _, patch, rec = out[1]
-        assert flat_equal(deploy.params, patch.patched_params)
+        deploy, carry, rec = out[1]
+        assert flat_equal(deploy.params, apply_patch(out[0][0].params, carry.params, rec["alpha"]))
+        assert (deploy.trained_through_step, deploy.method_id) == (2, "patching")
+        assert deploy.global_step == carry.global_step == PER_STEP_ITERS
         assert 0.0 <= rec["alpha"] <= 1.0
 
     def test_patched_equals_manual_interpolation(self, stream):
-        out, _ = run_through("patching", stream, 2, make_ctx(budget_mult=2.0))
-        _, carry2, patch, rec = out[1]
-        prev = out[0][2].patched_params
-        manual = apply_patch(prev, carry2.params, rec["alpha"])
-        assert flat_equal(patch.patched_params, manual)
+        # each step interpolates against the previous deploy model, which from
+        # step 3 on is itself patched (alpha 0.9 at step 3 of this stream)
+        out, _ = run_through("patching", stream, 4, make_ctx(budget_mult=2.0))
+        for (prev_deploy, _, _), (deploy, carry, rec) in zip(out, out[1:]):
+            manual = apply_patch(prev_deploy.params, carry.params, rec["alpha"])
+            assert flat_equal(deploy.params, manual)
+        assert not flat_equal(out[2][0].params, out[2][1].params)
 
 
 class TestConstCosine:
@@ -302,7 +337,7 @@ class TestConstCosine:
         # the next step must warm-start from the pre-decay branch
         ctx = make_ctx(kind="const_cosine")
         out, _ = run_through("sequential", stream, 2, ctx)
-        assert out[1][3]["step"] == 2
+        assert out[1][2]["step"] == 2
 
     def test_warmup_cosine_deploy_equals_carry(self, stream):
         out, _ = run_through("sequential", stream, 1)
@@ -336,7 +371,7 @@ class TestSegmentsOwnTheirState:
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):
         ctx = make_ctx(budget_mult=2.0)
         spec = resolve_method("patching")
-        _, carry, patch, _ = run_step(spec, 1, stream, None, None, ctx)
-        before = patch.patched_params.vector.copy()
-        run_step(spec, 2, stream, carry, patch, ctx)
-        assert np.array_equal(patch.patched_params.vector, before)
+        deploy, carry, _ = run_step(spec, 1, stream, None, None, ctx)
+        before = deploy.params.vector.copy()
+        run_step(spec, 2, stream, deploy, carry, ctx)
+        assert np.array_equal(deploy.params.vector, before)

@@ -275,10 +275,10 @@ class TestWorkBuffers:
         for with_teacher in (False, True):
             # same size twice (buffers reused), then a resize and back
             calls = [(4, with_teacher), (4, not with_teacher), (8, with_teacher), (4, with_teacher)]
-            outs, copies = [], []
+            outs, copies, work = [], [], []
             for n, t in calls:
                 grads = TwoTowerParams.wrap(np.empty_like(p.vector), p.layout)
-                outs.append(_contrastive_step(p, *batches[n], grads, targets[n] if t else None) + (grads,))
+                outs.append(_contrastive_step(p, *batches[n], grads, targets[n] if t else None, work=work) + (grads,))
                 copies.append(grads.vector.copy())
                 # an earlier call's gradients survive this call
                 for out, copy in zip(outs, copies):

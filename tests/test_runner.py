@@ -107,9 +107,10 @@ class TestRunMethodSeed:
 
     @pytest.mark.parametrize("method, kind", [
         ("sequential", "warmup_cosine"),
+        # without carry files a resume takes the deploy file as the carry
+        ("patching", "warmup_cosine"),
         # const_cosine writes carry checkpoints: patching resumes from its
-        # patched deploy model and alpha list, lwf from the carry, which is
-        # also its teacher
+        # patched deploy model, lwf from the carry, which is also its teacher
         ("patching", "const_cosine"),
         ("lwf", "const_cosine"),
     ])

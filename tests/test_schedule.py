@@ -14,7 +14,6 @@ from ticstream.schedule import (
     forward_macs_per_sample,
     lr_at,
     macs_per_iteration,
-    oracle_total_multiplier,
     per_step_iterations,
 )
 
@@ -113,12 +112,6 @@ class TestMacs:
 
     def test_eval_macs_forward_only(self):
         assert eval_macs(self.make_params(), 10) == 14080
-
-
-class TestOracleMultiplier:
-    @pytest.mark.parametrize("t,expect", [(7, 28), (1, 1), (4, 10)])
-    def test_values(self, t, expect):
-        assert oracle_total_multiplier(t) == expect
 
 
 class TestLedger:
