@@ -54,7 +54,7 @@ PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
 class MethodSpec:
     id: str
     init_source: str  # "random" | "last_checkpoint" | "last_patched"
-    data_policy: str  # "new_only" | "all" | "buffer_exp" | "buffer_equal"
+    data_policy: str  # a replay.BufferPolicy kind, or "new_only"
     uses_lwf: bool
     compute_multiplier_at: Callable[[int], float]
 
@@ -62,8 +62,8 @@ class MethodSpec:
 _TABLE = {
     "oracle": ("random", "all", False, lambda t: float(t)),
     "cumulative_all": ("last_checkpoint", "all", False, lambda t: 1.0),
-    "cumulative_exp": ("last_checkpoint", "buffer_exp", False, lambda t: 1.0),
-    "cumulative_equal": ("last_checkpoint", "buffer_equal", False, lambda t: 1.0),
+    "cumulative_exp": ("last_checkpoint", "exp", False, lambda t: 1.0),
+    "cumulative_equal": ("last_checkpoint", "equal", False, lambda t: 1.0),
     "sequential": ("last_checkpoint", "new_only", False, lambda t: 1.0),
     "restart": ("random", "all", False, lambda t: 1.0),
     "patching": ("last_patched", "new_only", False, lambda t: 1.0),
@@ -125,22 +125,18 @@ class StepContext:
     ledger: BudgetLedger
 
 
-def _fresh_checkpoint(params: TwoTowerParams, t: int, method_id: str) -> Checkpoint:
-    return Checkpoint(params, AdamState.init_like(params.vector), 0, t, method_id)
+def _train_segment(params, adam, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):
+    """Train iterations [it_start, it_stop) from `params`; returns the trained
+    parameters and the per-iteration losses.
 
-
-def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):
-    """Train iterations [it_start, it_stop) from `ckpt`; returns the trained
-    checkpoint and the per-iteration losses.
-
-    The segment trains its own copy of `ckpt`, made once here, and updates
-    it in place; `ckpt` itself is never changed.
+    The segment trains its own copy of `params`, made once here, in place,
+    and continues `adam` where it stands; `params` itself is never changed.
     """
     n = len(records)
     if n == 0:
         raise RunError(f"step {t}: empty training set")
     bs = min(batch_size, n)
-    iter_macs = macs_per_iteration(ckpt.params, bs)
+    iter_macs = macs_per_iteration(params, bs)
     order = None
     pos = n
     epoch = it_start  # epoch streams keyed by the iteration that opened them
@@ -149,7 +145,8 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
     if lwf is not None:
         # the teacher is frozen for the whole segment: embed its pairs once
         targets = teacher_targets(lwf[0], records.images, records.texts, lwf[1])
-    ckpt = ckpt.copy()
+    params = params.copy()
+    grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
     work = []  # the kernel's B x B scratch matrices, kept for the whole loop
     for it in range(it_start, it_stop):
         if order is None or pos + bs > n:
@@ -160,10 +157,11 @@ def _train_segment(ckpt, records, it_start, it_stop, sched, is_first, batch_size
         pos += bs
         lr = lr_at(sched, it, is_first)
         teacher = None if targets is None else targets.take(idx)
-        rec = train_minibatch(ckpt, records.images[idx], records.texts[idx], lr, teacher, work)
+        rec = train_minibatch(params, records.images[idx], records.texts[idx], lr, teacher, work,
+                              adam=adam, grads=grads)
         losses.append(rec["loss"] + rec["penalty"])
         ledger.charge_train(t, bill * iter_macs, 1)
-    return ckpt, losses
+    return params, losses
 
 
 def _assemble_data(spec: MethodSpec, t: int, datasets: list[TimestepDataset], ctx: StepContext):
@@ -176,14 +174,8 @@ def _assemble_data(spec: MethodSpec, t: int, datasets: list[TimestepDataset], ct
     p = pos_of[t]
     if spec.data_policy == "new_only":
         plan = ReplayPlan(p, {}, actual[p])
-    elif spec.data_policy == "all":
-        plan = plan_replay(BufferPolicy("all"), p, ctx.per_step_size, actual)
-    elif spec.data_policy == "buffer_exp":
-        plan = plan_replay(BufferPolicy("exp"), p, ctx.per_step_size, actual)
-    elif spec.data_policy == "buffer_equal":
-        plan = plan_replay(BufferPolicy("equal"), p, ctx.per_step_size, actual)
     else:
-        raise ConfigError(f"unknown data policy {spec.data_policy!r}")
+        plan = plan_replay(BufferPolicy(spec.data_policy), p, ctx.per_step_size, actual)
     plan = ReplayPlan(t, {step_of[q]: c for q, c in plan.per_source_counts.items()}, plan.current_count)
     rng = Rng(ctx.seed, 0).split("data", t)
     old = sample_buffer(plan, datasets, rng)
@@ -224,7 +216,6 @@ def run_step(
         params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t))
     else:
         params = prev.params
-    ckpt = _fresh_checkpoint(params, t, spec.id)
 
     # data
     records, plan = _assemble_data(spec, t, datasets, ctx)
@@ -246,19 +237,21 @@ def run_step(
         bill = 1.0 + LWF_TEACHER_SHARE
 
     rng = Rng(ctx.seed, 0).split("trainloop", t)
+    # every step restarts Adam; the decay branch continues the same state
+    adam = AdamState.init_like(params.vector)
     if sched.kind == "const_cosine":
         d = decay_start_iter(sched)
         carry, losses = _train_segment(
-            ckpt, records, 0, d, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
+            params, adam, records, 0, d, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
         )
         deploy, branch_losses = _train_segment(
-            carry, records, d, iters, sched, is_first, ctx.batch_size, rng.split("decay_branch"),
+            carry, adam, records, d, iters, sched, is_first, ctx.batch_size, rng.split("decay_branch"),
             ctx.ledger, t, lwf, bill
         )
         losses += branch_losses
     else:
         deploy, losses = _train_segment(
-            ckpt, records, 0, iters, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
+            params, adam, records, 0, iters, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
         )
         carry = deploy
 
@@ -276,9 +269,8 @@ def run_step(
         alpha = 1.0
         if not is_initial:
             prev_sets = [d for d in datasets if d.timestep < t]
-            alpha = tune_patch_alpha(prev_deploy.params, deploy.params, prev_sets, ctx.ledger, t)
+            alpha = tune_patch_alpha(prev_deploy.params, deploy, prev_sets, ctx.ledger, t)
             # the deployable model is the patched one
-            deploy = Checkpoint(apply_patch(prev_deploy.params, deploy.params, alpha), deploy.adam,
-                                deploy.global_step, t, spec.id)
+            deploy = apply_patch(prev_deploy.params, deploy, alpha)
         record["alpha"] = alpha
-    return deploy, carry, record
+    return Checkpoint(deploy, t, spec.id), Checkpoint(carry, t, spec.id), record

@@ -9,24 +9,27 @@ directions) backs the warm-start regularization method.
 One kernel, `_contrastive_step`, computes the contrastive loss, the penalty
 and their summed gradients with one student forward and one backward, and
 writes the gradients into a vector its caller owns; the public loss functions
-are thin wrappers over it that return fresh ones. `train_minibatch` updates a
-checkpoint its caller owns in place (parameters, Adam moments, step count),
-through the checkpoint's own gradient vector, so a training segment that
-copies its starting checkpoint once allocates no parameter-sized vector per
-iteration. The kernel's B x B work matrices are a list that its caller keeps
-between calls (a training segment keeps one for its whole loop), so the
-kernel shares no state between calls and is re-entrant. The penalty takes the
-teacher's embeddings precomputed (`teacher_targets`); a training segment
-embeds its whole training set once, which is valid only because the teacher
-is frozen while the student trains. The `.ticc` layout is defined beside
-`save_checkpoint` and read and written through `formats`.
+are thin wrappers over it that return fresh ones. `train_minibatch` updates
+parameters, an `AdamState` and a gradient vector that its caller owns, in
+place, so a training segment that copies its starting parameters once
+allocates no parameter-sized vector per iteration. The kernel's B x B work
+matrices are a list that its caller keeps between calls (a training segment
+keeps one for its whole loop), so the kernel shares no state between calls
+and is re-entrant. The penalty takes the teacher's embeddings precomputed
+(`teacher_targets`); a training segment embeds its whole training set once,
+which is valid only because the teacher is frozen while the student trains.
+A checkpoint is its parameters, the step that trained them and the method's
+id: every step restarts Adam, so no optimizer state outlives a step. The
+`.ticc` layout is defined beside `save_checkpoint` and read and written
+through `formats`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .numerics import AdamState, Rng, adam_step, l2_normalize_rows, row_norms
 INIT_INV_TEMPERATURE = 1.0 / 0.07
 MAX_INV_TEMPERATURE = 100.0
 CHECKPOINT_MAGIC = b"TICC"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -108,19 +111,11 @@ class TwoTowerParams:
 
 @dataclass
 class Checkpoint:
+    """What a `.ticc` file holds."""
+
     params: TwoTowerParams
-    adam: AdamState
-    global_step: int
     trained_through_step: int
     method_id: str
-    # gradient of the last `train_minibatch` step, allocated by the first one;
-    # not part of the checkpoint file
-    grads: TwoTowerParams | None = field(default=None, repr=False, compare=False)
-
-    def copy(self) -> "Checkpoint":
-        """A copy that shares no array with this checkpoint."""
-        return Checkpoint(self.params.copy(), self.adam.copy(), self.global_step,
-                          self.trained_through_step, self.method_id)
 
 
 def init_params(dims: ModelDims, rng: Rng) -> TwoTowerParams:
@@ -338,58 +333,53 @@ def clamp_log_scale(params: TwoTowerParams) -> TwoTowerParams:
 
 
 def train_minibatch(
-    ckpt: Checkpoint,
+    params: TwoTowerParams,
     images: np.ndarray,
     texts: np.ndarray,
     lr: float,
     lwf: TeacherTargets | None = None,
     work: list[np.ndarray] | None = None,
+    *,
+    adam: AdamState,
+    grads: TwoTowerParams,
 ) -> dict:
-    """One forward/backward/Adam step on `ckpt`, in place; returns a loss record.
+    """One forward/backward/Adam step on `params`, in place; returns a loss record.
 
-    The caller owns `ckpt`: its parameter vector and Adam moments are
-    updated where they are, so no other object may share them (see
-    `Checkpoint.copy`). `lwf` holds the teacher's targets for exactly these
-    pairs, and `work` the kernel's B x B scratch matrices.
+    The caller owns `params`, `adam` and `grads`, the vector the step's
+    gradients are written into: all three are updated where they are, so no
+    other object may share them. `lwf` holds the teacher's targets for
+    exactly these pairs, and `work` the kernel's B x B scratch matrices.
     """
-    if ckpt.grads is None:
-        ckpt.grads = _fresh_grads(ckpt.params)
     try:
-        loss, penalty = _contrastive_step(ckpt.params, images, texts, ckpt.grads, lwf, work=work)
-        if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(ckpt.grads.vector).all()):
+        loss, penalty = _contrastive_step(params, images, texts, grads, lwf, work=work)
+        if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(grads.vector).all()):
             raise NumericError("non-finite loss, penalty or gradient")
     except NumericError as exc:  # name the iteration that produced it
-        raise NumericError(f"{exc} at global_step {ckpt.global_step}") from None
-    adam_step(ckpt.params.vector, ckpt.grads.vector, ckpt.adam, lr)
-    clamp_log_scale(ckpt.params)
-    ckpt.global_step += 1
+        raise NumericError(f"{exc} at iteration {adam.step_count}") from None
+    adam_step(params.vector, grads.vector, adam, lr)
+    clamp_log_scale(params)
     return {"loss": loss, "penalty": penalty, "lr": lr}
 
 
 # ---------------------------------------------------------------------------
 # Checkpoint file format, little-endian: magic "TICC", version u32, method id
-# (u32 length + UTF-8), trained_through_step u32, global_step u64, Adam
-# step count u64 and beta1, beta2, epsilon f64; per tower (image, text) a
+# (u32 length + UTF-8), trained_through_step u32; per tower (image, text) a
 # layer count u32 and each layer's fan_in, fan_out u32; the vector length
-# u64; then the parameter vector, Adam's first moment and its second moment,
-# each that many f64s. Nothing follows.
+# u64 and the parameter vector, that many f64s; then the 32-byte SHA-256 of
+# every byte before it. Nothing follows.
 # ---------------------------------------------------------------------------
-
-_COUNTERS = "<IQQddd"
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     mid = ckpt.method_id.encode("utf-8")
-    params, adam = ckpt.params, ckpt.adam
+    params = ckpt.params
     chunks = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(mid)), mid,
-              struct.pack(_COUNTERS, ckpt.trained_through_step, ckpt.global_step,
-                          adam.step_count, adam.beta1, adam.beta2, adam.epsilon)]
+              struct.pack("<I", ckpt.trained_through_step)]
     for shapes in params.layout:
         chunks.append(struct.pack(f"<{1 + 2 * len(shapes)}I", len(shapes), *(d for s in shapes for d in s)))
-    chunks.append(struct.pack("<Q", params.vector.size))
-    for vector in (params.vector, adam.first_moment, adam.second_moment):
-        chunks.append(vector.astype("<f8").tobytes())
-    atomic_write(path, b"".join(chunks))
+    chunks += [struct.pack("<Q", params.vector.size), params.vector.astype("<f8").tobytes()]
+    body = b"".join(chunks)
+    atomic_write(path, body + hashlib.sha256(body).digest())
 
 
 def _read_shapes(cur: Cursor) -> tuple[tuple[int, int], ...]:
@@ -409,12 +399,14 @@ def load_checkpoint(path) -> Checkpoint:
         method_id = cur.take(*cur.unpack("<I")).decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError("method id is not UTF-8", id_offset, path) from e
-    trained_through, global_step, step_count, beta1, beta2, epsilon = cur.unpack(_COUNTERS)
+    (trained_through,) = cur.unpack("<I")
     layout = (_read_shapes(cur), _read_shapes(cur))  # image, then text
     (n,) = cur.unpack("<Q")
     if n != _layout_size(layout):
         raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8, path)
-    vector, m, v = (cur.array("<f8", n).astype(np.float64) for _ in range(3))
+    vector = cur.array("<f8", n).astype(np.float64)
+    body_end = cur.pos
+    if cur.take(32) != hashlib.sha256(memoryview(cur.buf)[:body_end]).digest():
+        raise FormatError("SHA-256 trailer does not match the content", body_end, path)
     cur.end()
-    adam = AdamState(m, v, step_count, beta1, beta2, epsilon)
-    return Checkpoint(TwoTowerParams.wrap(vector, layout), adam, global_step, trained_through, method_id)
+    return Checkpoint(TwoTowerParams.wrap(vector, layout), trained_through, method_id)

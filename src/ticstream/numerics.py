@@ -2,8 +2,9 @@
 seeded RNG.
 
 Everything here is double precision. `adam_step` updates the parameter
-vector and its `AdamState` in place, so each belongs to one training loop;
-`Rng` advances its own state. Every other function is pure.
+vector and its `AdamState` in place; an `AdamState` lives for one step's
+training and is never saved, since every step restarts Adam. `Rng` advances
+its own state. Every other function is pure.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ class AdamState:
     @classmethod
     def init_like(cls, params: np.ndarray, beta1=0.9, beta2=0.999, epsilon=1e-8):
         return cls(np.zeros_like(params), np.zeros_like(params), 0, beta1, beta2, epsilon)
-
-    def copy(self) -> "AdamState":
-        """A copy that shares no array with this state."""
-        return AdamState(self.first_moment.copy(), self.second_moment.copy(), self.step_count,
-                         self.beta1, self.beta2, self.epsilon)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:

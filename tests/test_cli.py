@@ -6,7 +6,7 @@ from ticstream import runner
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.model import ModelDims, init_params, load_checkpoint, save_checkpoint
-from ticstream.numerics import AdamState, Rng
+from ticstream.numerics import Rng
 from ticstream.runner import ExperimentConfig
 from ticstream.schedule import ScheduleConfig
 
@@ -201,12 +201,21 @@ class TestTrainEvalReport:
         assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
         assert "byte offset 12" in capsys.readouterr().err
 
+    def test_eval_with_flipped_payload_byte_is_exit_2(self, trained, capsys):
+        _, data, out = trained
+        first = out / "sequential" / "seed_0" / "step_001.ticc"
+        raw = bytearray(first.read_bytes())
+        raw[-40] ^= 0x01  # the lowest bit of log_scale, the last parameter before the digest
+        first.write_bytes(bytes(raw))
+        assert main(["eval", "--run", str(first.parent), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert "SHA-256" in err and str(first) in err
+
     def test_eval_with_checkpoint_of_other_shape_is_exit_2(self, trained, capsys):
         _, data, out = trained
         last = out / "sequential" / "seed_0" / "step_002.ticc"
         ckpt = load_checkpoint(last)
         ckpt.params = init_params(ModelDims(image_dim=7, text_dim=5, hidden_dim=8, embed_dim=4), Rng(0))
-        ckpt.adam = AdamState.init_like(ckpt.params.vector)
         save_checkpoint(last, ckpt)
         assert main(["eval", "--run", str(last.parent), "--data", str(data)]) == 2
         assert "incompatible with tower image" in capsys.readouterr().err

@@ -15,7 +15,7 @@ from ticstream.methods import (
     run_step,
     tune_patch_alpha,
 )
-from ticstream.model import ModelDims, init_params, save_checkpoint
+from ticstream.model import ModelDims, init_params
 from ticstream.numerics import Rng
 from ticstream.schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
@@ -211,10 +211,20 @@ class TestRunStepBasics:
         deploy, *_ = run_step(spec, 2, stream, fake_deploy, fake_carry, ctx)
         assert flat_equal(deploy.params, out[1][0].params)
 
-    def test_adam_state_reset_each_step(self, stream):
-        out, _ = run_through("cumulative_all", stream, 2)
-        deploy = out[1][0]
-        assert deploy.adam.step_count == PER_STEP_ITERS
+    def test_adam_state_reset_each_step(self, stream, monkeypatch):
+        # each step trains from an AdamState of its own, at zero when it starts
+        starts = []
+        train_segment = methods._train_segment
+
+        def spy(params, adam, *args):
+            starts.append((adam, adam.step_count, adam.first_moment.any(), adam.second_moment.any()))
+            return train_segment(params, adam, *args)
+
+        monkeypatch.setattr(methods, "_train_segment", spy)
+        run_through("cumulative_all", stream, 2)
+        assert [start[1:] for start in starts] == [(0, False, False)] * 2
+        assert starts[0][0] is not starts[1][0]
+        assert starts[0][0].step_count == starts[1][0].step_count == PER_STEP_ITERS
 
     def test_step_record_fields(self, stream):
         out, _ = run_through("cumulative_all", stream, 2)
@@ -313,7 +323,6 @@ class TestPatchingMethod:
         deploy, carry, rec = out[1]
         assert flat_equal(deploy.params, apply_patch(out[0][0].params, carry.params, rec["alpha"]))
         assert (deploy.trained_through_step, deploy.method_id) == (2, "patching")
-        assert deploy.global_step == carry.global_step == PER_STEP_ITERS
         assert 0.0 <= rec["alpha"] <= 1.0
 
     def test_patched_equals_manual_interpolation(self, stream):
@@ -346,27 +355,25 @@ class TestConstCosine:
 
 
 class TestSegmentsOwnTheirState:
-    """Training updates parameters and Adam moments in place, so each segment
-    trains a copy: what it starts from is never changed."""
+    """Training updates parameters in place, so each segment trains a copy:
+    the parameters it starts from are never changed."""
 
-    def test_decay_branch_leaves_the_carry_unchanged(self, stream, tmp_path, monkeypatch):
+    def test_decay_branch_leaves_the_carry_unchanged(self, stream, monkeypatch):
         starts = []
         train_segment = methods._train_segment
 
-        def spy(ckpt, *args):
-            path = tmp_path / f"start_{len(starts)}.ticc"
-            save_checkpoint(path, ckpt)
-            starts.append((ckpt, path))
-            return train_segment(ckpt, *args)
+        def spy(params, adam, *args):
+            starts.append((params, params.vector.tobytes(), adam))
+            return train_segment(params, adam, *args)
 
         monkeypatch.setattr(methods, "_train_segment", spy)
         out, _ = run_through("sequential", stream, 2, make_ctx(kind="const_cosine"))
         assert len(starts) == 4  # two segments per step
         step1_carry = out[0][1]
-        assert starts[1][0] is step1_carry  # the decay branch starts from the carry
-        for ckpt, path in starts:
-            save_checkpoint(tmp_path / "now.ticc", ckpt)
-            assert (tmp_path / "now.ticc").read_bytes() == path.read_bytes()
+        assert starts[1][0] is step1_carry.params  # the decay branch starts from the carry
+        assert starts[1][2] is starts[0][2]  # and continues the step's Adam state
+        for params, before, _ in starts:
+            assert params.vector.tobytes() == before
 
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):
         ctx = make_ctx(budget_mult=2.0)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -196,32 +197,36 @@ class TestLwfPenalty:
 
 
 class TestTrainMinibatch:
-    def make_ckpt(self, seed=0):
+    @staticmethod
+    def make_state(seed=0):
+        """Parameters, and the `adam` and `grads` keywords that train them."""
         p = init_params(DIMS, Rng(seed))
-        return Checkpoint(p, AdamState.init_like(p.vector), 0, 0, "test")
+        grads = TwoTowerParams.wrap(np.empty_like(p.vector), p.layout)
+        return p, {"adam": AdamState.init_like(p.vector), "grads": grads}
 
     def test_lr_zero_keeps_params(self):
-        ckpt = self.make_ckpt()
+        params, state = self.make_state()
         imgs, txts = small_batch(1, n=4)
-        before = ckpt.params.vector.copy()
-        train_minibatch(ckpt, imgs, txts, lr=0.0)
-        assert np.array_equal(ckpt.params.vector, before)
-        assert ckpt.global_step == 1
+        before = params.vector.copy()
+        train_minibatch(params, imgs, txts, lr=0.0, **state)
+        assert np.array_equal(params.vector, before)
+        assert state["adam"].step_count == 1
 
     def test_loss_record_matches_clip_loss(self):
-        ckpt = self.make_ckpt()
+        params, state = self.make_state()
         imgs, txts = small_batch(2, n=4)
-        expected, _ = clip_loss_and_grads(ckpt.params, imgs, txts)
-        rec = train_minibatch(ckpt, imgs, txts, lr=1e-3)
+        expected, grads = clip_loss_and_grads(params, imgs, txts)
+        rec = train_minibatch(params, imgs, txts, lr=1e-3, **state)
         assert rec["loss"] == expected
+        assert np.array_equal(state["grads"].vector, grads.vector)  # the step's gradients, where the caller put them
 
     def test_scale_clamped(self):
-        ckpt = self.make_ckpt()
-        ckpt.params.log_scale = np.log(99.999)
+        params, state = self.make_state()
+        params.log_scale = np.log(99.999)
         imgs, txts = small_batch(3, n=4)
         for _ in range(20):
-            train_minibatch(ckpt, imgs, txts, lr=0.5)
-            assert np.exp(ckpt.params.log_scale) <= 100.0 + 1e-12
+            train_minibatch(params, imgs, txts, lr=0.5, **state)
+            assert np.exp(params.log_scale) <= 100.0 + 1e-12
 
     def test_loss_decreases_on_separable_toy_stream(self):
         # regression bound: 200 steps with 8 distinct classes per batch beat
@@ -229,41 +234,43 @@ class TestTrainMinibatch:
         rng = Rng(42)
         protos_img = rng.split("pi").normal((8, DIMS.image_dim)) * 2
         protos_txt = rng.split("pt").normal((8, DIMS.text_dim)) * 2
-        ckpt = self.make_ckpt(seed=1)
+        params, state = self.make_state(seed=1)
         loss = None
         for it in range(200):
             sub = rng.split("batch", it)
             imgs = protos_img + 0.05 * sub.split("ni").normal((8, DIMS.image_dim))
             txts = protos_txt + 0.05 * sub.split("nt").normal((8, DIMS.text_dim))
-            rec = train_minibatch(ckpt, imgs, txts, lr=3e-3)
+            rec = train_minibatch(params, imgs, txts, lr=3e-3, **state)
             loss = rec["loss"]
         assert loss < np.log(2)
 
 
     def test_teacher_step_matches_summed_wrapper_gradients(self):
-        ckpt = self.make_ckpt(seed=3)
-        ckpt.adam.step_count = 4
-        ckpt.adam.first_moment[-1] += 0.1
+        params, state = self.make_state(seed=3)
+        adam = state["adam"]
+        adam.step_count = 4
+        adam.first_moment[-1] += 0.1
         teacher = init_params(DIMS, Rng(4))
         imgs, txts = small_batch(5, n=7)
-        loss, grads = clip_loss_and_grads(ckpt.params, imgs, txts)
-        penalty, pgrads = lwf_penalty_and_grads(teacher, ckpt.params, imgs, txts, 0.6)
-        start = ckpt.copy()
-        want = start.params.vector.copy()
-        adam_step(want, grads.vector + pgrads.vector, start.adam.copy(), 1e-2)
-        rec = train_minibatch(ckpt, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6))
-        named = zip(tensors(ckpt.params), tensors(TwoTowerParams.wrap(want, ckpt.params.layout)), tensors(start.params))
+        loss, grads = clip_loss_and_grads(params, imgs, txts)
+        penalty, pgrads = lwf_penalty_and_grads(teacher, params, imgs, txts, 0.6)
+        start = params.copy()
+        want = start.vector.copy()
+        ref = AdamState(adam.first_moment.copy(), adam.second_moment.copy(), adam.step_count)
+        adam_step(want, grads.vector + pgrads.vector, ref, 1e-2)
+        rec = train_minibatch(params, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6), **state)
+        named = zip(tensors(params), tensors(TwoTowerParams.wrap(want, params.layout)), tensors(start))
         for i, (got, want_t, before) in enumerate(named):
             assert rel_err(got - before, want_t - before) <= 1e-12, i
         assert (rec["loss"], rec["penalty"]) == (loss, penalty)
 
     def test_non_finite_input_stops_the_step(self):
-        ckpt = self.make_ckpt()
-        ckpt.global_step = 41
+        params, state = self.make_state()
+        state["adam"].step_count = 41
         imgs, txts = small_batch(6, n=4)
         imgs[2, 1] = np.nan
-        with pytest.raises(NumericError, match="global_step 41"):
-            train_minibatch(ckpt, imgs, txts, lr=1e-3)
+        with pytest.raises(NumericError, match="iteration 41"):
+            train_minibatch(params, imgs, txts, lr=1e-3, **state)
 
 
 class TestWorkBuffers:
@@ -287,29 +294,34 @@ class TestWorkBuffers:
             assert np.array_equal(copies[3], copies[0])
 
 
-def make_checkpoint(seed=0, method_id="x"):
-    p = init_params(DIMS, Rng(seed))
-    return Checkpoint(p, AdamState.init_like(p.vector), 0, 0, method_id)
+def make_checkpoint(seed=0, method_id="x", trained_through_step=0):
+    return Checkpoint(init_params(DIMS, Rng(seed)), trained_through_step, method_id)
 
 
 class TestCheckpointIO:
     def test_round_trip_bit_exact(self, tmp_path):
-        ckpt = make_checkpoint(33, "sequential")
-        ckpt.global_step, ckpt.trained_through_step = 17, 3
-        ckpt.adam.first_moment[-1] += 0.25
-        ckpt.adam.second_moment[:5] = Rng(34).uniform(5)
-        ckpt.adam.step_count, ckpt.adam.beta2 = 17, 0.995
+        ckpt = make_checkpoint(33, "sequential", trained_through_step=3)
+        ckpt.params.image_layers[1][1][:] = Rng(34).normal(DIMS.embed_dim)  # nonzero biases
         path = tmp_path / "ck.ticc"
         save_checkpoint(path, ckpt)
         back = load_checkpoint(path)
-        assert back.method_id == "sequential"
-        assert back.global_step == 17
-        assert back.trained_through_step == 3
+        assert (back.method_id, back.trained_through_step) == ("sequential", 3)
         assert back.params.layout == ckpt.params.layout
-        assert np.array_equal(back.params.vector, ckpt.params.vector)
-        assert np.array_equal(back.adam.first_moment, ckpt.adam.first_moment)
-        assert np.array_equal(back.adam.second_moment, ckpt.adam.second_moment)
-        assert (back.adam.step_count, back.adam.beta1, back.adam.beta2, back.adam.epsilon) == (17, 0.9, 0.995, 1e-8)
+        assert back.params.vector.tobytes() == ckpt.params.vector.tobytes()
+
+    def test_layout_is_header_parameters_and_digest(self, tmp_path):
+        # magic, version 3, method id, trained-through step, both towers'
+        # layer shapes, vector length, the vector, then SHA-256 of the rest
+        ckpt = make_checkpoint(35, "lwf", trained_through_step=2)
+        path = tmp_path / "ck.ticc"
+        save_checkpoint(path, ckpt)
+        data = path.read_bytes()
+        n = ckpt.params.vector.size
+        header = b"TICC" + struct.pack("<II", 3, 3) + b"lwf" + struct.pack("<I", 2)
+        for fan_ins in ((DIMS.image_dim, DIMS.hidden_dim), (DIMS.text_dim, DIMS.hidden_dim)):
+            header += struct.pack("<5I", 2, fan_ins[0], DIMS.hidden_dim, fan_ins[1], DIMS.embed_dim)
+        body = header + struct.pack("<Q", n) + ckpt.params.vector.astype("<f8").tobytes()
+        assert data == body + hashlib.sha256(body).digest()
 
     def test_loaded_params_are_writable_views(self, tmp_path):
         path = tmp_path / "ck.ticc"
@@ -344,11 +356,20 @@ class TestCheckpointIO:
         for name, arr in sorted(arrays.items()):
             body += struct.pack("<I", len(name)) + name.encode() + struct.pack("<I", arr.ndim)
             body += struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.astype("<f8").tobytes()
-        path = tmp_path / "v1.ticc"
-        path.write_bytes(b"TICC" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<IQ", 0, 0) + body)
-        with pytest.raises(FormatError, match="version 1") as exc:
-            load_checkpoint(path)
-        assert exc.value.offset == 4
+        v1 = b"TICC" + struct.pack("<II", 1, 1) + b"x" + struct.pack("<IQ", 0, 0) + body
+        # the version-2 layout: Adam's counters in the header, then the
+        # parameter vector and both Adam moments, with no digest
+        p = init_params(DIMS, Rng(0))
+        v2 = b"TICC" + struct.pack("<II", 2, 1) + b"x" + struct.pack("<IQQddd", 1, 8, 8, 0.9, 0.999, 1e-8)
+        for shapes in p.layout:
+            v2 += struct.pack(f"<{1 + 2 * len(shapes)}I", len(shapes), *(d for s in shapes for d in s))
+        v2 += struct.pack("<Q", p.vector.size) + 3 * p.vector.astype("<f8").tobytes()
+        path = tmp_path / "old.ticc"
+        for version, data in ((1, v1), (2, v2)):
+            path.write_bytes(data)
+            with pytest.raises(FormatError, match=f"version {version}") as exc:
+                load_checkpoint(path)
+            assert exc.value.offset == 4
 
     def test_vector_length_must_match_shapes(self, tmp_path):
         ckpt = make_checkpoint()
@@ -356,7 +377,7 @@ class TestCheckpointIO:
         path = tmp_path / "n.ticc"
         save_checkpoint(path, ckpt)
         data = bytearray(path.read_bytes())
-        at = len(data) - 3 * 8 * n - 8
+        at = len(data) - 32 - 8 * n - 8
         assert struct.unpack("<Q", data[at : at + 8]) == (n,)
         data[at : at + 8] = struct.pack("<Q", n - 1)
         path.write_bytes(bytes(data))
@@ -384,7 +405,34 @@ class TestCheckpointIO:
         path = tmp_path / "t.ticc"
         save_checkpoint(path, make_checkpoint())
         data = path.read_bytes()
-        path.write_bytes(data[:-13])
+        path.write_bytes(data[: -32 - 13])  # 13 bytes into the vector, before the 32-byte digest
         with pytest.raises(FormatError) as exc:
             load_checkpoint(path)
-        assert exc.value.offset == len(data) - 16
+        assert exc.value.offset == len(data) - 32 - 16
+
+    def test_digest_mismatch_refused(self, tmp_path):
+        path = tmp_path / "d.ticc"
+        save_checkpoint(path, make_checkpoint())
+        data = bytearray(path.read_bytes())
+        data[-40] ^= 0x01  # the lowest bit of log_scale, the vector's last value
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="SHA-256") as exc:
+            load_checkpoint(path)
+        assert exc.value.offset == len(data) - 32
+
+    def test_any_flipped_byte_or_cut_is_refused(self, tmp_path):
+        ckpt = Checkpoint(init_params(ModelDims(2, 2, 1, 1), Rng(36)), 1, "x")
+        path = tmp_path / "tiny.ticc"
+        save_checkpoint(path, ckpt)
+        data = path.read_bytes()
+        for i in range(len(data)):
+            for flip in (0x01, 0x80, 0xFF):
+                bad = bytearray(data)
+                bad[i] ^= flip
+                path.write_bytes(bytes(bad))
+                with pytest.raises(FormatError):
+                    load_checkpoint(path)
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="truncated"):
+                load_checkpoint(path)

@@ -110,15 +110,6 @@ class TestAdam:
         # the moments were updated where they are
         assert state.first_moment is moments[0] and state.second_moment is moments[1]
 
-    def test_copy_shares_no_array(self):
-        params = Rng(5).normal(3)
-        state = AdamState.init_like(params)
-        adam_step(params, Rng(6).normal(3), state, 0.1)
-        twin = state.copy()
-        adam_step(params, Rng(7).normal(3), twin, 0.1)
-        assert state.step_count == 1 and twin.step_count == 2
-        assert not np.array_equal(state.first_moment, twin.first_moment)
-
 
 class TestFiniteDiff:
     def test_quadratic(self):

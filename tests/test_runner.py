@@ -259,25 +259,26 @@ class TestRunExperiment:
 # SHA-256 of every .ticc, progress.json and metrics.json of two tiny runs
 # (see TestTrainingBytesPinned.digests). Training is meant to be a pure
 # function of the config, so any change that moves one bit of a trained
-# parameter, an Adam moment or a logged loss shows here. The pins hold for a
-# given NumPy and BLAS build; only a change of those is reason to re-pin.
+# parameter, a replay plan or a logged loss shows here. The pins hold for a
+# given NumPy and BLAS build and .ticc version; only a change of those is
+# reason to re-pin.
 PINNED_TRAINING_SHA256 = {
     "patching": {
         "metrics.json": "0d1fad97555ed68931b8be05bc2430fa1fadff7762f2d6d280b79d5262f0ee85",
         "progress.json": "758a5cf49a9316096ccdac5ec62be37703804ba3d93419039e209a14d69b5241",
-        "step_001.ticc": "d2f2205d01ad5ac1ec6a259d4c17582111488d5e0e6a372dac78c1f8a7023d59",
-        "step_001_carry.ticc": "88b9a3cfdb09e400c9d3a91228b1762131ba0d746d0afac18261f87795a3930d",
-        "step_002.ticc": "a8a136425ca13e3976167cf7e840da9590eddb26686ba2f61ca93ae08b5d96ee",
-        "step_002_carry.ticc": "eae65a0b61990372576c91378baa61d1363fe2b88a54b7112028aef765114966",
-        "step_003.ticc": "5d6e3456540f4649fe1267aca8abcc3870710b71f646bd83f872862e39e18648",
-        "step_003_carry.ticc": "f0c5b1f6bbde741bf2fcd93c115532570aaff3ad7a35fbefb944831b804bbd06",
+        "step_001.ticc": "fbd8a05def52aad8316229ae7e10251d189005c3616af7ee95acd791eb8c80fe",
+        "step_001_carry.ticc": "8c12ff6c3486257aaab179db57ca39bbd6e3ecf54fa3ce307c74f7bac8c4d46b",
+        "step_002.ticc": "380e8ac5d1ff8769d4c5c99be9926aa17eaa7b4ef33de4296be406d51faf0405",
+        "step_002_carry.ticc": "008b33344938ddfafacc7b5b1cb8172f0c29adeed8f78389a9cb6491eb8f95ce",
+        "step_003.ticc": "f632bb9d20b3932873754a5462e67b5e1afadc4dc11b8f2c3299beb636b617fb",
+        "step_003_carry.ticc": "2d00a2006e0f63365daf9879b02cd532a1678d269d4237c025ae6c01c1feb48a",
     },
     "lwf": {
         "metrics.json": "decdec404e89c36b43fbfd68f31fd542a831cb12278d8ad5768395ae57408748",
         "progress.json": "0b1a48a8426086ea12681345b749fec93b77515ad10379f296a1611c71abe3b7",
-        "step_001.ticc": "034d73ebfb4cf8c56d92de8aac628664fab5d2b1d8ea6f88b2bf97ca0019cff3",
-        "step_002.ticc": "941a4440426f5e488233f9210563125c7db36da5acd2bf126dbc50c9bea96d63",
-        "step_003.ticc": "ba22da290fa44beba14c9405aae60b24c567b0f9671651971e8e2154e1fe00e8",
+        "step_001.ticc": "96f3e036d8b31de3568250460f34cfa3b9e0571e5a38c4e07e5e8da06a3610bf",
+        "step_002.ticc": "d40bb469400ddd8bd11ac5a806612fc463d07c66132ae37dce10772d1cd5b201",
+        "step_003.ticc": "b9d684da3b78be603e7c8559a13d12597e4fb55d7b19447e65e77ceb85c00315",
     },
 }
 
