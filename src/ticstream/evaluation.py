@@ -4,10 +4,13 @@ E[i][j] is the score of the model trained through step i on the eval data
 of step j. The diagonal mean is in-domain performance, the strict lower
 triangle backward transfer, the strict upper triangle forward transfer.
 
-Both metrics are top-1 scores. `_top1` finds each query's most similar
-gallery row one block of query rows at a time, in one reused buffer of
-about `_BLOCK_BYTES`, so an N×N similarity matrix is never built: recall@1
-runs it once per direction, zero-shot accuracy once against the prototypes.
+Both metrics are top-1 scores, computed one block of query rows at a time
+in one reused buffer of about `_BLOCK_BYTES` (`_sim_blocks`), so an N×N
+similarity matrix is never built. Zero-shot accuracy takes each image's
+row argmax against the prototypes (`_top1`). Retrieval scores both
+directions from one pass over u·vᵀ (`_paired_hits`): image→text hits from
+the row argmax, text→image hits from the columns, by comparing each
+diagonal entry with its column's largest off-diagonal entry.
 """
 
 from __future__ import annotations
@@ -24,24 +27,70 @@ from .schedule import BudgetLedger, eval_macs
 TASKS = ("retrieval", "classification")
 
 
-# Similarities held at once by `_top1`: a 1 MiB block stays inside the
-# 4 MiB L2 of the machine the figures in ROADMAP.md were measured on.
+# Similarities held at once by `_sim_blocks`: a 1 MiB block stays inside
+# the 4 MiB L2 of the machine the figures in ROADMAP.md were measured on.
 _BLOCK_BYTES = 1 << 20
+
+
+def _sim_blocks(queries: np.ndarray, gallery: np.ndarray):
+    """Yields `(start, block)` with `block = queries[start:start+len(block)] @
+    gallery.T`, in order, every block in the same reused buffer. The same
+    inputs always give the same blocks, bit for bit."""
+    n = len(queries)
+    rows = max(1, _BLOCK_BYTES // (8 * max(1, len(gallery))))
+    sims = np.empty((min(rows, n), len(gallery)))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block = sims[: stop - start]
+        np.matmul(queries[start:stop], gallery.T, out=block)
+        yield start, block
 
 
 def _top1(queries: np.ndarray, gallery: np.ndarray) -> np.ndarray:
     """Index of each query's most similar gallery row; ties break to the
     lowest index. Equal to `np.argmax(queries @ gallery.T, axis=1)`."""
-    n = len(queries)
-    rows = max(1, _BLOCK_BYTES // (8 * max(1, len(gallery))))
-    sims = np.empty((min(rows, n), len(gallery)))
-    top = np.empty(n, dtype=np.intp)
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = sims[: stop - start]
-        np.matmul(queries[start:stop], gallery.T, out=block)
-        block.argmax(axis=1, out=top[start:stop])
+    top = np.empty(len(queries), dtype=np.intp)
+    for start, block in _sim_blocks(queries, gallery):
+        block.argmax(axis=1, out=top[start : start + len(block)])
     return top
+
+
+def _paired_hits(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top-1 hits of the paired rows u[i] <-> v[i], both directions, from one
+    pass over u @ v.T: `(argmax(u @ v.T, axis=1) == i, argmax(u @ v.T,
+    axis=0) == i)`, ties breaking to the lowest index as `np.argmax` does."""
+    n = len(u)
+    if n == 0:
+        raise RunError("empty query set")
+    image_hits = np.empty(n, dtype=bool)
+    diag = np.empty(n)
+    off_diag_max = np.full(n, -np.inf)
+    col_max = np.empty(n)
+    for start, block in _sim_blocks(u, v):
+        stop = start + len(block)
+        image_hits[start:stop] = block.argmax(axis=1) == np.arange(start, stop)
+        # block is a C-contiguous slice, so this is a view of its entries
+        # (i, start + i), the similarities of the pairs start..stop-1
+        on_diag = block.reshape(-1)[start :: n + 1]
+        diag[start:stop] = on_diag
+        on_diag[...] = -np.inf
+        np.maximum(off_diag_max, block.max(axis=0, out=col_max), out=off_diag_max)
+    text_hits = off_diag_max < diag
+    tied = np.flatnonzero(off_diag_max == diag)
+    if tied.size:
+        text_hits[tied] = _diagonal_wins_tie(u, v, tied, diag[tied])
+    return image_hits, text_hits
+
+
+def _diagonal_wins_tie(u: np.ndarray, v: np.ndarray, cols: np.ndarray, best: np.ndarray) -> np.ndarray:
+    """For columns j whose largest off-diagonal entry equals the diagonal
+    one, `best`: whether no row above j reaches it, so that the lowest-index
+    argmax of the column is row j. Redoes the blocks bit for bit."""
+    reached_above = np.zeros(len(cols), dtype=bool)
+    for start, block in _sim_blocks(u, v):
+        rows = np.arange(start, start + len(block))[:, None]
+        reached_above |= ((block[:, cols] >= best) & (rows < cols)).any(axis=0)
+    return ~reached_above
 
 
 def recall_at_1(query_embs: np.ndarray, gallery_embs: np.ndarray, true_match: np.ndarray) -> float:
@@ -58,8 +107,8 @@ def retrieval_score(params: TwoTowerParams, batch: RecordBatch) -> float:
     """Mean of image-to-text and text-to-image recall@1 over paired records."""
     u = encode(params, batch.images, "image")
     v = encode(params, batch.texts, "text")
-    truth = np.arange(len(batch))
-    return 0.5 * (recall_at_1(u, v, truth) + recall_at_1(v, u, truth))
+    image_hits, text_hits = _paired_hits(u, v)
+    return 0.5 * (float(np.mean(image_hits)) + float(np.mean(text_hits)))
 
 
 def zero_shot_accuracy(
@@ -132,7 +181,7 @@ def build_performance_matrix(
                 )
                 n = len(ds.eval_classification) + len(ds.prototype_ids)
             if ledger is not None:
-                ledger.charge_eval(i + 1, eval_macs(params, n))
+                ledger.charge_eval(eval_sets[i].timestep, eval_macs(params, n))
     metric = "recall_at_1" if task == "retrieval" else "accuracy"
     return PerformanceMatrix(t, entries, task, metric)
 

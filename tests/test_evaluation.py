@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from ticstream import evaluation
 from ticstream.datagen import RecordBatch, StreamConfig, generate_stream
 from ticstream.errors import NumericError, RunError
 from ticstream.evaluation import (
     _BLOCK_BYTES,
     PerformanceMatrix,
+    _paired_hits,
     _top1,
     build_performance_matrix,
     recall_at_1,
@@ -76,17 +78,18 @@ def blocked_shapes(n_queries, n_gallery):
     assert n_queries > 2 * rows and n_queries % rows != 0
 
 
-class TestTop1:
-    # integer-valued embeddings: every dot product is exact, whatever the
-    # summation order, so ties are exact too, and there are many of them
-    def int_embeddings(self, rng, n, d=8):
-        return np.floor(rng.uniform(n * d) * 7 - 3).reshape(n, d)
+# integer-valued embeddings: every dot product is exact, whatever the
+# summation order, so ties are exact too, and there are many of them
+def int_embeddings(rng, n, d=8):
+    return np.floor(rng.uniform(n * d) * 7 - 3).reshape(n, d)
 
+
+class TestTop1:
     def test_matches_full_matrix_with_exact_ties(self):
         rng = Rng(17)
-        gallery = self.int_embeddings(rng.split("g"), 2048)
+        gallery = int_embeddings(rng.split("g"), 2048)
         gallery[1500:1600] = gallery[100:200]  # duplicated rows: the earlier copy must win
-        queries = self.int_embeddings(rng.split("q"), 333)
+        queries = int_embeddings(rng.split("q"), 333)
         blocked_shapes(len(queries), len(gallery))
         top = _top1(queries, gallery)
         sims = queries @ gallery.T
@@ -129,10 +132,105 @@ class TestTop1:
 
     def test_single_block_and_empty_queries(self):
         rng = Rng(20)
-        g = self.int_embeddings(rng.split("g"), 5)
-        q = self.int_embeddings(rng.split("q"), 3)
+        g = int_embeddings(rng.split("g"), 5)
+        q = int_embeddings(rng.split("q"), 3)
         assert np.array_equal(_top1(q, g), np.argmax(q @ g.T, axis=1))
         assert _top1(q[:0], g).shape == (0,)
+
+
+def full_matrix_hits(u, v):
+    """Both directions' hits from one full u @ v.T, as `np.argmax` gives them."""
+    sims = u @ v.T
+    truth = np.arange(len(u))
+    return np.argmax(sims, axis=1) == truth, np.argmax(sims, axis=0) == truth
+
+
+def random_batch(rng, n, image_dim, text_dim):
+    return RecordBatch(np.zeros(n, dtype=np.int64), rng.split("i").normal((n, image_dim)),
+                       rng.split("t").normal((n, text_dim)), np.ones(n, dtype=np.int64))
+
+
+class TestPairedHits:
+    def test_matches_full_matrix_over_several_blocks(self):
+        # 2047 pairs: 2048 would split into 64-row blocks with no short one
+        rng = Rng(21)
+        u = l2_normalize_rows(rng.split("u").normal((2047, 6)))
+        v = l2_normalize_rows(u + 0.3 * rng.split("v").normal((2047, 6)))
+        blocked_shapes(2047, 2047)
+        image_hits, text_hits = _paired_hits(u, v)
+        want_image, want_text = full_matrix_hits(u, v)
+        assert np.array_equal(image_hits, want_image)
+        assert np.array_equal(text_hits, want_text)
+        assert 0.0 < text_hits.mean() < 1.0
+        assert not np.array_equal(image_hits, text_hits)
+
+    def test_exact_ties_go_to_the_lowest_index(self, monkeypatch):
+        rng = Rng(22)
+        u = int_embeddings(rng.split("u"), 2047)
+        v = u + np.floor(rng.split("v").uniform(2047 * 8) * 3 - 1).reshape(2047, 8)
+        u[1500:1600] = u[100:200]  # duplicated image rows
+        v[1700:1800] = v[300:400]  # duplicated text rows
+        blocked_shapes(2047, 2047)
+        tie_calls = []
+        resolve = evaluation._diagonal_wins_tie
+
+        def counting(u, v, cols, best):
+            tie_calls.append(len(cols))
+            return resolve(u, v, cols, best)
+
+        monkeypatch.setattr(evaluation, "_diagonal_wins_tie", counting)
+        image_hits, text_hits = _paired_hits(u, v)
+        want_image, want_text = full_matrix_hits(u, v)
+        assert np.array_equal(image_hits, want_image)
+        assert np.array_equal(text_hits, want_text)
+        assert tie_calls and tie_calls[0] > 100
+        # the earlier copy of a duplicated row wins, in both directions
+        assert text_hits[100:200].any() and not text_hits[1500:1600].any()
+        assert image_hits[300:400].any() and not image_hits[1700:1800].any()
+
+    def test_single_pair(self):
+        rng = Rng(23)
+        u, v = rng.split("u").normal((1, 4)), rng.split("v").normal((1, 4))
+        image_hits, text_hits = _paired_hits(u, v)
+        assert image_hits.tolist() == [True] and text_hits.tolist() == [True]
+
+    def test_empty_batch_rejected(self, small_stream):
+        with pytest.raises(RunError, match="empty query set"):
+            _paired_hits(np.zeros((0, 3)), np.zeros((0, 3)))
+        params = init_params(ModelDims(6, 5, 8, 4), Rng(0))
+        with pytest.raises(RunError, match="empty query set"):
+            retrieval_score(params, small_stream[0].eval_retrieval.take(np.arange(0)))
+
+    def test_retrieval_score_matches_brute_force_oracle(self):
+        rng = Rng(24)
+        for trial in range(100):
+            sub = rng.split(trial)
+            n = int(sub.uniform(1)[0] * 63) + 1
+            dims = ModelDims(int(sub.split("di").uniform(1)[0] * 5) + 2,
+                             int(sub.split("dt").uniform(1)[0] * 5) + 2, 6, 3)
+            params = init_params(dims, sub.split("p"))
+            batch = random_batch(sub.split("b"), n, dims.image_dim, dims.text_dim)
+            u = encode(params, batch.images, "image")
+            v = encode(params, batch.texts, "text")
+            truth = np.arange(n)
+            expected = 0.5 * (brute_force_recall(u, v, truth) + brute_force_recall(v, u, truth))
+            assert retrieval_score(params, batch) == expected
+
+    def test_untied_data_never_takes_the_tie_path(self, monkeypatch):
+        # falling back on every column would be correct but slow
+        def refuse(*args):
+            raise AssertionError("tie path ran on untied data")
+
+        monkeypatch.setattr(evaluation, "_diagonal_wins_tie", refuse)
+        rng = Rng(25)
+        params = init_params(ModelDims(6, 5, 8, 4), rng.split("p"))
+        batch = random_batch(rng.split("b"), 1000, 6, 5)
+        blocked_shapes(1000, 1000)
+        u = encode(params, batch.images, "image")
+        v = encode(params, batch.texts, "text")
+        want_image, want_text = full_matrix_hits(u, v)
+        expected = 0.5 * (float(np.mean(want_image)) + float(np.mean(want_text)))
+        assert retrieval_score(params, batch) == expected
 
 
 @pytest.fixture(scope="module")

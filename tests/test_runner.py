@@ -254,6 +254,9 @@ class TestRunExperiment:
         manifest = json.loads(manifests[0].read_text())
         assert [r["step"] for r in manifest["steps"]] == [2, 3]
         assert manifest["steps"][0]["train_set_size"] == 48
+        # training and evaluation are billed under the same step numbers
+        ledger = json.loads((manifests[0].parent / "metrics.json").read_text())["ledger"]
+        assert list(ledger["eval_macs"]) == list(ledger["train_macs"]) == ["2", "3"]
 
 
 # SHA-256 of every .ticc, progress.json and metrics.json of two tiny runs
