@@ -1,15 +1,15 @@
 """The eight continual-training policies and their per-step execution.
 
-Each method is a triple (initialization source, data policy, compute
-multiplier). One step = assemble data, train a fixed number of minibatch
-iterations under the step's LR cycle, bill the ledger, hand back the deploy
-and carry checkpoints: a run's whole state between steps.
+Each method is one `MethodSpec` row of `_TABLE`: where its training starts,
+which data it replays, whether it distils from its previous model and
+whether its budget grows with the step. One step = assemble data, run one
+training loop under the step's LR cycle, bill the ledger, hand back the
+deploy and carry checkpoints: a run's whole state between steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -55,27 +55,41 @@ class MethodSpec:
     id: str
     init_source: str  # "random" | "last_checkpoint" | "last_patched"
     data_policy: str  # a replay.BufferPolicy kind, or "new_only"
-    uses_lwf: bool
-    compute_multiplier_at: Callable[[int], float]
+    uses_lwf: bool = False  # distil from the previous carry from position 2 on
+    budgets_grow: bool = False  # position p trains one fresh cycle of p budgets
+
+    def budgets_at(self, pos: int) -> int:
+        """Per-step budgets of training iterations at stream position `pos`."""
+        return pos if self.budgets_grow else 1
+
+    def iteration_cost_at(self, pos: int) -> float:
+        """One iteration's cost at `pos`, in plain iterations: the teacher pass adds its share."""
+        return 1.0 + LWF_TEACHER_SHARE if self.uses_lwf and pos >= 2 else 1.0
+
+    def compute_multiplier_at(self, pos: int) -> float:
+        """The budgets of compute a step at `pos` may spend."""
+        return self.budgets_at(pos) * self.iteration_cost_at(pos)
 
 
 _TABLE = {
-    "oracle": ("random", "all", False, lambda t: float(t)),
-    "cumulative_all": ("last_checkpoint", "all", False, lambda t: 1.0),
-    "cumulative_exp": ("last_checkpoint", "exp", False, lambda t: 1.0),
-    "cumulative_equal": ("last_checkpoint", "equal", False, lambda t: 1.0),
-    "sequential": ("last_checkpoint", "new_only", False, lambda t: 1.0),
-    "restart": ("random", "all", False, lambda t: 1.0),
-    "patching": ("last_patched", "new_only", False, lambda t: 1.0),
-    "lwf": ("last_checkpoint", "new_only", True, lambda t: 1.0 + (LWF_TEACHER_SHARE if t >= 2 else 0.0)),
+    spec.id: spec
+    for spec in (
+        MethodSpec("oracle", "random", "all", budgets_grow=True),
+        MethodSpec("cumulative_all", "last_checkpoint", "all"),
+        MethodSpec("cumulative_exp", "last_checkpoint", "exp"),
+        MethodSpec("cumulative_equal", "last_checkpoint", "equal"),
+        MethodSpec("sequential", "last_checkpoint", "new_only"),
+        MethodSpec("restart", "random", "all"),
+        MethodSpec("patching", "last_patched", "new_only"),
+        MethodSpec("lwf", "last_checkpoint", "new_only", uses_lwf=True),
+    )
 }
 
 
 def resolve_method(method_id: str) -> MethodSpec:
     if method_id not in _TABLE:
         raise ConfigError(f"unknown method {method_id!r}; known: {METHOD_IDS}")
-    init, data, uses_lwf, mult = _TABLE[method_id]
-    return MethodSpec(method_id, init, data, uses_lwf, mult)
+    return _TABLE[method_id]
 
 
 def apply_patch(prev: TwoTowerParams, new: TwoTowerParams, alpha: float) -> TwoTowerParams:
@@ -91,10 +105,11 @@ def tune_patch_alpha(
     prev: TwoTowerParams,
     new: TwoTowerParams,
     prev_eval_sets: list[TimestepDataset],
-    ledger: BudgetLedger | None = None,
-    step: int = 0,
+    ledger: BudgetLedger,
+    step: int,
 ) -> float:
-    """Grid-search the mixing coefficient on previous steps' retrieval sets.
+    """Grid-search the mixing coefficient on previous steps' retrieval sets,
+    billing each candidate's evaluation to `step`.
 
     Ties break toward larger alpha.
     """
@@ -104,8 +119,7 @@ def tune_patch_alpha(
     for alpha in PATCH_ALPHA_GRID:
         cand = apply_patch(prev, new, alpha)
         score = float(np.mean([retrieval_score(cand, ds.eval_retrieval) for ds in prev_eval_sets]))
-        if ledger is not None:
-            ledger.charge_eval(step, eval_macs(cand, sum(2 * len(ds.eval_retrieval) for ds in prev_eval_sets)))
+        ledger.charge_eval(step, eval_macs(cand, sum(2 * len(ds.eval_retrieval) for ds in prev_eval_sets)))
         if score >= best_score:
             best_alpha, best_score = alpha, score
     return best_alpha
@@ -125,30 +139,34 @@ class StepContext:
     ledger: BudgetLedger
 
 
-def _train_segment(params, adam, records, it_start, it_stop, sched, is_first, batch_size, rng, ledger, t, lwf, bill):
-    """Train iterations [it_start, it_stop) from `params`; returns the trained
-    parameters and the per-iteration losses.
+def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher, bill):
+    """One step's training loop on a copy of `params`, which is never changed,
+    from a fresh Adam state; returns (deploy, carry, per-iteration losses).
 
-    The segment trains its own copy of `params`, made once here, in place,
-    and continues `adam` where it stands; `params` itself is never changed.
+    Under const-cosine the carry is a snapshot at the decay start, and the
+    decayed branch goes on with its own random stream and epoch order; else
+    the carry is the deployed model. Each iteration bills `bill` iterations.
     """
     n = len(records)
     if n == 0:
         raise RunError(f"step {t}: empty training set")
     bs = min(batch_size, n)
     iter_macs = macs_per_iteration(params, bs)
-    order = None
-    pos = n
-    epoch = it_start  # epoch streams keyed by the iteration that opened them
-    losses = []
-    targets = None
-    if lwf is not None:
-        # the teacher is frozen for the whole segment: embed its pairs once
-        targets = teacher_targets(lwf[0], records.images, records.texts, lwf[1])
+    decay_start = decay_start_iter(sched) if sched.kind == "const_cosine" else None
     params = params.copy()
+    carry = params
+    adam = AdamState.init_like(params.vector)
     grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
     work = []  # the kernel's B x B scratch matrices, kept for the whole loop
-    for it in range(it_start, it_stop):
+    # an epoch's order is keyed by the iteration that opened the epoch before
+    # it, so the first two epochs of the loop, and of the decayed branch,
+    # share one order
+    order, pos, epoch, losses = None, 0, 0, []
+    for it in range(sched.total_iters):
+        if it == decay_start:
+            carry = params.copy()
+            rng = rng.split("decay_branch")
+            order, epoch = None, it
         if order is None or pos + bs > n:
             order = rng.split("epoch", epoch).permutation(n)
             epoch = it
@@ -156,12 +174,11 @@ def _train_segment(params, adam, records, it_start, it_stop, sched, is_first, ba
         idx = order[pos : pos + bs]
         pos += bs
         lr = lr_at(sched, it, is_first)
-        teacher = None if targets is None else targets.take(idx)
-        rec = train_minibatch(params, records.images[idx], records.texts[idx], lr, teacher, work,
-                              adam=adam, grads=grads)
+        rec = train_minibatch(params, records.images[idx], records.texts[idx], lr,
+                              None if teacher is None else teacher.take(idx), work, adam=adam, grads=grads)
         losses.append(rec["loss"] + rec["penalty"])
         ledger.charge_train(t, bill * iter_macs, 1)
-    return params, losses
+    return params, carry, losses
 
 
 def _assemble_data(spec: MethodSpec, t: int, datasets: list[TimestepDataset], ctx: StepContext):
@@ -211,50 +228,24 @@ def run_step(
     if spec.init_source != "random" and not is_initial and prev is None:
         raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
 
-    # initialization; the training segment copies what it starts from
-    if spec.init_source == "random" or is_initial:
-        params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t))
-    else:
-        params = prev.params
+    # initialization; the training loop copies what it starts from
+    is_first = is_initial or spec.init_source == "random"
+    params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t)) if is_first else prev.params
 
     # data
     records, plan = _assemble_data(spec, t, datasets, ctx)
 
-    # schedule: one cycle per step; the from-scratch oracle gets a fresh
-    # full-length cycle covering t budgets worth of iterations
-    if spec.id == "oracle":
-        iters = pos * ctx.per_step_iters
-        is_first = True
-    else:
-        iters = ctx.per_step_iters
-        is_first = is_initial or spec.init_source == "random"
+    # schedule: one cycle per step, of as many budgets as the method spends
+    # there (the from-scratch oracle: t budgets)
+    iters = ctx.per_step_iters * spec.budgets_at(pos)
     sched = ctx.schedule.with_total(iters)
 
-    lwf = None
-    bill = 1.0
-    if spec.uses_lwf and not is_initial:
-        lwf = (prev_carry.params, ctx.lwf_lambda)
-        bill = 1.0 + LWF_TEACHER_SHARE
-
+    # the teacher is frozen for the whole step: embed its pairs once
+    teacher = (teacher_targets(prev_carry.params, records.images, records.texts, ctx.lwf_lambda)
+               if spec.uses_lwf and not is_initial else None)
     rng = Rng(ctx.seed, 0).split("trainloop", t)
-    # every step restarts Adam; the decay branch continues the same state
-    adam = AdamState.init_like(params.vector)
-    if sched.kind == "const_cosine":
-        d = decay_start_iter(sched)
-        carry, losses = _train_segment(
-            params, adam, records, 0, d, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
-        )
-        deploy, branch_losses = _train_segment(
-            carry, adam, records, d, iters, sched, is_first, ctx.batch_size, rng.split("decay_branch"),
-            ctx.ledger, t, lwf, bill
-        )
-        losses += branch_losses
-    else:
-        deploy, losses = _train_segment(
-            params, adam, records, 0, iters, sched, is_first, ctx.batch_size, rng, ctx.ledger, t, lwf, bill
-        )
-        carry = deploy
-
+    deploy, carry, losses = _train(params, records, sched, is_first, ctx.batch_size, rng, ctx.ledger, t,
+                                   teacher, spec.iteration_cost_at(pos))
     ctx.ledger.assert_within(t, spec.compute_multiplier_at(pos))
 
     record = {
@@ -265,7 +256,7 @@ def run_step(
         "mean_loss": float(np.mean(losses)) if losses else 0.0,
         "final_loss": float(losses[-1]) if losses else 0.0,
     }
-    if spec.id == "patching":
+    if spec.init_source == "last_patched":
         alpha = 1.0
         if not is_initial:
             prev_sets = [d for d in datasets if d.timestep < t]

@@ -11,12 +11,12 @@ and their summed gradients with one student forward and one backward, and
 writes the gradients into a vector its caller owns; the public loss functions
 are thin wrappers over it that return fresh ones. `train_minibatch` updates
 parameters, an `AdamState` and a gradient vector that its caller owns, in
-place, so a training segment that copies its starting parameters once
+place, so a training loop that copies its starting parameters once
 allocates no parameter-sized vector per iteration. The kernel's B x B work
-matrices are a list that its caller keeps between calls (a training segment
+matrices are a list that its caller keeps between calls (a training loop
 keeps one for its whole loop), so the kernel shares no state between calls
 and is re-entrant. The penalty takes the teacher's embeddings precomputed
-(`teacher_targets`); a training segment embeds its whole training set once,
+(`teacher_targets`); a training step embeds its whole training set once,
 which is valid only because the teacher is frozen while the student trains.
 A checkpoint is its parameters, the step that trained them and the method's
 id: every step restarts Adam, so no optimizer state outlives a step. The
@@ -358,7 +358,7 @@ def train_minibatch(
         raise NumericError(f"{exc} at iteration {adam.step_count}") from None
     adam_step(params.vector, grads.vector, adam, lr)
     clamp_log_scale(params)
-    return {"loss": loss, "penalty": penalty, "lr": lr}
+    return {"loss": loss, "penalty": penalty}
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ticstream.methods import (
 )
 from ticstream.model import ModelDims, init_params
 from ticstream.numerics import Rng
-from ticstream.schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
+from ticstream.schedule import BudgetLedger, ScheduleConfig, decay_start_iter, macs_per_iteration
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
 PER_STEP_ITERS = 12
@@ -85,11 +85,11 @@ def test_scanner_finds_method_id_comparisons():
 
 
 def test_only_methods_compares_against_method_ids():
-    # what differs between methods lives in their table and `run_step`; every
-    # other module handles a method only through its id and its step records
+    # what differs between methods lives in their `_TABLE` rows alone: even
+    # `methods` handles a method only through its spec, and every other
+    # module only through its id and its step records
     for path in sorted(Path(methods.__file__).parent.glob("*.py")):
-        if path.name != "methods.py":
-            assert method_id_comparisons(path.read_text()) == [], path.name
+        assert method_id_comparisons(path.read_text()) == [], path.name
 
 
 class TestResolve:
@@ -148,7 +148,7 @@ class TestTunePatchAlpha:
         # new model trained on nothing vs itself: identical models tie on
         # every alpha, so the tie rule selects the largest alpha
         p = init_params(DIMS, Rng(5))
-        alpha = tune_patch_alpha(p, p, [stream[0]])
+        alpha = tune_patch_alpha(p, p, [stream[0]], BudgetLedger(10**9), 2)
         assert alpha == 1.0
 
     def test_prefers_better_endpoint(self, stream):
@@ -161,19 +161,19 @@ class TestTunePatchAlpha:
         if retrieval_score(trained, stream[0].eval_retrieval) > retrieval_score(
             fresh, stream[0].eval_retrieval
         ):
-            assert tune_patch_alpha(fresh, trained, [stream[0]]) >= 0.5
+            assert tune_patch_alpha(fresh, trained, [stream[0]], BudgetLedger(10**9), 2) >= 0.5
 
     def test_bills_eval_macs(self, stream):
         p = init_params(DIMS, Rng(5))
         led = BudgetLedger(10**9)
-        tune_patch_alpha(p, p, [stream[0]], ledger=led, step=2)
-        assert led.total_eval_macs() > 0
+        tune_patch_alpha(p, p, [stream[0]], led, 2)
+        assert list(led.eval_macs) == [2] and led.total_eval_macs() > 0
         assert led.total_train_macs() == 0
 
     def test_requires_eval_sets(self):
         p = init_params(DIMS, Rng(5))
         with pytest.raises(ConfigError):
-            tune_patch_alpha(p, p, [])
+            tune_patch_alpha(p, p, [], BudgetLedger(10**9), 2)
 
 
 class TestRunStepBasics:
@@ -212,19 +212,25 @@ class TestRunStepBasics:
         assert flat_equal(deploy.params, out[1][0].params)
 
     def test_adam_state_reset_each_step(self, stream, monkeypatch):
-        # each step trains from an AdamState of its own, at zero when it starts
-        starts = []
-        train_segment = methods._train_segment
+        # each step trains from an AdamState of its own, at zero when it
+        # starts; the const-cosine decay branch continues it to the step's end
+        calls = []
+        train_minibatch = methods.train_minibatch
 
-        def spy(params, adam, *args):
-            starts.append((adam, adam.step_count, adam.first_moment.any(), adam.second_moment.any()))
-            return train_segment(params, adam, *args)
+        def spy(*args, adam, **kw):
+            calls.append((adam, adam.step_count, adam.first_moment.any(), adam.second_moment.any()))
+            return train_minibatch(*args, adam=adam, **kw)
 
-        monkeypatch.setattr(methods, "_train_segment", spy)
-        run_through("cumulative_all", stream, 2)
-        assert [start[1:] for start in starts] == [(0, False, False)] * 2
-        assert starts[0][0] is not starts[1][0]
-        assert starts[0][0].step_count == starts[1][0].step_count == PER_STEP_ITERS
+        monkeypatch.setattr(methods, "train_minibatch", spy)
+        run_through("cumulative_all", stream, 2, make_ctx(kind="const_cosine"))
+        steps = [calls[:PER_STEP_ITERS], calls[PER_STEP_ITERS:]]
+        assert [len(step) for step in steps] == [PER_STEP_ITERS] * 2
+        for step in steps:
+            assert step[0][1:] == (0, False, False)
+            assert all(adam is step[0][0] for adam, *_ in step)
+            assert [count for _, count, *_ in step] == list(range(PER_STEP_ITERS))
+            assert step[0][0].step_count == PER_STEP_ITERS
+        assert steps[0][0][0] is not steps[1][0][0]
 
     def test_step_record_fields(self, stream):
         out, _ = run_through("cumulative_all", stream, 2)
@@ -291,6 +297,19 @@ class TestBudgets:
 
 
 class TestLwfBehavior:
+    def test_teacher_embeds_once_per_step(self, stream, monkeypatch):
+        # a const-cosine step's decayed branch reuses the step's teacher targets
+        calls = []
+        teacher_targets = methods.teacher_targets
+
+        def spy(*args):
+            calls.append(len(args[1]))
+            return teacher_targets(*args)
+
+        monkeypatch.setattr(methods, "teacher_targets", spy)
+        out, _ = run_through("lwf", stream, 2, make_ctx(kind="const_cosine", budget_mult=1.2))
+        assert calls == [out[1][2]["train_set_size"]]  # none at step 1, one at step 2
+
     def test_first_step_matches_sequential(self, stream):
         lwf, _ = run_through("lwf", stream, 1)
         seq, _ = run_through("sequential", stream, 1)
@@ -355,24 +374,35 @@ class TestConstCosine:
 
 
 class TestSegmentsOwnTheirState:
-    """Training updates parameters in place, so each segment trains a copy:
-    the parameters it starts from are never changed."""
+    """Training updates parameters in place, so each step's loop trains a
+    copy: the parameters it starts from are never changed."""
 
     def test_decay_branch_leaves_the_carry_unchanged(self, stream, monkeypatch):
-        starts = []
-        train_segment = methods._train_segment
+        # the carry is the model as it stood before the decay start's
+        # iteration, which the decayed branch trains on without changing it
+        starts, before_each = [], []
+        train, train_minibatch = methods._train, methods.train_minibatch
 
-        def spy(params, adam, *args):
-            starts.append((params, params.vector.tobytes(), adam))
-            return train_segment(params, adam, *args)
+        def spy_train(params, *args):
+            starts.append((params, params.vector.tobytes()))
+            return train(params, *args)
 
-        monkeypatch.setattr(methods, "_train_segment", spy)
-        out, _ = run_through("sequential", stream, 2, make_ctx(kind="const_cosine"))
-        assert len(starts) == 4  # two segments per step
-        step1_carry = out[0][1]
-        assert starts[1][0] is step1_carry.params  # the decay branch starts from the carry
-        assert starts[1][2] is starts[0][2]  # and continues the step's Adam state
-        for params, before, _ in starts:
+        def spy_minibatch(params, *args, **kw):
+            before_each.append(params.vector.copy())
+            return train_minibatch(params, *args, **kw)
+
+        monkeypatch.setattr(methods, "_train", spy_train)
+        monkeypatch.setattr(methods, "train_minibatch", spy_minibatch)
+        ctx = make_ctx(kind="const_cosine")
+        out, _ = run_through("sequential", stream, 2, ctx)
+        d = decay_start_iter(ctx.schedule)
+        assert 0 < d < PER_STEP_ITERS and len(before_each) == 2 * PER_STEP_ITERS
+        for t, (deploy, carry, _) in enumerate(out):
+            assert np.array_equal(carry.params.vector, before_each[t * PER_STEP_ITERS + d])
+            assert not flat_equal(deploy.params, carry.params)
+        assert len(starts) == 2  # one loop per step
+        assert starts[1][0] is out[0][1].params  # step 2 starts from step 1's carry
+        for params, before in starts:
             assert params.vector.tobytes() == before
 
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):

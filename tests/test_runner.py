@@ -259,7 +259,7 @@ class TestRunExperiment:
         assert list(ledger["eval_macs"]) == list(ledger["train_macs"]) == ["2", "3"]
 
 
-# SHA-256 of every .ticc, progress.json and metrics.json of two tiny runs
+# SHA-256 of every .ticc, progress.json and metrics.json of four tiny runs
 # (see TestTrainingBytesPinned.digests). Training is meant to be a pure
 # function of the config, so any change that moves one bit of a trained
 # parameter, a replay plan or a logged loss shows here. The pins hold for a
@@ -283,15 +283,42 @@ PINNED_TRAINING_SHA256 = {
         "step_002.ticc": "d40bb469400ddd8bd11ac5a806612fc463d07c66132ae37dce10772d1cd5b201",
         "step_003.ticc": "b9d684da3b78be603e7c8559a13d12597e4fb55d7b19447e65e77ceb85c00315",
     },
+    "oracle": {
+        "metrics.json": "fbe6db5d43795e439435d61513dfea110557c8a3c8a02f5eff571c9d1aabce20",
+        "progress.json": "c65eee81d320d5656f2e4972cda33c645f067d578592ecd634aca97a2f551aa9",
+        "step_001.ticc": "c82f865aaccc11379258eca01d369d30f4466123c84342ed2df2fa4ea20db7b4",
+        "step_002.ticc": "3d7953f286cc5398a851e9c7952de66adbc91130c208d35875822ef35f719b8b",
+        "step_003.ticc": "4b591f68ac5461cf7cd5a3970d0c813b5351730979c2f3a9d88cd2496c96e84d",
+    },
+    "lwf_const_cosine": {
+        "metrics.json": "18573a478053811b3d3326f46cccb06dd0ed796f7401ac17a6a3e2b0ef8de9c8",
+        "progress.json": "b0c4c4a9f0c0ca5670fcf093dc2fe2e2b61b8dc25531c3cac2a5a8558150357d",
+        "step_001.ticc": "40e8be21044943fe60bbde0d981d32f5c172c423bbe9a7903a51a57089bab375",
+        "step_001_carry.ticc": "9b99c9cd7639b2759a3b8debf08eb88b50429690364e25d1e22d7d3b153f5258",
+        "step_002.ticc": "1247afec4af92be64761464884b1d40af27e75bdafa86c82da668032f05156b3",
+        "step_002_carry.ticc": "dd6586c90c187178a82ed5b2dcba09917717730d39fe2a6e80f937a97b66440e",
+        "step_003.ticc": "8f5fe9359eff0851f388cbb51e5674341dfcbd8034f4fbc378e0136750521ef2",
+        "step_003_carry.ticc": "4d477dc0b41b5e9090fe29963123e41759240323a5fef3cc5abaa812af6766c5",
+    },
+}
+
+
+# pinned run: (method, schedule kind, batch size). patching covers carry
+# checkpoints and the patch alpha grid; lwf the teacher penalty; oracle a cycle
+# that grows with the step; lwf_const_cosine the teacher and the decay branch
+# together, at a batch size that does not divide the training set
+PINNED_RUNS = {
+    "patching": ("patching", "const_cosine", 32),
+    "lwf": ("lwf", "warmup_cosine", 16),
+    "oracle": ("oracle", "warmup_cosine", 16),
+    "lwf_const_cosine": ("lwf", "const_cosine", 24),
 }
 
 
 class TestTrainingBytesPinned:
     @staticmethod
-    def digests(tmp_path, method):
-        # patching: const_cosine at B=32, so carry checkpoints and the patch
-        # alpha grid are covered; lwf: warmup_cosine with the teacher penalty
-        kind, batch = ("const_cosine", 32) if method == "patching" else ("warmup_cosine", 16)
+    def digests(tmp_path, run):
+        method, kind, batch = PINNED_RUNS[run]
         cfg = tiny_config(
             tmp_path, stream=StreamConfig(
                 num_steps=3, per_step_train_size=64, per_step_eval_size=16,
@@ -307,9 +334,9 @@ class TestTrainingBytesPinned:
         return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(run_dir.iterdir())
                 if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
 
-    @pytest.mark.parametrize("method", sorted(PINNED_TRAINING_SHA256))
-    def test_training_bytes_pinned(self, tmp_path, method):
-        assert self.digests(tmp_path, method) == PINNED_TRAINING_SHA256[method]
+    @pytest.mark.parametrize("run", sorted(PINNED_TRAINING_SHA256))
+    def test_training_bytes_pinned(self, tmp_path, run):
+        assert self.digests(tmp_path, run) == PINNED_TRAINING_SHA256[run]
 
 
 class TestEvaluateRun:
