@@ -7,7 +7,11 @@ prototype (the perturbation is shared between modalities, so the paired
 text stays retrievable), then maps it through fixed seeded mixing matrices
 into image and text feature space. Eval splits are drawn before the
 training split at every step. The `.ticd` layout is defined beside
-`write_timestep_file` and read and written through `formats`.
+`write_timestep_file` and read and written through `formats`: a section is
+written straight from its packed structured array's buffer, and read as a
+view of the file's buffer that is converted once into the record columns. A
+reader that needs no training rows (`train=False`) still bounds-checks the
+train section but converts none of it, and its datasets hold `train=None`.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ class RecordBatch:
 @dataclass
 class TimestepDataset:
     timestep: int
-    train: RecordBatch
+    train: RecordBatch | None  # None when read with train=False
     eval_retrieval: RecordBatch
     eval_classification: RecordBatch
     prototype_ids: np.ndarray  # (c,) int64, classes alive at this step
@@ -211,7 +215,8 @@ def generate_stream(cfg: StreamConfig) -> list[TimestepDataset]:
 
 
 def aggregate_early_steps(datasets: list[TimestepDataset], merge_first_k: int) -> list[TimestepDataset]:
-    """Merge the first k steps into one dataset stamped with timestep k."""
+    """Merge the first k steps into one dataset stamped with timestep k; datasets read
+    without their train split merge into one without it."""
     t_total = len(datasets)
     if not (1 <= merge_first_k <= t_total):
         raise ConfigError(f"merge_first_k={merge_first_k} out of range for T={t_total}")
@@ -220,7 +225,7 @@ def aggregate_early_steps(datasets: list[TimestepDataset], merge_first_k: int) -
     head = datasets[:merge_first_k]
     merged = TimestepDataset(
         timestep=merge_first_k,
-        train=RecordBatch.concat([d.train for d in head]),
+        train=None if head[0].train is None else RecordBatch.concat([d.train for d in head]),
         eval_retrieval=RecordBatch.concat([d.eval_retrieval for d in head]),
         eval_classification=RecordBatch.concat([d.eval_classification for d in head]),
         prototype_ids=head[-1].prototype_ids,
@@ -235,7 +240,7 @@ def aggregate_early_steps(datasets: list[TimestepDataset], merge_first_k: int) -
 # eval_classification) each "count u32, then (class_id u32, image f64s,
 # text f64s) per record"; prototype section "count u32, then (class_id u32,
 # text_dim f64s)". Little-endian throughout, no padding: each section's rows
-# are one packed structured array.
+# are one packed structured array, written from and read as its buffer.
 # ---------------------------------------------------------------------------
 
 
@@ -247,11 +252,12 @@ def _prototype_dtype(text_dim: int) -> np.dtype:
     return np.dtype([("class_id", "<u4"), ("text", "<f8", (text_dim,))])
 
 
-def _pack_section(dtype: np.dtype, **columns) -> bytes:
+def _pack_section(dtype: np.dtype, **columns) -> tuple[bytes, np.ndarray]:
+    """A section's count and its rows, to be written as they are."""
     rows = np.empty(len(columns["class_id"]), dtype)
     for name, column in columns.items():
         rows[name] = column
-    return struct.pack("<I", len(rows)) + rows.tobytes()
+    return struct.pack("<I", len(rows)), rows
 
 
 def write_timestep_file(ds: TimestepDataset, path) -> None:
@@ -260,12 +266,14 @@ def write_timestep_file(ds: TimestepDataset, path) -> None:
     chunks = [STREAM_MAGIC, struct.pack("<IIII", STREAM_VERSION, ds.timestep, image_dim, text_dim)]
     records = _record_dtype(image_dim, text_dim)
     for b in (ds.train, ds.eval_retrieval, ds.eval_classification):
-        chunks.append(_pack_section(records, class_id=b.class_ids, image=b.images, text=b.texts))
-    chunks.append(_pack_section(_prototype_dtype(text_dim), class_id=ds.prototype_ids, text=ds.prototypes))
-    atomic_write(path, b"".join(chunks))
+        chunks += _pack_section(records, class_id=b.class_ids, image=b.images, text=b.texts)
+    chunks += _pack_section(_prototype_dtype(text_dim), class_id=ds.prototype_ids, text=ds.prototypes)
+    atomic_write(path, *chunks)
 
 
-def read_timestep_file(path) -> TimestepDataset:
+def read_timestep_file(path, *, train: bool = True) -> TimestepDataset:
+    """One step's dataset; with `train=False` the train section is bounds-checked, not converted,
+    and the dataset's `train` is None."""
     cur = Cursor(path)
     if cur.take(4) != STREAM_MAGIC:
         raise FormatError("bad magic", 0, path)
@@ -273,23 +281,25 @@ def read_timestep_file(path) -> TimestepDataset:
     if version != STREAM_VERSION:
         raise FormatError(f"unsupported stream version {version}", 4, path)
 
-    def read_section(dtype: np.dtype) -> list[np.ndarray]:
-        """Columns of the next section: class ids as int64, vectors as float64."""
-        rows = cur.array(dtype, *cur.unpack("<I"))
-        return [rows["class_id"].astype(np.int64)] + [rows[n].astype(np.float64, order="C") for n in dtype.names[1:]]
+    def section(dtype: np.dtype) -> np.ndarray:
+        """The next section's rows, a view of the file's buffer."""
+        return cur.array(dtype, *cur.unpack("<I"))
+
+    def columns(rows: np.ndarray) -> list[np.ndarray]:
+        """Class ids as int64, vectors as float64."""
+        return [rows["class_id"].astype(np.int64)] + [rows[n].astype(np.float64, order="C")
+                                                      for n in rows.dtype.names[1:]]
+
+    def batch(rows: np.ndarray) -> RecordBatch:
+        return RecordBatch(*columns(rows), np.full(len(rows), timestep, dtype=np.int64))
 
     records = _record_dtype(image_dim, text_dim)
-
-    def read_batch() -> RecordBatch:
-        class_ids, images, texts = read_section(records)
-        return RecordBatch(class_ids, images, texts, np.full(len(class_ids), timestep, dtype=np.int64))
-
-    train = read_batch()
-    eval_r = read_batch()
-    eval_c = read_batch()
-    proto_ids, protos = read_section(_prototype_dtype(text_dim))
+    train_rows = section(records)
+    eval_r = batch(section(records))
+    eval_c = batch(section(records))
+    proto_ids, protos = columns(section(_prototype_dtype(text_dim)))
     cur.end()
-    return TimestepDataset(timestep, train, eval_r, eval_c, proto_ids, protos)
+    return TimestepDataset(timestep, batch(train_rows) if train else None, eval_r, eval_c, proto_ids, protos)
 
 
 def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) -> Path:
@@ -308,9 +318,10 @@ def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) ->
     return mpath
 
 
-def load_stream(data_dir) -> tuple[list[TimestepDataset], StreamConfig]:
+def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset], StreamConfig]:
+    """The stream in `data_dir` and its config; `train=False` reads every step without its train split."""
     data_dir = Path(data_dir)
     manifest = read_json(data_dir / "stream_manifest.json", "config", "files")
     cfg = StreamConfig.from_json(manifest["config"])
-    datasets = [read_timestep_file(data_dir / name) for name in manifest["files"]]
+    datasets = [read_timestep_file(data_dir / name, train=train) for name in manifest["files"]]
     return datasets, cfg

@@ -4,9 +4,12 @@ Every file the package writes (.ticc, .ticd, stream_manifest.json,
 progress.json, metrics.json, manifest.json, the CSV/JSON report) goes through
 `atomic_write`, so a process killed at any instant leaves each artifact whole,
 old or new; a stray `*.tmp` it leaves is harmless and replaced by the next
-write. Every artifact is read through `Cursor` or `read_json`, which refuse a
-malformed file with a `FormatError` naming it. The .ticc and .ticd byte
-layouts live beside their types, in `model` and `datagen`.
+write. A writer hands `atomic_write` its buffers as they are (bytes, a
+memoryview, an ndarray) and they are written in order, never joined first.
+Every artifact is read through `Cursor` or `read_json`, which refuse a
+malformed file with a `FormatError` naming it; a `Cursor` reads the whole file
+once and hands out views of that buffer, never copies. The .ticc and .ticd
+byte layouts live beside their types, in `model` and `datagen`.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ import numpy as np
 from .errors import FormatError, RunError
 
 
-def atomic_write(path, data: bytes) -> None:
-    """Replace `path` with `data` in one step: a reader sees the old bytes or the new, never part."""
+def atomic_write(path, *chunks) -> None:
+    """Replace `path` with the concatenation of `chunks`, buffers written in order, in one step:
+    a reader sees the old bytes or the new, never part."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")  # never *.ticc or *.ticd, so no reader takes it for one
     with open(tmp, "wb") as f:
-        f.write(data)
+        f.writelines(chunks)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)
@@ -52,14 +56,19 @@ def read_json(path, *keys: str) -> dict:
 
 
 class Cursor:
-    """Reads a binary artifact front to back; a short or overlong file is refused at its offset."""
+    """Reads a binary artifact front to back; a short or overlong file is refused at its offset.
+
+    The file is read whole into `buf`, and every field handed out is a
+    read-only view of it: whoever keeps one, or an array over one, keeps the
+    file's bytes alive.
+    """
 
     def __init__(self, path):
-        self.buf = Path(path).read_bytes()
+        self.buf = memoryview(Path(path).read_bytes())
         self.path = path
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise FormatError("truncated file", self.pos, self.path)
         out = self.buf[self.pos : self.pos + n]
@@ -71,7 +80,7 @@ class Cursor:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, dtype, n: int) -> np.ndarray:
-        """The next n items of `dtype`, read-only over the buffer.
+        """The next n items of `dtype`, a read-only view of the buffer.
 
         A truncated read reports the offset of the first field that is cut
         off, as reading the items one field at a time would.

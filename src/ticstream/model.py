@@ -377,9 +377,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
               struct.pack("<I", ckpt.trained_through_step)]
     for shapes in params.layout:
         chunks.append(struct.pack(f"<{1 + 2 * len(shapes)}I", len(shapes), *(d for s in shapes for d in s)))
-    chunks += [struct.pack("<Q", params.vector.size), params.vector.astype("<f8").tobytes()]
-    body = b"".join(chunks)
-    atomic_write(path, body + hashlib.sha256(body).digest())
+    chunks += [struct.pack("<Q", params.vector.size), params.vector.astype("<f8", copy=False)]
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    atomic_write(path, *chunks, digest.digest())
 
 
 def _read_shapes(cur: Cursor) -> tuple[tuple[int, int], ...]:
@@ -396,7 +398,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"unsupported checkpoint version {version}", 4, path)
     id_offset = cur.pos + 4
     try:
-        method_id = cur.take(*cur.unpack("<I")).decode("utf-8")
+        method_id = bytes(cur.take(*cur.unpack("<I"))).decode("utf-8")
     except UnicodeDecodeError as e:
         raise FormatError("method id is not UTF-8", id_offset, path) from e
     (trained_through,) = cur.unpack("<I")
@@ -406,7 +408,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"vector length {n} does not match the layer shapes", cur.pos - 8, path)
     vector = cur.array("<f8", n).astype(np.float64)
     body_end = cur.pos
-    if cur.take(32) != hashlib.sha256(memoryview(cur.buf)[:body_end]).digest():
+    if cur.take(32) != hashlib.sha256(cur.buf[:body_end]).digest():
         raise FormatError("SHA-256 trailer does not match the content", body_end, path)
     cur.end()
     return Checkpoint(TwoTowerParams.wrap(vector, layout), trained_through, method_id)

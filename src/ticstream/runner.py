@@ -261,9 +261,10 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
     return metrics
 
 
-def _stored_datasets(cfg: ExperimentConfig, data_dir) -> list[TimestepDataset]:
-    """The stream in `data_dir`, which must be `cfg`'s; a missing one is an error."""
-    datasets, stored = load_stream(data_dir)
+def _stored_datasets(cfg: ExperimentConfig, data_dir, *, train: bool = True) -> list[TimestepDataset]:
+    """The stream in `data_dir`, which must be `cfg`'s; a missing one is an error. `train=False`
+    leaves out the train splits (see `load_stream`)."""
+    datasets, stored = load_stream(data_dir, train=train)
     if stored != cfg.stream:
         raise ConfigError("stored stream config differs from experiment config")
     return aggregate_early_steps(datasets, cfg.merge_first_k)
@@ -312,10 +313,12 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints and the stream in `data_dir`;
-    rewrites only metrics.json, and a missing stream is an error."""
+    rewrites only metrics.json, and a missing stream is an error. Scoring reads eval splits only,
+    so the stream is loaded without its training rows."""
     manifest = read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
     cfg = ExperimentConfig.from_json(manifest["config"])
-    return score_run(cfg, _stored_datasets(cfg, data_dir), manifest["method"], manifest["seed"], run_dir)
+    datasets = _stored_datasets(cfg, data_dir, train=False)
+    return score_run(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,19 @@ from ticstream.datagen import (
 from ticstream.errors import ConfigError, FormatError
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_eval_splits(a, b) -> bool:
+    """Two datasets' eval splits and prototypes are equal bit for bit."""
+    pairs = [(a.prototype_ids, b.prototype_ids), (a.prototypes, b.prototypes)]
+    for split in ("eval_retrieval", "eval_classification"):
+        x, y = getattr(a, split), getattr(b, split)
+        pairs += [(x.class_ids, y.class_ids), (x.images, y.images), (x.texts, y.texts), (x.timesteps, y.timesteps)]
+    return all(same_bits(x, y) for x, y in pairs)
+
+
 def make_cfg(**overrides):
     base = dict(
         num_steps=4,
@@ -142,6 +155,15 @@ class TestAggregate:
         out = aggregate_early_steps(stream, 2)
         assert len(out[0].train) == len(stream[0].train) + len(stream[1].train)
 
+    def test_merges_steps_read_without_train(self, tmp_path):
+        cfg = make_cfg()
+        write_stream(generate_stream(cfg), cfg, tmp_path)
+        full = aggregate_early_steps(load_stream(tmp_path)[0], 2)
+        out = aggregate_early_steps(load_stream(tmp_path, train=False)[0], 2)
+        assert [d.timestep for d in out] == [d.timestep for d in full] == [2, 3, 4]
+        for a, b in zip(full, out):
+            assert b.train is None and same_eval_splits(a, b)
+
     def test_out_of_range_k(self):
         stream = generate_stream(make_cfg())
         with pytest.raises(ConfigError):
@@ -228,19 +250,26 @@ class TestTimestepFile:
         write_timestep_file(ds, tmp_path / "again.ticd")
         assert (tmp_path / "again.ticd").read_bytes() == data
 
-        # truncation names the first field cut off; trailing bytes the end
+        # without the train split: the same eval sections and prototypes, bit for bit
+        no_train = read_timestep_file(path, train=False)
+        assert no_train.train is None and no_train.timestep == 4
+        assert same_eval_splits(ds, no_train)
+
+        # truncation names the first field cut off; trailing bytes the end; with
+        # or without the train split, since it is bounds-checked either way
         record = 4 + 8 * 2 + 8 * 3
         train_rows = 4 + 16 + 4
-        for cut, offset in ((train_rows + 2, train_rows), (train_rows + 10, train_rows + 4),
-                            (train_rows + record + 30, train_rows + record + 20)):
-            path.write_bytes(data[:cut])
-            with pytest.raises(FormatError) as exc:
-                read_timestep_file(path)
-            assert "truncated" in str(exc.value) and exc.value.offset == offset
-        path.write_bytes(data + b"\x00\x00")
-        with pytest.raises(FormatError, match="trailing") as exc:
-            read_timestep_file(path)
-        assert exc.value.offset == len(data)
+        for train in (True, False):
+            for cut, offset in ((train_rows + 2, train_rows), (train_rows + 10, train_rows + 4),
+                                (train_rows + record + 30, train_rows + record + 20)):
+                path.write_bytes(data[:cut])
+                with pytest.raises(FormatError) as exc:
+                    read_timestep_file(path, train=train)
+                assert "truncated" in str(exc.value) and exc.value.offset == offset
+            path.write_bytes(data + b"\x00\x00")
+            with pytest.raises(FormatError, match="trailing") as exc:
+                read_timestep_file(path, train=train)
+            assert exc.value.offset == len(data)
 
     def test_empty_train_round_trips(self, tmp_path):
         ds = generate_stream(make_cfg())[0]

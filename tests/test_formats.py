@@ -2,6 +2,7 @@ import ast
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ticstream
@@ -67,3 +68,17 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
     atomic_write(path, b"newer")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["progress.json"]
     assert path.read_bytes() == b"newer"
+
+    # chunks of any buffer type are written in order, unjoined
+    rows = np.array([(7, 0.5), (8, -1.0), (9, 2.0)], dtype=[("id", "<u4"), ("x", "<f8")])
+    chunks = (b"head", memoryview(b"0123456789")[2:5], rows, b"", np.zeros(0, rows.dtype), b"tail")
+    want = b"head234" + rows.tobytes() + b"tail"
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", killed)
+        with pytest.raises(Stop):
+            atomic_write(path, *chunks)
+    assert path.read_bytes() == b"newer"
+    assert (tmp_path / "progress.json.tmp").read_bytes() == want
+    atomic_write(path, *chunks)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["progress.json"]
+    assert path.read_bytes() == want

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from ticstream import datagen
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
 from ticstream.runner import (
@@ -233,10 +234,16 @@ class TestRunExperiment:
         monkeypatch.setenv("TIC_THREADS", "2")
         cfg_p = tiny_config(tmp_path / "par")
         parallel = run_experiment(cfg_p)
+        assert len(serial) == len(parallel) == 2
+
+        def artifacts(run_dir):
+            return {p.name: p.read_bytes() for p in run_dir.iterdir()
+                    if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
+
         for sp, pp in zip(serial, parallel):
-            ms = json.loads((sp.parent / "metrics.json").read_text())
-            mp = json.loads((pp.parent / "metrics.json").read_text())
-            assert ms["retrieval"]["entries"] == mp["retrieval"]["entries"]
+            want = artifacts(sp.parent)
+            assert len(want) == 5  # three checkpoints, progress and metrics
+            assert artifacts(pp.parent) == want, sp.parent
 
     def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIC_THREADS", "2")
@@ -348,6 +355,25 @@ class TestEvaluateRun:
         after = evaluate_run(run_dir, tmp_path / "data")
         assert after["retrieval"]["entries"] == before["retrieval"]["entries"]
         assert after["classification"]["entries"] == before["classification"]["entries"]
+
+    def test_reads_no_training_row(self, tmp_path, monkeypatch):
+        # merge_first_k=2 also merges steps that were read without their train split
+        cfg = tiny_config(tmp_path, merge_first_k=2)
+        run_dir = run_experiment(cfg)[0].parent
+        written = (run_dir / "metrics.json").read_bytes()
+        read = []
+
+        def spy(path, **kwargs):
+            ds = real(path, **kwargs)
+            read.append(ds)
+            return ds
+
+        real = datagen.read_timestep_file
+        monkeypatch.setattr(datagen, "read_timestep_file", spy)
+        evaluate_run(run_dir, tmp_path / "data")
+        assert len(read) == cfg.stream.num_steps
+        assert all(ds.train is None for ds in read)
+        assert (run_dir / "metrics.json").read_bytes() == written
 
 
 class TestIidSplit:
