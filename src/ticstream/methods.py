@@ -181,24 +181,20 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
     return params, carry, losses
 
 
-def _assemble_data(spec: MethodSpec, t: int, datasets: list[TimestepDataset], ctx: StepContext):
-    by_step = {d.timestep: d for d in datasets}
-    # replay formulas index steps by position so merged early steps count once
-    positions = sorted(j for j in by_step if j <= t)
-    pos_of = {j: i + 1 for i, j in enumerate(positions)}
-    step_of = {i + 1: j for i, j in enumerate(positions)}
-    actual = {pos_of[j]: len(by_step[j].train) for j in positions}
-    p = pos_of[t]
-    if spec.data_policy == "new_only":
-        plan = ReplayPlan(p, {}, actual[p])
-    else:
-        plan = plan_replay(BufferPolicy(spec.data_policy), p, ctx.per_step_size, actual)
-    plan = ReplayPlan(t, {step_of[q]: c for q, c in plan.per_source_counts.items()}, plan.current_count)
+def _assemble_data(spec: MethodSpec, seen: list[TimestepDataset], ctx: StepContext):
+    """The training set of the step that ends `seen`, the stream up to it; returns (records, plan)."""
+    t, cur_train = seen[-1].timestep, seen[-1].train
+    counts, current = {}, len(cur_train)
+    if spec.data_policy != "new_only":
+        # replay formulas index steps by position so merged early steps count once
+        by_pos = plan_replay(BufferPolicy(spec.data_policy), len(seen), ctx.per_step_size,
+                             {p: len(d.train) for p, d in enumerate(seen, 1)})
+        counts = {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()}
+        current = by_pos.current_count
+    plan = ReplayPlan(t, counts, current)
     rng = Rng(ctx.seed, 0).split("data", t)
-    old = sample_buffer(plan, datasets, rng)
-    cur_train = by_step[t].train
-    cur_idx = rng.split("current").choice(len(cur_train), plan.current_count)
-    new = cur_train.take(cur_idx)
+    old = sample_buffer(plan, seen, rng)
+    new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
     return assemble_training_set(old, new, rng), plan
 
 
@@ -220,9 +216,13 @@ def run_step(
     alpha in the record, and warm-starts from the previous deploy model; every
     other warm start, and the `lwf` teacher, use the previous carry.
     """
-    # with merged early steps the first position's timestep can exceed 1, so
-    # "first step" means first position in the (possibly aggregated) stream
-    pos = sorted(d.timestep for d in datasets).index(t) + 1
+    # the stream up to step t; "first step" means first position, as merged
+    # early steps start the stream above timestep 1
+    steps = [d.timestep for d in datasets]
+    if t not in steps:
+        raise RunError(f"{spec.id}: step {t} is not in the stream")
+    seen = datasets[: steps.index(t) + 1]
+    pos = len(seen)
     is_initial = pos == 1
     prev = prev_deploy if spec.init_source == "last_patched" else prev_carry
     if spec.init_source != "random" and not is_initial and prev is None:
@@ -233,7 +233,7 @@ def run_step(
     params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t)) if is_first else prev.params
 
     # data
-    records, plan = _assemble_data(spec, t, datasets, ctx)
+    records, plan = _assemble_data(spec, seen, ctx)
 
     # schedule: one cycle per step, of as many budgets as the method spends
     # there (the from-scratch oracle: t budgets)
@@ -259,8 +259,7 @@ def run_step(
     if spec.init_source == "last_patched":
         alpha = 1.0
         if not is_initial:
-            prev_sets = [d for d in datasets if d.timestep < t]
-            alpha = tune_patch_alpha(prev_deploy.params, deploy, prev_sets, ctx.ledger, t)
+            alpha = tune_patch_alpha(prev_deploy.params, deploy, seen[:-1], ctx.ledger, t)
             # the deployable model is the patched one
             deploy = apply_patch(prev_deploy.params, deploy, alpha)
         record["alpha"] = alpha

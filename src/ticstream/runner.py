@@ -4,12 +4,15 @@ Every run is a (method, seed) pair owning one output directory. `train_run`
 keys all randomness by (seed, step, purpose) and writes each artifact whole
 (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step; `score_run` scores a finished
-run's checkpoints and writes only metrics.json.
+run's checkpoints and writes only metrics.json. `run_experiment` reads the
+stream once and hands it, with the config, to every (method, seed) job, so a
+job in a process pool runs exactly what a serial one does.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -280,34 +283,27 @@ def _prepare_datasets(cfg: ExperimentConfig, data_dir=None) -> list[TimestepData
     return aggregate_early_steps(datasets, cfg.merge_first_k)
 
 
-def _run_one(args):
-    cfg_json, data_dir, method, seed, run_dir = args
-    cfg = ExperimentConfig.from_json(cfg_json)
-    datasets = _prepare_datasets(cfg, data_dir)
-    return run_method_seed(cfg, datasets, method, seed, run_dir)
-
-
 def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
-    """All (method, seed) runs; returns manifest paths. TIC_THREADS caps parallelism."""
+    """All (method, seed) runs; returns manifest paths. The stream is read (or generated and
+    written) once, here, and every job is `run_method_seed` on `cfg` and it: run in turn, or with
+    TIC_THREADS > 1 in a pool of that many processes, which never read or write `data_dir`."""
     cfg.validate()
+    threads = os.environ.get("TIC_THREADS", "1")
+    workers = int(threads) if threads.isdecimal() else 0
+    if workers < 1:
+        raise ConfigError(f"TIC_THREADS must be a positive integer, got {threads!r}")
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if data_dir is None:
         data_dir = out / "data"
-    datasets = _prepare_datasets(cfg, data_dir)
-    jobs = [
-        (method, seed, out / method / f"seed_{seed}")
-        for method in cfg.methods
-        for seed in cfg.seeds
-    ]
-    workers = int(os.environ.get("TIC_THREADS", "1"))
+    job = functools.partial(run_method_seed, cfg, _prepare_datasets(cfg, data_dir))
+    jobs = [(method, seed, out / method / f"seed_{seed}") for method in cfg.methods for seed in cfg.seeds]
     if workers > 1:
-        arglist = [(cfg.to_json(), str(data_dir), m, s, str(d)) for m, s, d in jobs]
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(_run_one, arglist))
+            list(ex.map(job, *zip(*jobs)))
     else:
         for method, seed, run_dir in jobs:
-            run_method_seed(cfg, datasets, method, seed, run_dir)
+            job(method, seed, run_dir)
     return [d / "manifest.json" for _, _, d in jobs]
 
 

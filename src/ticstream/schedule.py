@@ -42,6 +42,9 @@ class ScheduleConfig:
             raise ConfigError("decay_fraction must be in (0, 1]")
         if not (0 <= self.warmup_on_subsequent <= 1):
             raise ConfigError("warmup_on_subsequent must be in [0, 1]")
+        # a one-iteration decay branch trains at min_lr: it deploys the carry unchanged, yet is billed
+        if self.kind == "const_cosine" and self.total_iters - decay_start_iter(self) < 2:
+            raise ConfigError(f"a const_cosine cycle of {self.total_iters} iterations decays over fewer than 2")
 
     def with_total(self, total_iters: int) -> "ScheduleConfig":
         """This schedule as one validated cycle of `total_iters` iterations."""

@@ -295,10 +295,21 @@ class TestRunAndIid:
         # 12 iterations over 2 steps leave 6 per step, fewer than the warmup
         (dict(schedule=ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=0, warmup_iters=7)),
          "warmup_iters"),
+        # 6 iterations a step decay over the last one only
+        (dict(schedule=ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0)),
+         "const_cosine cycle of 6 iterations"),
     ])
     def test_bad_run_config_is_exit_1_before_any_work(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, methods=["lwf"], **overrides)
         assert main(["run", "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("**/*.ticc"))
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("threads", ["two", "0", "-1"])
+    def test_bad_tic_threads_is_exit_1_before_any_work(self, tmp_path, capsys, monkeypatch, threads):
+        cfg = write_config(tmp_path)
+        monkeypatch.setenv("TIC_THREADS", threads)
+        assert main(["run", "--config", str(cfg)]) == 1
+        assert "TIC_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()

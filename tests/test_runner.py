@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ticstream import datagen
+from ticstream import datagen, runner
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
 from ticstream.runner import (
@@ -244,6 +244,41 @@ class TestRunExperiment:
             want = artifacts(sp.parent)
             assert len(want) == 5  # three checkpoints, progress and metrics
             assert artifacts(pp.parent) == want, sp.parent
+
+    def test_pool_workers_never_touch_the_stream(self, tmp_path, monkeypatch):
+        # const_cosine writes carry files; merge_first_k=2 merges steps 1 and 2 into the first position
+        schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
+
+        def cfg(sub):
+            return tiny_config(tmp_path / sub, schedule=schedule, merge_first_k=2, total_iters=48,
+                               methods=["patching", "cumulative_all"], seeds=[0, 1])
+
+        serial = run_experiment(cfg("serial"))
+        parent = os.getpid()
+
+        def parent_only(fn):
+            def wrapper(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise RuntimeError(f"{fn.__name__} called in a pool worker")
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("load_stream", "generate_stream", "write_stream"):
+            monkeypatch.setattr(runner, name, parent_only(getattr(runner, name)))
+        monkeypatch.setenv("TIC_THREADS", "2")
+        # one pooled run generates its stream, one reads the serial run's
+        pooled = [run_experiment(cfg("generated")), run_experiment(cfg("stored"), tmp_path / "serial" / "data")]
+
+        def artifacts(run_dir):
+            return {p.name: p.read_bytes() for p in run_dir.iterdir()
+                    if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
+
+        for manifests in pooled:
+            assert len(manifests) == len(serial) == 4
+            for sp, pp in zip(serial, manifests):
+                want = artifacts(sp.parent)
+                assert len(want) == 6  # two deploy and two carry checkpoints, progress and metrics
+                assert artifacts(pp.parent) == want, sp.parent
 
     def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIC_THREADS", "2")

@@ -88,6 +88,19 @@ class TestConstCosine:
         assert lr_at(cfg, 0) == pytest.approx(1e-3)
         assert lr_at(cfg, 9) == pytest.approx(1e-2)
 
+    @pytest.mark.parametrize("total", [6, 7])
+    def test_refuses_a_cycle_that_decays_over_one_iteration(self, total):
+        # the decay branch's one iteration would train at min_lr and change nothing
+        cfg = self.cfg(total=total)
+        assert total - decay_start_iter(cfg) == 1
+        with pytest.raises(ConfigError, match="const_cosine"):
+            cfg.validate()
+
+    def test_accepts_a_cycle_that_decays_over_two_iterations(self):
+        cfg = self.cfg(total=8)
+        assert 8 - decay_start_iter(cfg) == 2
+        cfg.validate()
+
 
 class TestIterationSplit:
     def test_paper_scale_examples(self):
