@@ -60,11 +60,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    manifests = []
+    manifests = []  # of scored runs only: an unfinished run has a manifest but no metrics.json
     for root in args.runs:
-        manifests.extend(sorted(Path(root).glob("**/manifest.json")))
+        manifests.extend(m.with_name("manifest.json") for m in sorted(Path(root).glob("**/metrics.json")))
     if not manifests:
-        raise RunError(f"no manifests under {args.runs}")
+        raise RunError(f"no scored runs under {args.runs}")
     out = emit_report(manifests, args.out, args.format)
     print(f"report written to {out}")
     return 0
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--data", required=True)
     e.set_defaults(fn=_cmd_eval)
 
-    r = sub.add_parser("report", help="aggregate run manifests into CSV/JSON")
+    r = sub.add_parser("report", help="aggregate scored runs into CSV/JSON")
     r.add_argument("--runs", nargs="+", required=True)
     r.add_argument("--out", required=True)
     r.add_argument("--format", choices=("csv", "json"), default="csv")

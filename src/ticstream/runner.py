@@ -1,8 +1,9 @@
 """Experiment orchestration: a trainer, a read-only scorer, and reports.
 
-Every run is a (method, seed) pair owning one output directory. `train_run`
-keys all randomness by (seed, step, purpose) and writes each artifact whole
-(`formats.atomic_write`), so a run killed at any instant resumes
+Every run is a (method, seed) pair owning one output directory, whose
+manifest.json, written before step 1, is the identity a resume must match.
+`train_run` keys all randomness by (seed, step, purpose) and writes each
+artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step; `score_run` scores a finished
 run's checkpoints and writes only metrics.json. `run_experiment` reads the
 stream once and hands it, with the config, to every (method, seed) job, so a
@@ -18,7 +19,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +45,7 @@ from .schedule import (
     per_step_iterations,
 )
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2  # of the manifest.json layout
 
 
 @dataclass
@@ -92,11 +93,9 @@ class ExperimentConfig:
         """The config `to_json` wrote; an unknown top-level field is a ConfigError naming it."""
         if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
             raise ConfigError(f"unknown field {unknown[0]!r}")
-        sched = dict(d["schedule"])
-        sched.setdefault("total_iters", 0)
         return cls(
             stream=StreamConfig.from_json(d["stream"]),
-            schedule=ScheduleConfig(**sched),
+            schedule=ScheduleConfig(**{"total_iters": 0, **d["schedule"]}),
             methods=list(d["methods"]),
             seeds=list(d["seeds"]),
             total_iters=d["total_iters"],
@@ -105,7 +104,7 @@ class ExperimentConfig:
             embed_dim=d["embed_dim"],
             merge_first_k=d.get("merge_first_k", 1),
             lwf_lambda=d.get("lwf_lambda", 1.0),
-            output_dir=d.get("output_dir", "runs"),
+            output_dir=d.get("output_dir") or "runs",  # null in a manifest's config
         )
 
 
@@ -158,6 +157,18 @@ def _checkpoint_paths(run_dir: Path, t: int) -> tuple[Path, Path]:  # deploy, co
     return run_dir / f"step_{t:03d}.ticc", run_dir / f"step_{t:03d}_carry.ticc"
 
 
+def _load_own(path: Path, method_id: str, t: int):  # refused unless `method_id` wrote it after step `t`
+    ckpt = load_checkpoint(path)
+    if (ckpt.method_id, ckpt.trained_through_step) != (method_id, t):
+        raise RunError(f"{path}: {ckpt.method_id!r} step {ckpt.trained_through_step}, not {method_id!r} step {t}")
+    return ckpt
+
+
+def _identity(cfg: ExperimentConfig, method_id: str, seed: int) -> dict:  # manifest.json but its wall clock
+    config = {**cfg.to_json(), "output_dir": None}  # not the run's: `train --out` ignores it
+    return {"artifact_version": ARTIFACT_VERSION, "method": method_id, "seed": seed, "config": config}
+
+
 def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: int,
                   per_step_size: int) -> StepContext:
     """Step settings and a fresh ledger whose per-step budget is `per_step`
@@ -177,17 +188,27 @@ def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: i
 
 
 def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
-              run_dir) -> dict:
-    """Train the steps that progress.json does not count as done; returns the progress."""
+              run_dir) -> None:
+    """Train the steps that progress.json does not count as done, under the identity in manifest.json."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     spec = resolve_method(method_id)
+    identity, manifest_path = _identity(cfg, method_id, seed), run_dir / "manifest.json"
+    if not manifest_path.exists():
+        write_json(manifest_path, identity)
+    else:
+        recorded = read_json(manifest_path, *identity)
+        for key, want in json.loads(json.dumps(identity)).items():  # as read back: tuples become lists
+            if (got := recorded[key]) != want:
+                if key == "config" and isinstance(got, dict):  # name the config field that differs
+                    key = next(k for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k))
+                raise ConfigError(f"{run_dir}: resumed under another {key} than its manifest.json records")
     timesteps = [d.timestep for d in datasets]
     per_step = per_step_iterations(cfg.total_iters, len(timesteps))
     ctx = _step_context(cfg, seed, timesteps[0], per_step, cfg.stream.per_step_train_size)
 
     progress_path = run_dir / "progress.json"
-    progress = {"done_through": 0, "records": [], "ledger": ctx.ledger.to_json()}
+    progress = {"done_through": 0, "records": []}
     if progress_path.exists():
         progress = read_json(progress_path, "done_through", "records", "ledger")
         ctx.ledger = BudgetLedger.from_json(progress["ledger"])
@@ -197,8 +218,8 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     deploy = carry = None
     if 0 < done < len(timesteps):
         deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[done - 1])
-        deploy = load_checkpoint(deploy_path)
-        carry = load_checkpoint(carry_path) if carry_path.exists() else deploy
+        deploy = _load_own(deploy_path, method_id, timesteps[done - 1])
+        carry = _load_own(carry_path, method_id, timesteps[done - 1]) if carry_path.exists() else deploy
 
     for i in range(done, len(timesteps)):
         deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[i])
@@ -207,9 +228,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
         if cfg.schedule.kind == "const_cosine":
             save_checkpoint(carry_path, carry)
         records.append(rec)
-        progress = {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()}
-        write_json(progress_path, progress)
-    return progress
+        write_json(progress_path, {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()})
 
 
 def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
@@ -222,7 +241,8 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     if progress["done_through"] < len(datasets):
         raise RunError(f"{run_dir}: unfinished run, step {datasets[progress['done_through']].timestep} is not trained")
     ledger = BudgetLedger.from_json({**progress["ledger"], "eval_macs": {}})
-    params_per_step = [load_checkpoint(_checkpoint_paths(run_dir, d.timestep)[0]).params for d in datasets]
+    params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep).params
+                       for d in datasets]
     retrieval = build_performance_matrix(params_per_step, datasets, "retrieval", ledger)
     classification = build_performance_matrix(params_per_step, datasets, "classification", ledger)
 
@@ -244,23 +264,12 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
 
 def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
                     run_dir) -> dict:
-    """Train one (method, seed) pair over all steps, score it and write its manifest."""
+    """Train one (method, seed) pair over all steps, score it and add its wall clock to its manifest."""
     start = time.time()
-    records = train_run(cfg, datasets, method_id, seed, run_dir)["records"]
+    train_run(cfg, datasets, method_id, seed, run_dir)
     metrics = score_run(cfg, datasets, method_id, seed, run_dir)
-    manifest = {
-        "artifact_version": ARTIFACT_VERSION,
-        "method": method_id,
-        "seed": seed,
-        "config": cfg.to_json(),
-        "checkpoints": {str(d.timestep): f"step_{d.timestep:03d}.ticc" for d in datasets},
-        "steps": records,
-        "alphas": [r["alpha"] for r in records if "alpha" in r] or None,
-        "ledger": metrics["ledger"],
-        "metrics_file": "metrics.json",
-        "wall_clock_seconds": time.time() - start,
-    }
-    write_json(Path(run_dir) / "manifest.json", manifest)
+    write_json(Path(run_dir) / "manifest.json",
+               {**_identity(cfg, method_id, seed), "wall_clock_seconds": time.time() - start})
     return metrics
 
 
@@ -344,17 +353,8 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
         for seed in cfg.seeds:
             perm = Rng(cfg.stream.seed, 0).split("iid", k).permutation(len(pool.train))
             shard = len(pool.train) // k
-            datasets = []
-            for t in range(1, k + 1):
-                idx = perm[(t - 1) * shard : t * shard]
-                datasets.append(TimestepDataset(
-                    timestep=t,
-                    train=pool.train.take(idx),
-                    eval_retrieval=pool.eval_retrieval,
-                    eval_classification=pool.eval_classification,
-                    prototype_ids=pool.prototype_ids,
-                    prototypes=pool.prototypes,
-                ))
+            datasets = [replace(pool, timestep=t, train=pool.train.take(perm[(t - 1) * shard : t * shard]))
+                        for t in range(1, k + 1)]
             ctx = _step_context(cfg, seed, 1, per_step, shard)
             spec = resolve_method("cumulative_all")
             deploy = carry = None
@@ -373,12 +373,11 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
 
 
 def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
-    """One row per (method, seed, task, metric) plus per-run MAC totals."""
+    """One row per (method, seed, task, metric) plus per-run MAC totals, from the metrics.json by each manifest."""
     rows = []
     for mp in manifest_paths:
-        manifest = read_json(Path(mp), "method", "seed", "metrics_file")
-        metrics = read_json(Path(mp).parent / manifest["metrics_file"])
-        method, seed = manifest["method"], manifest["seed"]
+        metrics = read_json(Path(mp).parent / "metrics.json", "method", "seed")
+        method, seed = metrics["method"], metrics["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]
             rows.append([method, seed, task, "in_domain", m["in_domain"]])

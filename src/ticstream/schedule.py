@@ -60,16 +60,12 @@ def lr_at(cfg: ScheduleConfig, it: int, is_first_step: bool = True) -> float:
     w = cfg.warmup_iters if is_first_step else round(cfg.warmup_on_subsequent * cfg.warmup_iters)
     if it < w:
         return cfg.max_lr * (it + 1) / w
-    if cfg.kind == "warmup_cosine":
-        span = cfg.total_iters - 1 - w
-        p = (it - w) / span if span > 0 else 1.0
-        return cfg.min_lr + 0.5 * (cfg.max_lr - cfg.min_lr) * (1 + math.cos(math.pi * p))
-    # const_cosine: flat until the decay start, cosine to min_lr afterwards
-    decay_start = decay_start_iter(cfg)
-    if it < decay_start:
+    # the cosine to min_lr starts after the warmup, or under const_cosine at the decay start
+    start = w if cfg.kind == "warmup_cosine" else decay_start_iter(cfg)
+    if it < start:
         return cfg.max_lr
-    span = cfg.total_iters - 1 - decay_start
-    p = (it - decay_start) / span if span > 0 else 1.0
+    span = cfg.total_iters - 1 - start
+    p = (it - start) / span if span > 0 else 1.0
     return cfg.min_lr + 0.5 * (cfg.max_lr - cfg.min_lr) * (1 + math.cos(math.pi * p))
 
 

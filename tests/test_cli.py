@@ -185,6 +185,37 @@ class TestTrainEvalReport:
         err = capsys.readouterr().err
         assert str(manifest) in err and message in err
 
+    def test_train_resumed_under_another_config_is_exit_1(self, trained, tmp_path, capsys):
+        _, data, out = trained
+        run_dir = out / "sequential" / "seed_0"
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        cfg = write_config(tmp_path, schedule=ScheduleConfig(kind="warmup_cosine", max_lr=0.9, total_iters=0,
+                                                             warmup_iters=2))
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--method", "sequential", "--seed", "0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(run_dir) in err and "schedule" in err
+        assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_checkpoint_of_another_run_is_exit_2(self, trained, capsys, command):
+        cfg, data, out = trained
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--method", "lwf", "--seed", "0", "--out", str(out)]) == 0
+        run_dir = out / "sequential" / "seed_0"
+        (run_dir / "step_001.ticc").write_bytes((out / "lwf" / "seed_0" / "step_001.ticc").read_bytes())
+        if command == "train":  # a run killed after step 1 resumes from the step-1 checkpoint
+            progress = json.loads((run_dir / "progress.json").read_text())
+            (run_dir / "progress.json").write_text(json.dumps({**progress, "done_through": 1}))
+        argv = {
+            "train": ["train", "--config", str(cfg), "--data", str(data),
+                      "--method", "sequential", "--seed", "0", "--out", str(out)],
+            "eval": ["eval", "--run", str(run_dir), "--data", str(data)],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(run_dir / "step_001.ticc") in err and "'lwf'" in err
+
     def test_eval_with_truncated_checkpoint_is_exit_2(self, trained, capsys):
         _, data, out = trained
         last = out / "sequential" / "seed_0" / "step_002.ticc"

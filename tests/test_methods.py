@@ -187,8 +187,6 @@ class TestRunStepBasics:
         # at t=1 every method sees the same data, init, and rng keys
         ref, _ = run_through("sequential", stream, 1)
         for mid in METHOD_IDS:
-            if mid == "oracle":
-                continue  # oracle's longer schedule changes the LR curve
             out, _ = run_through(mid, stream, 1)
             assert flat_equal(out[0][0].params, ref[0][0].params), mid
 

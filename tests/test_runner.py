@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ticstream import datagen, runner
+from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
 from ticstream.runner import (
@@ -56,6 +57,10 @@ class TestConfig:
         assert back.merge_first_k == 2
         assert back.lwf_lambda == 0.5
 
+    def test_manifest_config_runs_under_the_default_output_dir(self, tmp_path):
+        manifest_config = {**tiny_config(tmp_path).to_json(), "output_dir": None}
+        assert ExperimentConfig.from_json(manifest_config).output_dir == "runs"
+
     def test_rejects_unknown_method(self, tmp_path):
         cfg = tiny_config(tmp_path, methods=["sequential", "nope"])
         with pytest.raises(ConfigError):
@@ -86,8 +91,9 @@ class TestRunMethodSeed:
         for t in (1, 2, 3):
             assert (run_dir / f"step_{t:03d}.ticc").exists()
         manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert set(manifest) == {"artifact_version", "method", "seed", "config", "wall_clock_seconds"}
         assert manifest["method"] == "sequential"
-        assert len(manifest["steps"]) == 3
+        assert len(json.loads((run_dir / "progress.json").read_text())["records"]) == 3
         assert manifest["wall_clock_seconds"] > 0
 
     def test_metrics_shape(self, tmp_path):
@@ -98,13 +104,18 @@ class TestRunMethodSeed:
         assert metrics["static_final"] == metrics["static_per_step"][-1]
 
     def test_deterministic_across_directories(self, tmp_path):
-        _, dir_a, ma = self.run_once(tmp_path, sub="a")
-        _, dir_b, mb = self.run_once(tmp_path, sub="b")
+        cfg_a, dir_a, ma = self.run_once(tmp_path, sub="a")
+        cfg_b, dir_b, mb = self.run_once(tmp_path, sub="b")
+        assert cfg_a.output_dir != cfg_b.output_dir
         assert ma["retrieval"]["entries"] == mb["retrieval"]["entries"]
         for t in (1, 2, 3):
             assert (dir_a / f"step_{t:03d}.ticc").read_bytes() == (
                 dir_b / f"step_{t:03d}.ticc"
             ).read_bytes()
+        manifests = [json.loads((d / "manifest.json").read_text()) for d in (dir_a, dir_b)]
+        for manifest in manifests:
+            manifest.pop("wall_clock_seconds")
+        assert manifests[0] == manifests[1]
 
     @pytest.mark.parametrize("method, kind", [
         ("sequential", "warmup_cosine"),
@@ -191,11 +202,11 @@ class TestKilledRunResumes:
         manifest.pop("wall_clock_seconds")
         return files, manifest
 
-    # artifact writes: a deploy checkpoint, a carry one under const_cosine and
-    # progress.json per step, then metrics.json and manifest.json
+    # artifact writes: manifest.json, then a deploy checkpoint, a carry one under
+    # const_cosine and progress.json per step, then metrics.json and manifest.json
     @pytest.mark.parametrize("method, kind, writes", [
-        ("patching", "const_cosine", 11),
-        ("lwf", "warmup_cosine", 8),
+        ("patching", "const_cosine", 12),
+        ("lwf", "warmup_cosine", 9),
     ])
     def test_killed_at_any_write_resumes_bit_exactly(self, tmp_path, monkeypatch, method, kind, writes):
         schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
@@ -293,9 +304,9 @@ class TestRunExperiment:
     def test_merge_first_k(self, tmp_path):
         cfg = tiny_config(tmp_path, merge_first_k=2)
         manifests = run_experiment(cfg)
-        manifest = json.loads(manifests[0].read_text())
-        assert [r["step"] for r in manifest["steps"]] == [2, 3]
-        assert manifest["steps"][0]["train_set_size"] == 48
+        records = json.loads((manifests[0].parent / "progress.json").read_text())["records"]
+        assert [r["step"] for r in records] == [2, 3]
+        assert records[0]["train_set_size"] == 48
         # training and evaluation are billed under the same step numbers
         ledger = json.loads((manifests[0].parent / "metrics.json").read_text())["ledger"]
         assert list(ledger["eval_macs"]) == list(ledger["train_macs"]) == ["2", "3"]
@@ -456,21 +467,37 @@ class TestReports:
         assert {r["method"] for r in rows} == {"sequential", "cumulative_all"}
         assert all(set(r) == {"method", "seed", "task", "metric", "value"} for r in rows)
 
-    def test_unreadable_manifest(self, tmp_path):
-        bad = tmp_path / "manifest.json"
+    def test_unreadable_metrics(self, tmp_path):
+        bad = tmp_path / "metrics.json"
         bad.write_text("{not json")
-        with pytest.raises(RunError, match="unreadable manifest"):
-            emit_report([bad], tmp_path / "r.csv")
+        with pytest.raises(RunError, match="unreadable metrics") as exc:
+            emit_report([tmp_path / "manifest.json"], tmp_path / "r.csv")
+        assert str(bad) in str(exc.value)
 
-    def test_manifest_missing_field(self, tmp_path):
+    def test_metrics_missing_field(self, tmp_path):
         cfg = tiny_config(tmp_path)
         manifests = run_experiment(cfg)
-        manifest = json.loads(manifests[0].read_text())
-        del manifest["metrics_file"]
-        manifests[0].write_text(json.dumps(manifest))
-        with pytest.raises(RunError, match="missing field 'metrics_file'") as exc:
+        path = manifests[0].parent / "metrics.json"
+        metrics = json.loads(path.read_text())
+        del metrics["method"]
+        path.write_text(json.dumps(metrics))
+        with pytest.raises(RunError, match="missing field 'method'") as exc:
             emit_report(manifests, tmp_path / "r.csv")
-        assert str(manifests[0]) in str(exc.value)
+        assert str(path) in str(exc.value)
+
+    def test_report_covers_scored_runs_only(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path / "runs")
+        datasets = _prepare_datasets(cfg)
+        run_method_seed(cfg, datasets, "sequential", 0, tmp_path / "runs" / "finished")
+        # killed at its 4th write, the step-2 checkpoint: manifest.json, step 1 and progress.json are on disk
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", stop_at(4))
+            with pytest.raises(Stop):
+                run_method_seed(cfg, datasets, "cumulative_all", 0, tmp_path / "runs" / "killed")
+        assert json.loads((tmp_path / "runs" / "killed" / "progress.json").read_text())["done_through"] == 1
+        assert main(["report", "--runs", str(tmp_path / "runs"), "--out", str(tmp_path / "cli.csv")]) == 0
+        want = emit_report([tmp_path / "runs" / "finished" / "manifest.json"], tmp_path / "want.csv")
+        assert (tmp_path / "cli.csv").read_bytes() == want.read_bytes()
 
     def test_unknown_format(self, tmp_path):
         cfg = tiny_config(tmp_path)
