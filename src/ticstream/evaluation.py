@@ -181,7 +181,7 @@ def build_performance_matrix(
                 )
                 n = len(ds.eval_classification) + len(ds.prototype_ids)
             if ledger is not None:
-                ledger.charge_eval(eval_sets[i].timestep, eval_macs(params, n))
+                ledger.charge_eval(eval_sets[i].timestep, eval_macs(params.layout, n))
     metric = "recall_at_1" if task == "retrieval" else "accuracy"
     return PerformanceMatrix(t, entries, task, metric)
 

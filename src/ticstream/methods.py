@@ -119,7 +119,7 @@ def tune_patch_alpha(
     for alpha in PATCH_ALPHA_GRID:
         cand = apply_patch(prev, new, alpha)
         score = float(np.mean([retrieval_score(cand, ds.eval_retrieval) for ds in prev_eval_sets]))
-        ledger.charge_eval(step, eval_macs(cand, sum(2 * len(ds.eval_retrieval) for ds in prev_eval_sets)))
+        ledger.charge_eval(step, eval_macs(cand.layout, sum(2 * len(ds.eval_retrieval) for ds in prev_eval_sets)))
         if score >= best_score:
             best_alpha, best_score = alpha, score
     return best_alpha
@@ -151,13 +151,15 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
     if n == 0:
         raise RunError(f"step {t}: empty training set")
     bs = min(batch_size, n)
-    iter_macs = macs_per_iteration(params, bs)
+    iter_macs = macs_per_iteration(params.layout, bs)
     decay_start = decay_start_iter(sched) if sched.kind == "const_cosine" else None
     params = params.copy()
     carry = params
     adam = AdamState.init_like(params.vector)
     grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
-    work = []  # the kernel's B x B scratch matrices, kept for the whole loop
+    # the kernel's B x B scratch matrices, kept for the whole loop: fresh ones
+    # per call made an lwf iteration at B=256 35-40% slower (one BLAS thread)
+    work = []
     # an epoch's order is keyed by the iteration that opened the epoch before
     # it, so the first two epochs of the loop, and of the decayed branch,
     # share one order

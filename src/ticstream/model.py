@@ -50,6 +50,12 @@ class ModelDims:
     hidden_dim: int
     embed_dim: int
 
+    @property
+    def layout(self) -> Layout:
+        """The image tower's layer shapes, then the text tower's: what a model is built from and billed by."""
+        return tuple(((d, self.hidden_dim), (self.hidden_dim, self.embed_dim))
+                     for d in (self.image_dim, self.text_dim))
+
 
 # per tower, the (fan_in, fan_out) shape of each layer's weight matrix
 Layout = tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
@@ -120,17 +126,18 @@ class Checkpoint:
 
 def init_params(dims: ModelDims, rng: Rng) -> TwoTowerParams:
     """Xavier-uniform weights, zero biases, inverse temperature 1/0.07."""
-    def tower(chain, sub):
+    def tower(shapes, sub):
         layers = []
-        for i, (fan_in, fan_out) in enumerate(zip(chain[:-1], chain[1:])):
+        for fan_in, fan_out in shapes:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             u = sub.uniform(fan_in * fan_out).reshape(fan_in, fan_out)
             w = (2.0 * u - 1.0) * limit
             layers.append((w, np.zeros(fan_out)))
         return layers
 
-    image = tower([dims.image_dim, dims.hidden_dim, dims.embed_dim], rng.split("image"))
-    text = tower([dims.text_dim, dims.hidden_dim, dims.embed_dim], rng.split("text"))
+    image_shapes, text_shapes = dims.layout
+    image = tower(image_shapes, rng.split("image"))
+    text = tower(text_shapes, rng.split("text"))
     return TwoTowerParams(image, text, float(np.log(INIT_INV_TEMPERATURE)))
 
 

@@ -9,7 +9,7 @@ its own state. Every other function is pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,8 +131,7 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moments, each a vector in the layout of the parameter vector, and
-    the scratch vectors of their update, allocated by the first `adam_step`."""
+    """Adam moments, each a vector in the layout of the parameter vector."""
 
     first_moment: np.ndarray
     second_moment: np.ndarray
@@ -140,7 +139,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    _scratch: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def init_like(cls, params: np.ndarray, beta1=0.9, beta2=0.999, epsilon=1e-8):
@@ -153,9 +151,6 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
         raise ValueError("lr must be >= 0")
     if grads.shape != params.shape:
         raise RunError(f"grad shape {grads.shape} != param shape {params.shape}")
-    if state._scratch is None:
-        state._scratch = np.empty((2,) + params.shape)
-    step, denom = state._scratch
     state.step_count += 1
     t = state.step_count
     b1, b2, eps = state.beta1, state.beta2, state.epsilon
@@ -164,19 +159,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
     # p' = p - (lr (m'/(1-b1^t))) / (sqrt(v'/(1-b2^t)) + eps), one rounded
     # operation at a time in exactly this order: the trained bytes depend on it
     m *= b1
-    np.multiply(grads, 1 - b1, out=step)
-    m += step
+    m += grads * (1 - b1)
     v *= b2
-    np.multiply(grads, 1 - b2, out=step)
-    step *= grads
-    v += step
-    np.divide(m, 1 - b1**t, out=step)
-    step *= lr
-    np.divide(v, 1 - b2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += eps
-    step /= denom
-    params -= step
+    v += grads * (1 - b2) * grads
+    params -= m / (1 - b1**t) * lr / (np.sqrt(v / (1 - b2**t)) + eps)
 
 
 def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -5,9 +5,12 @@ manifest.json, written before step 1, is the identity a resume must match.
 `train_run` keys all randomness by (seed, step, purpose) and writes each
 artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step; `score_run` scores a finished
-run's checkpoints and writes only metrics.json. `run_experiment` reads the
-stream once and hands it, with the config, to every (method, seed) job, so a
-job in a process pool runs exactly what a serial one does.
+run's checkpoints and writes only metrics.json. A run's per-step budget C is
+counted from the config's model shape (`ModelDims.layout`); no model is built
+to count it. `run_experiment` reads the stream once and hands it, with the
+config, to every (method, seed) job, so a job in a process pool runs exactly
+what a serial one does; `iid_split_experiment` likewise builds each split
+once and trains every seed on it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .formats import atomic_write, read_json, write_json
 from .methods import StepContext, resolve_method, run_step
-from .model import ModelDims, init_params, load_checkpoint, save_checkpoint
+from .model import ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import (
     BudgetLedger,
@@ -169,12 +172,9 @@ def _identity(cfg: ExperimentConfig, method_id: str, seed: int) -> dict:  # mani
     return {"artifact_version": ARTIFACT_VERSION, "method": method_id, "seed": seed, "config": config}
 
 
-def _step_context(cfg: ExperimentConfig, seed: int, first_step: int, per_step: int,
-                  per_step_size: int) -> StepContext:
-    """Step settings and a fresh ledger whose per-step budget is `per_step`
-    iterations of the model initialized for `first_step`."""
-    probe = init_params(cfg.dims, Rng(seed, 0).split("init", first_step))
-    ledger = BudgetLedger(per_step * macs_per_iteration(probe, cfg.batch_size))
+def _step_context(cfg: ExperimentConfig, seed: int, per_step: int, per_step_size: int) -> StepContext:
+    """Step settings and a fresh ledger whose per-step budget is `per_step` iterations of `cfg.dims`."""
+    ledger = BudgetLedger(per_step * macs_per_iteration(cfg.dims.layout, cfg.batch_size))
     return StepContext(
         seed=seed,
         dims=cfg.dims,
@@ -205,7 +205,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
                 raise ConfigError(f"{run_dir}: resumed under another {key} than its manifest.json records")
     timesteps = [d.timestep for d in datasets]
     per_step = per_step_iterations(cfg.total_iters, len(timesteps))
-    ctx = _step_context(cfg, seed, timesteps[0], per_step, cfg.stream.per_step_train_size)
+    ctx = _step_context(cfg, seed, per_step, cfg.stream.per_step_train_size)
 
     progress_path = run_dir / "progress.json"
     progress = {"done_through": 0, "records": []}
@@ -346,17 +346,16 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
     pool_cfg = StreamConfig(**{**cfg.stream.to_json(), "num_steps": 1,
                                "class_birth_schedule": ()})
     pool = generate_stream(pool_cfg)[0]
-    table: dict[int, float] = {}
+    spec, table = resolve_method("cumulative_all"), {}
     for k in splits:
         accs = []
         per_step = per_step_iterations(cfg.total_iters, k)
+        perm = Rng(cfg.stream.seed, 0).split("iid", k).permutation(len(pool.train))
+        shard = len(pool.train) // k
+        datasets = [replace(pool, timestep=t, train=pool.train.take(perm[(t - 1) * shard : t * shard]))
+                    for t in range(1, k + 1)]
         for seed in cfg.seeds:
-            perm = Rng(cfg.stream.seed, 0).split("iid", k).permutation(len(pool.train))
-            shard = len(pool.train) // k
-            datasets = [replace(pool, timestep=t, train=pool.train.take(perm[(t - 1) * shard : t * shard]))
-                        for t in range(1, k + 1)]
-            ctx = _step_context(cfg, seed, 1, per_step, shard)
-            spec = resolve_method("cumulative_all")
+            ctx = _step_context(cfg, seed, per_step, shard)
             deploy = carry = None
             for t in range(1, k + 1):
                 deploy, carry, _ = run_step(spec, t, datasets, deploy, carry, ctx)

@@ -3,8 +3,11 @@
 Two schedules: linear warmup into a cosine decay (re-cycled every step),
 and a constant learning rate that only decays over a trailing fraction of
 the iterations to produce a deployable model. The ledger counts
-multiply-accumulates against the fixed per-step budget; the convention is
-backward = 2x forward, so a training iteration bills 3x the forward cost.
+multiply-accumulates against the fixed per-step budget. A forward pass
+costs the encoder weights' MACs, read off the layer shapes of a model
+layout (`ModelDims.layout` or `TwoTowerParams.layout`, both towers'
+(fan_in, fan_out) pairs); the convention is backward = 2x forward, so a
+training iteration bills 3x the forward cost.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, RunError
-from .model import TwoTowerParams
 
 TRAIN_MAC_MULTIPLIER = 3  # forward + 2x-forward backward
 # similarity-distillation overhead per iteration, matching the reported
@@ -80,21 +82,17 @@ def per_step_iterations(total_iters: int, num_steps: int) -> int:
     return total_iters // num_steps
 
 
-def forward_macs_per_sample(params: TwoTowerParams) -> int:
-    total = 0
-    for layers in (params.image_layers, params.text_layers):
-        for w, _ in layers:
-            total += w.shape[0] * w.shape[1]
-    return total
+def forward_macs_per_sample(layout) -> int:
+    return sum(fan_in * fan_out for shapes in layout for fan_in, fan_out in shapes)
 
 
-def macs_per_iteration(params: TwoTowerParams, batch_size: int) -> int:
-    return TRAIN_MAC_MULTIPLIER * forward_macs_per_sample(params) * batch_size
+def macs_per_iteration(layout, batch_size: int) -> int:
+    return TRAIN_MAC_MULTIPLIER * forward_macs_per_sample(layout) * batch_size
 
 
-def eval_macs(params: TwoTowerParams, num_samples: int) -> int:
+def eval_macs(layout, num_samples: int) -> int:
     """Inference passes bill at 1x forward."""
-    return forward_macs_per_sample(params) * num_samples
+    return forward_macs_per_sample(layout) * num_samples
 
 
 @dataclass

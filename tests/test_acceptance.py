@@ -207,7 +207,7 @@ def test_criterion_04_budget_ledger_t7(report):
     dims = ModelDims(6, 5, 8, 4)
     per_step = 14
     sched = ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=per_step, warmup_iters=2)
-    c = per_step * macs_per_iteration(init_params(dims, Rng(0)), 8)
+    c = per_step * macs_per_iteration(dims.layout, 8)
 
     totals = {}
     for method in ("oracle", "sequential", "cumulative_all", "lwf"):

@@ -38,8 +38,7 @@ def stream():
 def make_ctx(seed=0, kind="warmup_cosine", per_step_iters=PER_STEP_ITERS, budget_mult=1.0):
     sched = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=per_step_iters,
                            warmup_iters=2, decay_fraction=0.5)
-    probe = init_params(DIMS, Rng(seed))
-    budget = per_step_iters * macs_per_iteration(probe, BATCH) * budget_mult
+    budget = per_step_iters * macs_per_iteration(DIMS.layout, BATCH) * budget_mult
     return StepContext(
         seed=seed, dims=DIMS, batch_size=BATCH, per_step_iters=per_step_iters,
         schedule=sched, per_step_size=40, lwf_lambda=1.0,
@@ -266,7 +265,7 @@ class TestDataAssembly:
 
 class TestBudgets:
     def iter_macs(self):
-        return macs_per_iteration(init_params(DIMS, Rng(0)), BATCH)
+        return macs_per_iteration(DIMS.layout, BATCH)
 
     def test_standard_method_bills_one_budget_per_step(self, stream):
         _, ctx = run_through("cumulative_all", stream, 3)

@@ -43,6 +43,12 @@ class TestInit:
     def test_deterministic(self):
         assert np.array_equal(init_params(DIMS, Rng(3)).vector, init_params(DIMS, Rng(3)).vector)
 
+    @pytest.mark.parametrize("dims", [ModelDims(32, 24, 32, 16), DIMS], ids=["reference", "small"])
+    def test_dims_layout_is_the_built_models(self, dims):
+        # the ledger bills from `dims.layout` without building the model
+        assert dims.layout == init_params(dims, Rng(0)).layout
+        assert dims.layout[0] == ((dims.image_dim, dims.hidden_dim), (dims.hidden_dim, dims.embed_dim))
+
     def test_biases_zero(self):
         p = init_params(DIMS, Rng(0))
         for _, b in p.image_layers + p.text_layers:

@@ -1,3 +1,5 @@
+import ctypes
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,6 +13,7 @@ from ticstream import datagen, runner
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
+from ticstream.numerics import Rng
 from ticstream.runner import (
     ExperimentConfig,
     emit_report,
@@ -40,6 +43,28 @@ def tiny_config(output_dir, **overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def artifact_digests(run_dir):
+    """SHA-256 of each artifact that determinism compares: checkpoints, progress and metrics."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in run_dir.iterdir()
+            if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
+
+
+def openblas_thread_calls():
+    """(set, get) of the loaded OpenBLAS's thread count, found through /proc/self/maps; None if absent."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        calls = [getattr(dll, f"scipy_openblas_{op}_num_threads64_", None) for op in ("set", "get")]
+        if None not in calls:
+            calls[0].argtypes, calls[1].restype = [ctypes.c_int], ctypes.c_int
+            return tuple(calls)
+    return None
 
 
 class TestConfig:
@@ -246,15 +271,35 @@ class TestRunExperiment:
         cfg_p = tiny_config(tmp_path / "par")
         parallel = run_experiment(cfg_p)
         assert len(serial) == len(parallel) == 2
-
-        def artifacts(run_dir):
-            return {p.name: p.read_bytes() for p in run_dir.iterdir()
-                    if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
-
         for sp, pp in zip(serial, parallel):
-            want = artifacts(sp.parent)
+            want = artifact_digests(sp.parent)
             assert len(want) == 5  # three checkpoints, progress and metrics
-            assert artifacts(pp.parent) == want, sp.parent
+            assert artifact_digests(pp.parent) == want, sp.parent
+
+    def test_artifacts_do_not_depend_on_blas_threads(self, tmp_path):
+        # a pool worker may run fewer BLAS threads than a serial parent. At the
+        # reference shape and B=256 the gemms are above OpenBLAS's single-thread
+        # cutoff, so the second thread really splits them
+        calls = openblas_thread_calls()
+        if calls is None:
+            pytest.skip("the loaded OpenBLAS exports no scipy_openblas thread-count calls")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one core: a second BLAS thread would not run")
+        set_threads, get_threads = calls
+        ref = reference_config(seeds=(0,))
+        stream = dataclasses.replace(ref.stream, per_step_train_size=512, per_step_eval_size=64)
+        schedule = dataclasses.replace(ref.schedule, warmup_iters=4)
+        original, runs = get_threads(), {}
+        try:
+            for n in (1, 2):
+                set_threads(n)
+                cfg = dataclasses.replace(ref, stream=stream, schedule=schedule, methods=["cumulative_exp", "lwf"],
+                                          total_iters=160, output_dir=str(tmp_path / f"threads_{n}"))
+                runs[n] = [artifact_digests(mp.parent) for mp in run_experiment(cfg, tmp_path / "data")]
+        finally:
+            set_threads(original)
+        assert [len(run) for run in runs[1]] == [6, 6]  # four checkpoints, progress and metrics
+        assert runs[1] == runs[2]
 
     def test_pool_workers_never_touch_the_stream(self, tmp_path, monkeypatch):
         # const_cosine writes carry files; merge_first_k=2 merges steps 1 and 2 into the first position
@@ -280,16 +325,12 @@ class TestRunExperiment:
         # one pooled run generates its stream, one reads the serial run's
         pooled = [run_experiment(cfg("generated")), run_experiment(cfg("stored"), tmp_path / "serial" / "data")]
 
-        def artifacts(run_dir):
-            return {p.name: p.read_bytes() for p in run_dir.iterdir()
-                    if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
-
         for manifests in pooled:
             assert len(manifests) == len(serial) == 4
             for sp, pp in zip(serial, manifests):
-                want = artifacts(sp.parent)
+                want = artifact_digests(sp.parent)
                 assert len(want) == 6  # two deploy and two carry checkpoints, progress and metrics
-                assert artifacts(pp.parent) == want, sp.parent
+                assert artifact_digests(pp.parent) == want, sp.parent
 
     def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIC_THREADS", "2")
@@ -384,8 +425,7 @@ class TestTrainingBytesPinned:
         )
         run_dir = tmp_path / method / "seed_0"
         run_method_seed(cfg, _prepare_datasets(cfg), method, 0, run_dir)
-        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(run_dir.iterdir())
-                if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json")}
+        return artifact_digests(run_dir)
 
     @pytest.mark.parametrize("run", sorted(PINNED_TRAINING_SHA256))
     def test_training_bytes_pinned(self, tmp_path, run):
@@ -437,6 +477,17 @@ class TestIidSplit:
         assert set(table) == {1, 2}
         for v in table.values():
             assert 0.0 <= v <= 1.0
+
+    def test_each_split_is_built_once(self, tmp_path, monkeypatch):
+        keys, split = [], Rng.split
+
+        def spy(self, *parts):
+            keys.append(parts)
+            return split(self, *parts)
+
+        monkeypatch.setattr(Rng, "split", spy)
+        iid_split_experiment(self.make_cfg(tmp_path, seeds=[0, 1, 2]), splits=(2,))
+        assert keys.count(("iid", 2)) == 1
 
     def test_rejects_drifting_stream(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -1,11 +1,13 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ticstream
 from ticstream.errors import ConfigError, RunError
-from ticstream.model import ModelDims, init_params
-from ticstream.numerics import Rng
+from ticstream.model import ModelDims
 from ticstream.schedule import (
     BudgetLedger,
     ScheduleConfig,
@@ -112,19 +114,43 @@ class TestIterationSplit:
 
 
 class TestMacs:
-    def make_params(self):
-        # towers 16->32->8 and 12->32->8
-        return init_params(ModelDims(16, 12, 32, 8), Rng(0))
+    # towers 16->32->8 and 12->32->8
+    LAYOUT = ModelDims(16, 12, 32, 8).layout
 
     def test_forward_macs(self):
-        assert forward_macs_per_sample(self.make_params()) == 1408
+        assert forward_macs_per_sample(self.LAYOUT) == 1408
 
     def test_iteration_macs(self):
-        assert macs_per_iteration(self.make_params(), 4) == 16896
-        assert macs_per_iteration(self.make_params(), 1) == 3 * 1408
+        assert macs_per_iteration(self.LAYOUT, 4) == 16896
+        assert macs_per_iteration(self.LAYOUT, 1) == 3 * 1408
 
     def test_eval_macs_forward_only(self):
-        assert eval_macs(self.make_params(), 10) == 14080
+        assert eval_macs(self.LAYOUT, 10) == 14080
+
+
+def init_params_calls(source: str) -> list[int]:
+    """Lines of `source` that call `init_params`, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+                  and "init_params" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def test_scanner_finds_init_params_calls():
+    source = 'p = init_params(d, r)\nq = model.init_params(d, r)\nf = init_params\nx = dims.layout\n'
+    assert init_params_calls(source) == [1, 2]
+
+
+SOURCES = Path(ticstream.__file__).parent
+
+
+def test_only_methods_builds_a_model():
+    # the ledger bills from a layout: only a method step draws a model's weights
+    for path in sorted(SOURCES.glob("*.py")):
+        assert bool(init_params_calls(path.read_text())) == (path.name == "methods.py"), path.name
+
+
+def test_schedule_imports_nothing_from_model():
+    tree = ast.parse((SOURCES / "schedule.py").read_text())
+    assert "model" not in [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
 
 
 class TestLedger:
