@@ -99,15 +99,6 @@ class RecordBatch:
             np.concatenate([b.timesteps for b in batches]),
         )
 
-    @classmethod
-    def empty(cls, image_dim: int, text_dim: int) -> "RecordBatch":
-        return cls(
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, image_dim)),
-            np.zeros((0, text_dim)),
-            np.zeros(0, dtype=np.int64),
-        )
-
 
 @dataclass
 class TimestepDataset:

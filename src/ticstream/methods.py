@@ -1,8 +1,9 @@
 """The eight continual-training policies and their per-step execution.
 
 Each method is one `MethodSpec` row of `_TABLE`: where its training starts,
-which data it replays, whether it distils from its previous model and
-whether its budget grows with the step. One step = assemble data, run one
+its `replay.BufferPolicy` (which old data it replays, and how many current
+records it takes), whether it distils from its previous model and whether
+its budget grows with the step. One step = assemble data, run one
 training loop under the step's LR cycle, bill the ledger, hand back the
 deploy and carry checkpoints: a run's whole state between steps.
 """
@@ -54,7 +55,7 @@ PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
 class MethodSpec:
     id: str
     init_source: str  # "random" | "last_checkpoint" | "last_patched"
-    data_policy: str  # a replay.BufferPolicy kind, or "new_only"
+    data_policy: BufferPolicy  # plans the step's training data, old and current
     uses_lwf: bool = False  # distil from the previous carry from position 2 on
     budgets_grow: bool = False  # position p trains one fresh cycle of p budgets
 
@@ -74,14 +75,14 @@ class MethodSpec:
 _TABLE = {
     spec.id: spec
     for spec in (
-        MethodSpec("oracle", "random", "all", budgets_grow=True),
-        MethodSpec("cumulative_all", "last_checkpoint", "all"),
-        MethodSpec("cumulative_exp", "last_checkpoint", "exp"),
-        MethodSpec("cumulative_equal", "last_checkpoint", "equal"),
-        MethodSpec("sequential", "last_checkpoint", "new_only"),
-        MethodSpec("restart", "random", "all"),
-        MethodSpec("patching", "last_patched", "new_only"),
-        MethodSpec("lwf", "last_checkpoint", "new_only", uses_lwf=True),
+        MethodSpec("oracle", "random", BufferPolicy("all"), budgets_grow=True),
+        MethodSpec("cumulative_all", "last_checkpoint", BufferPolicy("all")),
+        MethodSpec("cumulative_exp", "last_checkpoint", BufferPolicy("exp")),
+        MethodSpec("cumulative_equal", "last_checkpoint", BufferPolicy("equal")),
+        MethodSpec("sequential", "last_checkpoint", BufferPolicy("new_only")),
+        MethodSpec("restart", "random", BufferPolicy("all")),
+        MethodSpec("patching", "last_patched", BufferPolicy("new_only")),
+        MethodSpec("lwf", "last_checkpoint", BufferPolicy("new_only"), uses_lwf=True),
     )
 }
 
@@ -98,7 +99,7 @@ def apply_patch(prev: TwoTowerParams, new: TwoTowerParams, alpha: float) -> TwoT
         raise ConfigError("alpha must be in [0, 1]")
     if prev.layout != new.layout:
         raise RunError("patch operands have different parameter shapes")
-    return TwoTowerParams.wrap((1 - alpha) * prev.vector + alpha * new.vector, prev.layout)
+    return TwoTowerParams((1 - alpha) * prev.vector + alpha * new.vector, prev.layout)
 
 
 def tune_patch_alpha(
@@ -156,7 +157,7 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
     params = params.copy()
     carry = params
     adam = AdamState.init_like(params.vector)
-    grads = TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
+    grads = TwoTowerParams(np.empty_like(params.vector), params.layout)
     # the kernel's B x B scratch matrices, kept for the whole loop: fresh ones
     # per call made an lwf iteration at B=256 35-40% slower (one BLAS thread)
     work = []
@@ -186,18 +187,15 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
 def _assemble_data(spec: MethodSpec, seen: list[TimestepDataset], ctx: StepContext):
     """The training set of the step that ends `seen`, the stream up to it; returns (records, plan)."""
     t, cur_train = seen[-1].timestep, seen[-1].train
-    counts, current = {}, len(cur_train)
-    if spec.data_policy != "new_only":
-        # replay formulas index steps by position so merged early steps count once
-        by_pos = plan_replay(BufferPolicy(spec.data_policy), len(seen), ctx.per_step_size,
-                             {p: len(d.train) for p, d in enumerate(seen, 1)})
-        counts = {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()}
-        current = by_pos.current_count
-    plan = ReplayPlan(t, counts, current)
+    # replay formulas index steps by position so merged early steps count once
+    by_pos = plan_replay(spec.data_policy, len(seen), ctx.per_step_size,
+                         {p: len(d.train) for p, d in enumerate(seen, 1)})
+    plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
+                      by_pos.current_count)
     rng = Rng(ctx.seed, 0).split("data", t)
     old = sample_buffer(plan, seen, rng)
     new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
-    return assemble_training_set(old, new, rng), plan
+    return assemble_training_set([*old, new], rng), plan
 
 
 def run_step(

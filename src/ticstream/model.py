@@ -73,22 +73,8 @@ class TwoTowerParams:
     Gradients and Adam moments use the same layout.
     """
 
-    def __init__(self, image_layers, text_layers, log_scale: float):
-        layout = tuple(tuple(w.shape for w, _ in layers) for layers in (image_layers, text_layers))
-        self._bind(np.empty(_layout_size(layout)), layout)
-        for (w, b), (w_view, b_view) in zip(image_layers + text_layers, self.image_layers + self.text_layers):
-            w_view[...] = w
-            b_view[...] = b
-        self.log_scale = log_scale
-
-    @classmethod
-    def wrap(cls, vector: np.ndarray, layout: Layout) -> "TwoTowerParams":
+    def __init__(self, vector: np.ndarray, layout: Layout):
         """Named views into `vector` itself (no copy)."""
-        params = cls.__new__(cls)
-        params._bind(vector, layout)
-        return params
-
-    def _bind(self, vector: np.ndarray, layout: Layout) -> None:
         if vector.shape != (_layout_size(layout),):
             raise RunError(f"vector shape {vector.shape} does not match the layout {layout}")
         self.vector, self.layout = vector, layout
@@ -112,7 +98,7 @@ class TwoTowerParams:
         self.vector[-1] = value
 
     def copy(self) -> "TwoTowerParams":
-        return TwoTowerParams.wrap(self.vector.copy(), self.layout)
+        return TwoTowerParams(self.vector.copy(), self.layout)
 
 
 @dataclass
@@ -126,19 +112,14 @@ class Checkpoint:
 
 def init_params(dims: ModelDims, rng: Rng) -> TwoTowerParams:
     """Xavier-uniform weights, zero biases, inverse temperature 1/0.07."""
-    def tower(shapes, sub):
-        layers = []
-        for fan_in, fan_out in shapes:
+    params = TwoTowerParams(np.zeros(_layout_size(dims.layout)), dims.layout)
+    for layers, sub in ((params.image_layers, rng.split("image")), (params.text_layers, rng.split("text"))):
+        for w, _ in layers:
+            fan_in, fan_out = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            u = sub.uniform(fan_in * fan_out).reshape(fan_in, fan_out)
-            w = (2.0 * u - 1.0) * limit
-            layers.append((w, np.zeros(fan_out)))
-        return layers
-
-    image_shapes, text_shapes = dims.layout
-    image = tower(image_shapes, rng.split("image"))
-    text = tower(text_shapes, rng.split("text"))
-    return TwoTowerParams(image, text, float(np.log(INIT_INV_TEMPERATURE)))
+            w[...] = (2.0 * sub.uniform(fan_in * fan_out).reshape(fan_in, fan_out) - 1.0) * limit
+    params.log_scale = float(np.log(INIT_INV_TEMPERATURE))
+    return params
 
 
 def _tower_forward(layers, x):
@@ -304,7 +285,7 @@ def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerPara
 
 
 def _fresh_grads(params: TwoTowerParams) -> TwoTowerParams:
-    return TwoTowerParams.wrap(np.empty_like(params.vector), params.layout)
+    return TwoTowerParams(np.empty_like(params.vector), params.layout)
 
 
 def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.ndarray):
@@ -418,4 +399,4 @@ def load_checkpoint(path) -> Checkpoint:
     if cur.take(32) != hashlib.sha256(cur.buf[:body_end]).digest():
         raise FormatError("SHA-256 trailer does not match the content", body_end, path)
     cur.end()
-    return Checkpoint(TwoTowerParams.wrap(vector, layout), trained_through, method_id)
+    return Checkpoint(TwoTowerParams(vector, layout), trained_through, method_id)

@@ -1,8 +1,10 @@
 """Replay-buffer planning and training-set assembly.
 
-Three buffer policies: keep everything, halve each old step's share every
-step (total old data D), or split a size-D buffer equally across old
-steps. Sampling is uniform without replacement and fully seeded.
+A method's training data is decided here alone. Four buffer policies: keep
+everything, halve each old step's share every step (total old data D), split
+a size-D buffer equally across old steps, or replay nothing (`new_only`).
+The first three take at most D current records, `new_only` takes every one.
+Sampling is uniform without replacement and fully seeded.
 """
 
 from __future__ import annotations
@@ -13,12 +15,12 @@ from .datagen import RecordBatch, TimestepDataset
 from .errors import RunError
 from .numerics import Rng
 
-POLICIES = ("all", "exp", "equal")
+POLICIES = ("all", "exp", "equal", "new_only")
 
 
 @dataclass(frozen=True)
 class BufferPolicy:
-    kind: str  # "all" | "exp" | "equal"
+    kind: str  # "all" | "exp" | "equal" | "new_only"
 
     def __post_init__(self):
         if self.kind not in POLICIES:
@@ -74,6 +76,8 @@ def plan_replay(policy: BufferPolicy, t: int, per_step_size: int, actual_sizes: 
     for j in range(1, t + 1):
         if j not in actual_sizes:
             raise RunError(f"actual_sizes missing step {j}")
+    if policy.kind == "new_only":
+        return ReplayPlan(t, {}, actual_sizes[t])
     current = min(per_step_size, actual_sizes[t])
     if t == 1:
         return ReplayPlan(1, {}, current)
@@ -87,8 +91,8 @@ def plan_replay(policy: BufferPolicy, t: int, per_step_size: int, actual_sizes: 
     return ReplayPlan(t, counts, current)
 
 
-def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -> RecordBatch:
-    """Uniform without-replacement sample of old-step training data."""
+def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -> list[RecordBatch]:
+    """Uniform without-replacement samples of old-step training data, one per source step."""
     by_step = {d.timestep: d for d in datasets}
     parts = []
     for j in sorted(plan.per_source_counts):
@@ -100,14 +104,11 @@ def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -
             raise RunError(f"step {j}: plan wants {count} of {len(train)} records")
         idx = rng.split("sample", j).choice(len(train), count)
         parts.append(train.take(idx))
-    if not parts:
-        ref = by_step[plan.current_step].train
-        return RecordBatch.empty(ref.images.shape[1], ref.texts.shape[1])
-    return RecordBatch.concat(parts)
+    return parts
 
 
-def assemble_training_set(old: RecordBatch, new: RecordBatch, rng: Rng) -> RecordBatch:
+def assemble_training_set(parts: list[RecordBatch], rng: Rng) -> RecordBatch:
     """Concatenate and shuffle; epoch reshuffles use derived streams."""
-    merged = RecordBatch.concat([old, new]) if len(old) else new
+    merged = RecordBatch.concat(parts) if len(parts) > 1 else parts[0]
     perm = rng.split("shuffle").permutation(len(merged))
     return merged.take(perm)

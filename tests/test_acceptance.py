@@ -130,7 +130,7 @@ def test_criterion_01_gradients_match_finite_differences(report):
 
         _, grads = clip_loss_and_grads(params, imgs, txts)
         fd = finite_diff_grad(lambda _: clip_loss_and_grads(params, imgs, txts)[0], params.vector)
-        for got, want in zip(named(grads), named(TwoTowerParams.wrap(fd, params.layout))):
+        for got, want in zip(named(grads), named(TwoTowerParams(fd, params.layout))):
             denom = max(1e-8, float(np.abs(want).max()))
             worst = max(worst, float(np.abs(got - want).max()) / denom)
 
@@ -138,7 +138,7 @@ def test_criterion_01_gradients_match_finite_differences(report):
         fd = finite_diff_grad(
             lambda _: lwf_penalty_and_grads(teacher, params, imgs, txts, 0.8)[0], params.vector
         )
-        for got, want in zip(named(grads), named(TwoTowerParams.wrap(fd, params.layout))):
+        for got, want in zip(named(grads), named(TwoTowerParams(fd, params.layout))):
             denom = max(1e-8, float(np.abs(want).max()))
             worst = max(worst, float(np.abs(got - want).max()) / denom)
     elapsed = time.time() - start

@@ -39,6 +39,14 @@ def rel_err(got, want):
     return float(np.abs(np.asarray(got) - want).max()) / denom
 
 
+def identity_model(d):
+    """One d x d identity layer per tower, zero biases, log_scale 0."""
+    p = TwoTowerParams(np.zeros(2 * (d * d + d) + 1), (((d, d),), ((d, d),)))
+    for w, _ in p.image_layers + p.text_layers:
+        w[...] = np.eye(d)
+    return p
+
+
 class TestInit:
     def test_deterministic(self):
         assert np.array_equal(init_params(DIMS, Rng(3)).vector, init_params(DIMS, Rng(3)).vector)
@@ -72,11 +80,7 @@ class TestEncode:
         assert np.abs(np.sqrt((u * u).sum(axis=1)) - 1).max() < 1e-12
 
     def test_single_layer_identity_tower(self):
-        p = TwoTowerParams(
-            image_layers=[(np.eye(4), np.zeros(4))],
-            text_layers=[(np.eye(4), np.zeros(4))],
-            log_scale=0.0,
-        )
+        p = identity_model(4)
         x = Rng(5).normal((3, 4))
         u = encode(p, x, "image")
         assert np.allclose(u, x / np.linalg.norm(x, axis=1, keepdims=True), atol=1e-12)
@@ -114,11 +118,7 @@ class TestClipLoss:
 
     def test_orthogonal_pairs_hand_value(self):
         # identity embeddings at scale 1: loss = -ln(e / (e + 1))
-        p = TwoTowerParams(
-            image_layers=[(np.eye(2), np.zeros(2))],
-            text_layers=[(np.eye(2), np.zeros(2))],
-            log_scale=0.0,
-        )
+        p = identity_model(2)
         eye = np.eye(2)
         loss, _ = clip_loss_and_grads(p, eye, eye)
         assert abs(loss - (-np.log(np.e / (np.e + 1)))) < 1e-12
@@ -151,7 +151,7 @@ class TestGradients:
             imgs, txts = small_batch(trial + 100, n=4)
             _, grads = clip_loss_and_grads(p, imgs, txts)
             fd = finite_diff_grad(lambda _: clip_loss_and_grads(p, imgs, txts)[0], p.vector)
-            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams.wrap(fd, p.layout)))):
+            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams(fd, p.layout)))):
                 assert rel_err(got, want) < 1e-4, i
 
     def test_lwf_grads_match_finite_differences(self):
@@ -163,7 +163,7 @@ class TestGradients:
             fd = finite_diff_grad(
                 lambda _: lwf_penalty_and_grads(teacher, student, imgs, txts, 0.7)[0], student.vector
             )
-            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams.wrap(fd, student.layout)))):
+            for i, (got, want) in enumerate(zip(tensors(grads), tensors(TwoTowerParams(fd, student.layout)))):
                 assert rel_err(got, want) < 1e-4, i
 
 
@@ -207,7 +207,7 @@ class TestTrainMinibatch:
     def make_state(seed=0):
         """Parameters, and the `adam` and `grads` keywords that train them."""
         p = init_params(DIMS, Rng(seed))
-        grads = TwoTowerParams.wrap(np.empty_like(p.vector), p.layout)
+        grads = TwoTowerParams(np.empty_like(p.vector), p.layout)
         return p, {"adam": AdamState.init_like(p.vector), "grads": grads}
 
     def test_lr_zero_keeps_params(self):
@@ -265,7 +265,7 @@ class TestTrainMinibatch:
         ref = AdamState(adam.first_moment.copy(), adam.second_moment.copy(), adam.step_count)
         adam_step(want, grads.vector + pgrads.vector, ref, 1e-2)
         rec = train_minibatch(params, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6), **state)
-        named = zip(tensors(params), tensors(TwoTowerParams.wrap(want, params.layout)), tensors(start))
+        named = zip(tensors(params), tensors(TwoTowerParams(want, params.layout)), tensors(start))
         for i, (got, want_t, before) in enumerate(named):
             assert rel_err(got - before, want_t - before) <= 1e-12, i
         assert (rec["loss"], rec["penalty"]) == (loss, penalty)
@@ -290,7 +290,7 @@ class TestWorkBuffers:
             calls = [(4, with_teacher), (4, not with_teacher), (8, with_teacher), (4, with_teacher)]
             outs, copies, work = [], [], []
             for n, t in calls:
-                grads = TwoTowerParams.wrap(np.empty_like(p.vector), p.layout)
+                grads = TwoTowerParams(np.empty_like(p.vector), p.layout)
                 outs.append(_contrastive_step(p, *batches[n], grads, targets[n] if t else None, work=work) + (grads,))
                 copies.append(grads.vector.copy())
                 # an earlier call's gradients survive this call

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ticstream.datagen import StreamConfig, generate_stream
+from ticstream.datagen import RecordBatch, StreamConfig, generate_stream
 from ticstream.errors import RunError
 from ticstream.numerics import Rng
 from ticstream.replay import (
@@ -97,6 +97,24 @@ class TestPlanGeneral:
             BufferPolicy("fifo")
 
 
+class TestPlanNewOnly:
+    def test_replays_nothing_and_takes_every_current_record(self):
+        for t in range(1, 8):
+            actual = {j: 100 * j + 7 for j in range(1, t + 1)}
+            for d in (1, 100, 513, 10_000):
+                plan = plan_replay(BufferPolicy("new_only"), t, d, actual)
+                assert plan.per_source_counts == {}
+                assert plan.current_count == actual[t]
+
+    def test_first_position_over_d(self):
+        # Today's rule for a first position (e.g. merged early steps) larger
+        # than D: new_only trains on all of it, the replay policies on D.
+        # ROADMAP item 3 Step A gives every method one first-position set.
+        assert plan_replay(BufferPolicy("new_only"), 1, 1024, {1: 2048}).current_count == 2048
+        for kind in ("all", "exp", "equal"):
+            assert plan_replay(BufferPolicy(kind), 1, 1024, {1: 2048}).current_count == 1024
+
+
 @pytest.fixture(scope="module")
 def stream():
     cfg = StreamConfig(
@@ -111,24 +129,24 @@ def stream():
 class TestSampling:
     def test_full_count_returns_entire_step(self, stream):
         plan = ReplayPlan(3, {1: 30, 2: 30}, 30)
-        out = sample_buffer(plan, stream, Rng(0))
+        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(0)))
         assert len(out) == 60
         assert sorted(set(out.timesteps.tolist())) == [1, 2]
 
     def test_zero_count_skips_step(self, stream):
         plan = ReplayPlan(3, {1: 0, 2: 10}, 30)
-        out = sample_buffer(plan, stream, Rng(0))
+        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(0)))
         assert np.all(out.timesteps == 2)
 
     def test_deterministic(self, stream):
         plan = ReplayPlan(4, {1: 5, 2: 7, 3: 9}, 30)
-        a = sample_buffer(plan, stream, Rng(3))
-        b = sample_buffer(plan, stream, Rng(3))
+        a = RecordBatch.concat(sample_buffer(plan, stream, Rng(3)))
+        b = RecordBatch.concat(sample_buffer(plan, stream, Rng(3)))
         assert np.array_equal(a.images, b.images)
 
     def test_no_duplicates_within_source(self, stream):
         plan = ReplayPlan(2, {1: 30}, 30)
-        out = sample_buffer(plan, stream, Rng(1))
+        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(1)))
         rows = {tuple(r) for r in out.images}
         assert len(rows) == 30
 
@@ -142,7 +160,7 @@ class TestAssemble:
     def test_multiset_preserved(self, stream):
         old = stream[0].train
         new = stream[1].train
-        out = assemble_training_set(old, new, Rng(9))
+        out = assemble_training_set([old, new], Rng(9))
         assert len(out) == 60
         got = sorted(map(tuple, out.images))
         want = sorted(map(tuple, np.concatenate([old.images, new.images])))
@@ -150,12 +168,10 @@ class TestAssemble:
 
     def test_empty_old(self, stream):
         new = stream[1].train
-        out = assemble_training_set(
-            stream[0].train.take(np.arange(0)), new, Rng(2)
-        )
+        out = assemble_training_set([stream[0].train.take(np.arange(0)), new], Rng(2))
         assert len(out) == len(new)
 
     def test_same_seed_same_order(self, stream):
-        out1 = assemble_training_set(stream[0].train, stream[1].train, Rng(4))
-        out2 = assemble_training_set(stream[0].train, stream[1].train, Rng(4))
+        out1 = assemble_training_set([stream[0].train, stream[1].train], Rng(4))
+        out2 = assemble_training_set([stream[0].train, stream[1].train], Rng(4))
         assert np.array_equal(out1.images, out2.images)

@@ -1,10 +1,13 @@
 import ctypes
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import os
 import shutil
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -555,3 +558,40 @@ class TestReports:
         manifests = run_experiment(cfg)
         with pytest.raises(ConfigError):
             emit_report(manifests, tmp_path / "r.xml", fmt="xml")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    """perfbench/tracing.py, run from its source so that nothing is written beside it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestPerfbenchTracer:
+    """The benchmark's tracer replaces functions by name in the ticstream modules that call them; a
+    renamed or moved call site would otherwise stop being traced without any error."""
+
+    # no ticstream code has called these since the one-kernel `_contrastive_step`
+    DEAD_LAYERS = {"model.clip_loss_and_grads", "model.lwf_penalty_and_grads"}
+
+    def test_every_site_resolves(self, tracing):
+        for mod_name, attr, layer in tracing.SITES:
+            assert callable(getattr(importlib.import_module(f"ticstream.{mod_name}"), attr, None)), layer
+
+    def test_traced_run_spans_every_live_layer(self, tmp_path, monkeypatch, tracing):
+        monkeypatch.setenv("TIC_THREADS", "1")
+        cfg = tiny_config(tmp_path / "runs", methods=["cumulative_exp", "patching"], total_iters=30,
+                          schedule=ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0))
+        (tmp_path / "spill").mkdir()
+        tracer = tracing.Tracer(tmp_path / "spill")
+        tracer.install()
+        try:
+            datagen.write_stream(datagen.generate_stream(cfg.stream), cfg.stream, tmp_path / "data")
+            manifests = runner.run_experiment(cfg, tmp_path / "data")
+            runner.evaluate_run(manifests[0].parent, tmp_path / "data")
+        finally:
+            tracer.uninstall()
+        layers = {layer for _, _, layer in tracing.SITES}
+        assert layers - {span[0] for span in tracer.spans} == self.DEAD_LAYERS
