@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gen, train, eval, report, iid-split, run. Exit codes: 0 success,
-1 for a `ConfigError`, 2 for any other error (see `ticstream.errors`).
+1 for a `ConfigError`, 2 for any other error (see `ticstream.errors`). A config
+file is read and validated in one place, `_load_config`, so anything wrong with
+it, a wrongly typed value included, exits 1 naming the file; a config read
+back from inside an artifact is the artifact's fault, and exits 2.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from .runner import (
 
 
 def _load_config(path) -> ExperimentConfig:
+    """The validated config in file `path`; anything wrong with it is a ConfigError naming the file."""
     try:
         cfg = ExperimentConfig.from_json(json.loads(Path(path).read_text()))
-    except KeyError as exc:
-        raise ConfigError(f"config {path}: missing field {exc}") from exc
-    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError, TypeError) as exc:  # TypeError: an unknown nested field
+        cfg.validate()
+    except (OSError, TypeError, ValueError) as exc:  # ValueError covers undecodable text, bad JSON and ConfigError
         raise ConfigError(f"config {path}: {exc}") from exc
-    cfg.validate()
     return cfg
 
 

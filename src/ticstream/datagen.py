@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
-from .formats import Cursor, atomic_write, read_json, write_json
+from .errors import ConfigError, FormatError, RunError
+from .formats import Cursor, atomic_write, config_fields, read_json, write_json
 from .numerics import Rng
 
 STREAM_MAGIC = b"TICD"
@@ -64,15 +64,12 @@ class StreamConfig:
             raise ConfigError("no class alive at step 1: need a static class or a birth at step 1")
 
     def to_json(self) -> dict:
-        d = asdict(self)
-        d["class_birth_schedule"] = [list(e) for e in self.class_birth_schedule]
-        return d
+        return asdict(self)  # the birth entries stay tuples, which json writes as arrays
 
     @classmethod
     def from_json(cls, d: dict) -> "StreamConfig":
-        d = dict(d)
-        d["class_birth_schedule"] = tuple(tuple(e) for e in d.get("class_birth_schedule", ()))
-        return cls(**d)
+        d = config_fields(cls, d)
+        return cls(**{**d, "class_birth_schedule": tuple(tuple(e) for e in d["class_birth_schedule"])})
 
 
 @dataclass
@@ -312,7 +309,11 @@ def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) ->
 def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset], StreamConfig]:
     """The stream in `data_dir` and its config; `train=False` reads every step without its train split."""
     data_dir = Path(data_dir)
-    manifest = read_json(data_dir / "stream_manifest.json", "config", "files")
-    cfg = StreamConfig.from_json(manifest["config"])
+    path = data_dir / "stream_manifest.json"
+    manifest = read_json(path, "config", "files")
+    try:
+        cfg = StreamConfig.from_json(manifest["config"])
+    except (ConfigError, TypeError) as exc:  # TypeError: a birth entry that is not an array
+        raise RunError(f"{path}: {exc}") from exc
     datasets = [read_timestep_file(data_dir / name, train=train) for name in manifest["files"]]
     return datasets, cfg

@@ -9,11 +9,14 @@ memoryview, an ndarray) and they are written in order, never joined first.
 Every artifact is read through `Cursor` or `read_json`, which refuse a
 malformed file with a `FormatError` naming it; a `Cursor` reads the whole file
 once and hands out views of that buffer, never copies. The .ticc and .ticd
-byte layouts live beside their types, in `model` and `datagen`.
+byte layouts live beside their types, in `model` and `datagen`. A config
+object, from a config file or from inside an artifact, is checked against its
+dataclass by `config_fields`, so each field and default is declared only there.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import struct
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, RunError
+from .errors import ConfigError, FormatError, RunError
 
 
 def atomic_write(path, *chunks) -> None:
@@ -53,6 +56,20 @@ def read_json(path, *keys: str) -> dict:
         if not isinstance(obj, dict) or key not in obj:
             raise RunError(f"{path}: missing field {key!r}")
     return obj
+
+
+def config_fields(cls, d) -> dict:
+    """`d`, the JSON object of a `cls` config; an unknown field, or a missing one that `cls`
+    gives no default, is a ConfigError naming it."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__}: not a JSON object")
+    fields = dataclasses.fields(cls)
+    if unknown := sorted(set(d) - {f.name for f in fields}):
+        raise ConfigError(f"unknown field {unknown[0]!r}")
+    for f in fields:
+        if f.name not in d and f.default is dataclasses.MISSING:
+            raise ConfigError(f"missing field {f.name!r}")
+    return d
 
 
 class Cursor:

@@ -129,6 +129,11 @@ def l2_normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / row_norms(m)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moments, each a vector in the layout of the parameter vector."""
@@ -136,13 +141,10 @@ class AdamState:
     first_moment: np.ndarray
     second_moment: np.ndarray
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def init_like(cls, params: np.ndarray, beta1=0.9, beta2=0.999, epsilon=1e-8):
-        return cls(np.zeros_like(params), np.zeros_like(params), 0, beta1, beta2, epsilon)
+    def init_like(cls, params: np.ndarray):
+        return cls(np.zeros_like(params), np.zeros_like(params))
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
@@ -153,7 +155,7 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float
         raise RunError(f"grad shape {grads.shape} != param shape {params.shape}")
     state.step_count += 1
     t = state.step_count
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m, v = state.first_moment, state.second_moment
     # m' = b1 m + (1-b1) g, v' = b2 v + ((1-b2) g) g and
     # p' = p - (lr (m'/(1-b1^t))) / (sqrt(v'/(1-b2^t)) + eps), one rounded

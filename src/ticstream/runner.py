@@ -10,7 +10,8 @@ counted from the config's model shape (`ModelDims.layout`); no model is built
 to count it. `run_experiment` reads the stream once and hands it, with the
 config, to every (method, seed) job, so a job in a process pool runs exactly
 what a serial one does; `iid_split_experiment` likewise builds each split
-once and trains every seed on it.
+once and trains every seed on it. `ExperimentConfig.from_json` reads each
+field as its dataclass declares it (`formats.config_fields`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,7 @@ from .datagen import (
 )
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
-from .formats import atomic_write, read_json, write_json
+from .formats import atomic_write, config_fields, read_json, write_json
 from .methods import StepContext, resolve_method, run_step
 from .model import ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
@@ -54,7 +55,7 @@ ARTIFACT_VERSION = 2  # of the manifest.json layout
 @dataclass
 class ExperimentConfig:
     stream: StreamConfig
-    schedule: ScheduleConfig  # total_iters field is ignored; set per step
+    schedule: ScheduleConfig  # its total_iters is not read: each step sets its own
     methods: list[str]
     seeds: list[int]
     total_iters: int
@@ -67,6 +68,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         self.stream.validate()
+        if not isinstance(self.methods, (list, tuple)) or not all(isinstance(m, str) for m in self.methods):
+            raise ConfigError("methods must be an array of strings")
+        if not isinstance(self.seeds, (list, tuple)) or not all(isinstance(s, int) for s in self.seeds):
+            raise ConfigError("seeds must be an array of integers")
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
         if self.batch_size < 1:
@@ -87,31 +92,20 @@ class ExperimentConfig:
 
     def to_json(self) -> dict:
         d = asdict(self)
-        d["stream"] = self.stream.to_json()
         del d["schedule"]["total_iters"]  # set per step
         return d
 
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
-        """The config `to_json` wrote; an unknown top-level field is a ConfigError naming it."""
-        if unknown := sorted(set(d) - {f.name for f in fields(cls)}):
-            raise ConfigError(f"unknown field {unknown[0]!r}")
-        return cls(
-            stream=StreamConfig.from_json(d["stream"]),
-            schedule=ScheduleConfig(**{"total_iters": 0, **d["schedule"]}),
-            methods=list(d["methods"]),
-            seeds=list(d["seeds"]),
-            total_iters=d["total_iters"],
-            batch_size=d["batch_size"],
-            hidden_dim=d["hidden_dim"],
-            embed_dim=d["embed_dim"],
-            merge_first_k=d.get("merge_first_k", 1),
-            lwf_lambda=d.get("lwf_lambda", 1.0),
-            output_dir=d.get("output_dir") or "runs",  # null in a manifest's config
-        )
+        """The config `to_json` wrote; a field it leaves out takes its default, and an unknown
+        field, or a missing one without a default, is a ConfigError naming it."""
+        d = config_fields(cls, d)
+        return cls(**{**d, "stream": StreamConfig.from_json(d["stream"]),
+                      "schedule": ScheduleConfig(**config_fields(ScheduleConfig, d["schedule"])),
+                      "output_dir": d.get("output_dir") or cls.output_dir})  # null in a manifest's config
 
 
-def reference_config(output_dir: str = "runs", seeds=(0, 1, 2)) -> ExperimentConfig:
+def reference_config(output_dir: str = ExperimentConfig.output_dir, seeds=(0, 1, 2)) -> ExperimentConfig:
     """The desk-scale reference experiment used by the acceptance suite."""
     stream = StreamConfig(
         num_steps=4,
@@ -126,9 +120,7 @@ def reference_config(output_dir: str = "runs", seeds=(0, 1, 2)) -> ExperimentCon
         static_class_count=4,
         seed=20240901,
     )
-    schedule = ScheduleConfig(
-        kind="warmup_cosine", max_lr=3e-3, total_iters=0, warmup_iters=100,
-    )
+    schedule = ScheduleConfig(kind="warmup_cosine", max_lr=3e-3, warmup_iters=100)
     return ExperimentConfig(
         stream=stream,
         schedule=schedule,
@@ -318,10 +310,14 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints and the stream in `data_dir`;
-    rewrites only metrics.json, and a missing stream is an error. Scoring reads eval splits only,
-    so the stream is loaded without its training rows."""
-    manifest = read_json(Path(run_dir) / "manifest.json", "config", "method", "seed")
-    cfg = ExperimentConfig.from_json(manifest["config"])
+    rewrites only metrics.json, and a missing stream or a malformed manifest.json config is an
+    error. Scoring reads eval splits only, so the stream is loaded without its training rows."""
+    path = Path(run_dir) / "manifest.json"
+    manifest = read_json(path, "config", "method", "seed")
+    try:
+        cfg = ExperimentConfig.from_json(manifest["config"])
+    except (ConfigError, TypeError) as exc:  # TypeError: a birth entry that is not an array
+        raise RunError(f"{path}: {exc}") from exc
     datasets = _stored_datasets(cfg, data_dir, train=False)
     return score_run(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
 
@@ -343,9 +339,7 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
             cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k))
         except ConfigError as exc:
             raise ConfigError(f"split {k}: {exc}") from exc
-    pool_cfg = StreamConfig(**{**cfg.stream.to_json(), "num_steps": 1,
-                               "class_birth_schedule": ()})
-    pool = generate_stream(pool_cfg)[0]
+    pool = generate_stream(replace(cfg.stream, num_steps=1, class_birth_schedule=()))[0]
     spec, table = resolve_method("cumulative_all"), {}
     for k in splits:
         accs = []

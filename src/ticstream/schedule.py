@@ -27,7 +27,7 @@ LWF_TEACHER_SHARE = 0.2
 class ScheduleConfig:
     kind: str  # "warmup_cosine" | "const_cosine"
     max_lr: float
-    total_iters: int
+    total_iters: int = 0  # one cycle's length, set per step by `with_total`
     warmup_iters: int = 0
     min_lr: float = 0.0
     decay_fraction: float = 0.2  # const_cosine only

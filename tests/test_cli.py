@@ -32,6 +32,15 @@ def write_config(tmp_path, **overrides):
     return path
 
 
+def edited_config(edit):
+    """A corruption of a JSON artifact: `edit` applied to the config object inside it."""
+    def corrupt(raw):
+        doc = json.loads(raw)
+        edit(doc["config"])
+        return json.dumps(doc).encode()
+    return corrupt
+
+
 class TestGen:
     def test_writes_stream(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -46,7 +55,7 @@ class TestGen:
 
     @pytest.mark.parametrize("text, message", [
         ("{not json", "Expecting property name"),
-        ("[]", "list indices"),
+        ("[]", "not a JSON object"),
     ])
     def test_unparsable_config_is_exit_1(self, tmp_path, capsys, text, message):
         bad = tmp_path / "bad.json"
@@ -81,6 +90,24 @@ class TestGen:
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and "unknown field 'lwf_lamda'" in err
+
+    @pytest.mark.parametrize("edit", [
+        lambda cfg: cfg.update(batch_size="8"),
+        lambda cfg: cfg["schedule"].update(max_lr="x"),
+        lambda cfg: cfg.update(total_iters=None),
+        lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]),
+        lambda cfg: cfg.update(seeds="ab"),
+        lambda cfg: cfg.update(methods="sequential"),
+    ], ids=["batch_size_string", "max_lr_string", "total_iters_null", "birth_entry_of_one",
+            "seeds_string", "methods_string"])
+    def test_wrongly_typed_value_is_exit_1_naming_the_file(self, tmp_path, capsys, edit):
+        bad = tmp_path / "bad.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        edit(cfg)
+        bad.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
+        assert str(bad) in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_invalid_config_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -175,13 +202,30 @@ class TestTrainEvalReport:
         (lambda raw: raw[:30], "unreadable stream_manifest"),
         (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "files"}).encode(),
          "missing field 'files'"),
-    ], ids=["truncated", "no_files"])
+        (edited_config(lambda cfg: cfg.update(drift=0.5)), "unknown field 'drift'"),
+        (edited_config(lambda cfg: cfg.pop("class_birth_schedule")), "missing field 'class_birth_schedule'"),
+        (lambda raw: json.dumps({**json.loads(raw), "config": []}).encode(), "not a JSON object"),
+    ], ids=["truncated", "no_files", "config_unknown", "config_missing", "config_not_an_object"])
     def test_corrupt_stream_manifest_is_exit_2_naming_the_file(self, trained, capsys, corrupt, message):
         cfg, data, out = trained
         manifest = data / "stream_manifest.json"
         manifest.write_bytes(corrupt(manifest.read_bytes()))
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--method", "sequential", "--seed", "0", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and message in err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda cfg: cfg.update(lwf_lamda=0.5), "unknown field 'lwf_lamda'"),
+        (lambda cfg: cfg.pop("batch_size"), "missing field 'batch_size'"),
+        (lambda cfg: cfg["schedule"].update(warmup=3), "unknown field 'warmup'"),
+        (lambda cfg: cfg["stream"].pop("seed"), "missing field 'seed'"),
+    ], ids=["unknown", "missing", "unknown_nested", "missing_nested"])
+    def test_malformed_manifest_config_is_exit_2_naming_the_file(self, trained, capsys, edit, message):
+        _, data, out = trained
+        manifest = out / "sequential" / "seed_0" / "manifest.json"
+        manifest.write_bytes(edited_config(edit)(manifest.read_bytes()))
+        assert main(["eval", "--run", str(manifest.parent), "--data", str(data)]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and message in err
 

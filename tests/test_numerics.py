@@ -3,6 +3,9 @@ import pytest
 
 from ticstream.errors import NumericError, RunError
 from ticstream.numerics import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     Rng,
     adam_step,
@@ -45,9 +48,10 @@ class TestL2NormalizeRows:
             l2_normalize_rows(m)
 
 
-def adam_reference(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):
+def adam_reference(params, grads, m, v, t, lr):
     """The out-of-place update adam_step replaced, as the oracle of its
     in-place arithmetic: returns (params, m, v) after step t."""
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
     m = b1 * m + (1 - b1) * grads
     v = b2 * v + (1 - b2) * grads * grads
     m_hat = m / (1 - b1**t)
@@ -95,13 +99,12 @@ class TestAdam:
         # from non-zero moments part-way through a run, with a changing lr
         rng = Rng(3)
         params = rng.split("p").normal(40)
-        state = AdamState(rng.split("m").normal(40) * 0.1, rng.split("v").uniform(40) * 0.01, 7,
-                          0.9, 0.995, 1e-8)
+        state = AdamState(rng.split("m").normal(40) * 0.1, rng.split("v").uniform(40) * 0.01, 7)
         want_p, want_m, want_v = params.copy(), state.first_moment.copy(), state.second_moment.copy()
         moments = state.first_moment, state.second_moment
         for i, lr in enumerate((3e-3, 1e-3, 0.0, 2e-2)):
             grads = rng.split("g", i).normal(40)
-            want_p, want_m, want_v = adam_reference(want_p, grads, want_m, want_v, 8 + i, lr, b2=0.995)
+            want_p, want_m, want_v = adam_reference(want_p, grads, want_m, want_v, 8 + i, lr)
             adam_step(params, grads, state, lr)
             assert state.step_count == 8 + i
             assert params.tobytes() == want_p.tobytes()

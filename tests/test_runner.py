@@ -85,6 +85,19 @@ class TestConfig:
         assert back.merge_first_k == 2
         assert back.lwf_lambda == 0.5
 
+    def test_reference_config_json_is_pinned(self):
+        text = json.dumps(reference_config().to_json(), indent=2, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ef68acabf988b8cfa0b83cb9ec60d5d0840930b2ada23820aac9cacfd88a34fc")
+
+    def test_left_out_fields_read_the_dataclass_defaults(self, tmp_path):
+        d = tiny_config(tmp_path).to_json()
+        for name in ("merge_first_k", "lwf_lambda", "output_dir"):
+            del d[name]
+        cfg = ExperimentConfig.from_json(d)
+        assert (cfg.merge_first_k, cfg.lwf_lambda, cfg.output_dir) == (1, 1.0, "runs")
+        assert cfg.schedule.total_iters == 0
+
     def test_manifest_config_runs_under_the_default_output_dir(self, tmp_path):
         manifest_config = {**tiny_config(tmp_path).to_json(), "output_dir": None}
         assert ExperimentConfig.from_json(manifest_config).output_dir == "runs"
