@@ -313,7 +313,7 @@ def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset],
     manifest = read_json(path, "config", "files")
     try:
         cfg = StreamConfig.from_json(manifest["config"])
-    except (ConfigError, TypeError) as exc:  # TypeError: a birth entry that is not an array
+    except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
     datasets = [read_timestep_file(data_dir / name, train=train) for name in manifest["files"]]
     return datasets, cfg

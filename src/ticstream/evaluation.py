@@ -1,8 +1,9 @@
-"""Dynamic retrieval/classification metrics and the step-by-step matrix.
+"""Dynamic retrieval/classification metrics and the step-by-step matrices.
 
 E[i][j] is the score of the model trained through step i on the eval data
 of step j. The diagonal mean is in-domain performance, the strict lower
 triangle backward transfer, the strict upper triangle forward transfer.
+`build_performance_matrix` returns both matrices as metrics.json holds them.
 
 Both metrics are top-1 scores, computed one block of query rows at a time
 in one reused buffer of about `_BLOCK_BYTES` (`_sim_blocks`), so an N×N
@@ -15,17 +16,12 @@ diagonal entry with its column's largest off-diagonal entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .datagen import RecordBatch, TimestepDataset
 from .errors import RunError
 from .model import TwoTowerParams, encode
 from .schedule import BudgetLedger, eval_macs
-
-TASKS = ("retrieval", "classification")
-
 
 # Similarities held at once by `_sim_blocks`: a 1 MiB block stays inside
 # the 4 MiB L2 of the machine the figures in ROADMAP.md were measured on.
@@ -93,16 +89,6 @@ def _diagonal_wins_tie(u: np.ndarray, v: np.ndarray, cols: np.ndarray, best: np.
     return ~reached_above
 
 
-def recall_at_1(query_embs: np.ndarray, gallery_embs: np.ndarray, true_match: np.ndarray) -> float:
-    """Fraction of queries whose top-1 gallery row is the true match.
-
-    Ties break to the lowest gallery index.
-    """
-    if len(query_embs) == 0:
-        raise RunError("empty query set")
-    return float(np.mean(_top1(query_embs, gallery_embs) == np.asarray(true_match)))
-
-
 def retrieval_score(params: TwoTowerParams, batch: RecordBatch) -> float:
     """Mean of image-to-text and text-to-image recall@1 over paired records."""
     u = encode(params, batch.images, "image")
@@ -131,67 +117,40 @@ def zero_shot_accuracy(
     return float(np.mean(pred == batch.class_ids))
 
 
-@dataclass
-class PerformanceMatrix:
-    num_steps: int
-    entries: np.ndarray  # (T, T); entries[i][j] = model after step i+1 on step-(j+1) data
-    task: str  # "retrieval" | "classification"
-    metric: str  # "recall_at_1" | "accuracy"
-
-    def to_json(self) -> dict:
-        summary = summarize(self)
-        return {
-            "T": self.num_steps,
-            "task": self.task,
-            "metric": self.metric,
-            "entries": [float(x) for x in self.entries.reshape(-1)],
-            "in_domain": summary.in_domain,
-            "backward": summary.backward_transfer,
-            "forward": summary.forward_transfer,
-        }
-
-
-@dataclass
-class EvalSummary:
-    in_domain: float
-    backward_transfer: float | None
-    forward_transfer: float | None
-
-
 def build_performance_matrix(
     params_per_step: list[TwoTowerParams],
     eval_sets: list[TimestepDataset],
-    task: str,
-    ledger: BudgetLedger | None = None,
-) -> PerformanceMatrix:
-    if task not in TASKS:
-        raise RunError(f"unknown task {task!r}")
+    ledger: BudgetLedger,
+) -> dict:
+    """metrics.json's `retrieval` and `classification` objects: each task's T×T
+    matrix as row-major `entries`, with its `summarize` means. Every retrieval
+    cell is scored before any classification cell (scoring both per cell ran
+    slower), and each cell's forward passes are billed to the eval MACs of
+    its checkpoint's timestep."""
     if len(params_per_step) != len(eval_sets):
         raise RunError(f"{len(params_per_step)} checkpoints vs {len(eval_sets)} eval sets")
     t = len(eval_sets)
-    entries = np.zeros((t, t))
-    for i, params in enumerate(params_per_step):
-        for j, ds in enumerate(eval_sets):
-            if task == "retrieval":
-                entries[i, j] = retrieval_score(params, ds.eval_retrieval)
-                n = 2 * len(ds.eval_retrieval)
-            else:
-                entries[i, j] = zero_shot_accuracy(
-                    params, ds.eval_classification, ds.prototype_ids, ds.prototypes
-                )
-                n = len(ds.eval_classification) + len(ds.prototype_ids)
-            if ledger is not None:
-                ledger.charge_eval(eval_sets[i].timestep, eval_macs(params.layout, n))
-    metric = "recall_at_1" if task == "retrieval" else "accuracy"
-    return PerformanceMatrix(t, entries, task, metric)
+    cells = [(params, own.timestep, ds) for params, own in zip(params_per_step, eval_sets) for ds in eval_sets]
+    retrieval, classification = [], []
+    for params, timestep, ds in cells:
+        retrieval.append(retrieval_score(params, ds.eval_retrieval))
+        ledger.charge_eval(timestep, eval_macs(params.layout, 2 * len(ds.eval_retrieval)))
+    for params, timestep, ds in cells:
+        classification.append(zero_shot_accuracy(params, ds.eval_classification, ds.prototype_ids, ds.prototypes))
+        ledger.charge_eval(timestep, eval_macs(params.layout, len(ds.eval_classification) + len(ds.prototype_ids)))
+    return {task: {"T": t, "task": task, "metric": metric, "entries": entries, **summarize(np.reshape(entries, (t, t)))}
+            for task, metric, entries in (("retrieval", "recall_at_1", retrieval),
+                                          ("classification", "accuracy", classification))}
 
 
-def summarize(matrix: PerformanceMatrix) -> EvalSummary:
-    e = matrix.entries
-    t = matrix.num_steps
-    in_domain = float(np.mean(np.diag(e)))
-    if t == 1:
-        return EvalSummary(in_domain, None, None)
-    lower = np.tril_indices(t, k=-1)
-    upper = np.triu_indices(t, k=1)
-    return EvalSummary(in_domain, float(np.mean(e[lower])), float(np.mean(e[upper])))
+def summarize(entries) -> dict:
+    """The in-domain (diagonal), backward (strict lower triangle) and forward
+    (strict upper triangle) means of a T×T matrix; with T = 1 there is no
+    transfer, and both are None."""
+    e = np.asarray(entries)
+    t = len(e)
+    return {
+        "in_domain": float(np.mean(np.diag(e))),
+        "backward": float(np.mean(e[np.tril_indices(t, k=-1)])) if t > 1 else None,
+        "forward": float(np.mean(e[np.triu_indices(t, k=1)])) if t > 1 else None,
+    }

@@ -11,7 +11,7 @@ malformed file with a `FormatError` naming it; a `Cursor` reads the whole file
 once and hands out views of that buffer, never copies. The .ticc and .ticd
 byte layouts live beside their types, in `model` and `datagen`. A config
 object, from a config file or from inside an artifact, is checked against its
-dataclass by `config_fields`, so each field and default is declared only there.
+dataclass by `config_fields`, so each field, default and type is declared only there.
 """
 
 from __future__ import annotations
@@ -58,9 +58,23 @@ def read_json(path, *keys: str) -> dict:
     return obj
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a field's value must be, keyed by `Field.type`: source text, as config modules postpone annotations
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "tuple[tuple[int, int], ...]": (lambda v: isinstance(v, (list, tuple)) and all(
+        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in v),
+        "an array of [step, count] integer pairs"),
+}
+
+
 def config_fields(cls, d) -> dict:
-    """`d`, the JSON object of a `cls` config; an unknown field, or a missing one that `cls`
-    gives no default, is a ConfigError naming it."""
+    """`d`, the JSON object of a `cls` config; an unknown field, a missing one that `cls`
+    gives no default, or a value its annotation refuses (`_TYPES`) is a ConfigError naming it."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__}: not a JSON object")
     fields = dataclasses.fields(cls)
@@ -69,6 +83,8 @@ def config_fields(cls, d) -> dict:
     for f in fields:
         if f.name not in d and f.default is dataclasses.MISSING:
             raise ConfigError(f"missing field {f.name!r}")
+        if f.name in d and f.type in _TYPES and not _TYPES[f.type][0](d[f.name]):
+            raise ConfigError(f"field {f.name!r} must be {_TYPES[f.type][1]}, got {d[f.name]!r}")
     return d
 
 

@@ -74,8 +74,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be an array of integers")
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+        if min(self.batch_size, self.hidden_dim, self.embed_dim) < 1:
+            raise ConfigError("batch_size, hidden_dim and embed_dim must be >= 1")
         if not (1 <= self.merge_first_k <= self.stream.num_steps):
             raise ConfigError("merge_first_k out of range")
         # one step's LR cycle, checked here so that a bad one fails before any step trains
@@ -235,8 +235,7 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     ledger = BudgetLedger.from_json({**progress["ledger"], "eval_macs": {}})
     params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep).params
                        for d in datasets]
-    retrieval = build_performance_matrix(params_per_step, datasets, "retrieval", ledger)
-    classification = build_performance_matrix(params_per_step, datasets, "classification", ledger)
+    matrices = build_performance_matrix(params_per_step, datasets, ledger)
 
     static = _static_holdout(datasets, cfg.stream.static_class_count)
     static_per_step = None if static is None else [zero_shot_accuracy(p, *static) for p in params_per_step]
@@ -244,8 +243,7 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     metrics = {
         "method": method_id,
         "seed": seed,
-        "retrieval": retrieval.to_json(),
-        "classification": classification.to_json(),
+        **matrices,
         "static_per_step": static_per_step,
         "static_final": static_per_step[-1] if static_per_step else None,
         "ledger": ledger.to_json(),
@@ -316,7 +314,7 @@ def evaluate_run(run_dir, data_dir) -> dict:
     manifest = read_json(path, "config", "method", "seed")
     try:
         cfg = ExperimentConfig.from_json(manifest["config"])
-    except (ConfigError, TypeError) as exc:  # TypeError: a birth entry that is not an array
+    except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
     datasets = _stored_datasets(cfg, data_dir, train=False)
     return score_run(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
@@ -373,10 +371,7 @@ def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
         method, seed = metrics["method"], metrics["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]
-            rows.append([method, seed, task, "in_domain", m["in_domain"]])
-            if m["backward"] is not None:
-                rows.append([method, seed, task, "backward", m["backward"]])
-                rows.append([method, seed, task, "forward", m["forward"]])
+            rows += [[method, seed, task, k, m[k]] for k in ("in_domain", "backward", "forward") if m[k] is not None]
         if metrics["static_final"] is not None:
             rows.append([method, seed, "static", "static_final", metrics["static_final"]])
         ledger = BudgetLedger.from_json(metrics["ledger"])

@@ -98,8 +98,19 @@ class TestGen:
         lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]),
         lambda cfg: cfg.update(seeds="ab"),
         lambda cfg: cfg.update(methods="sequential"),
+        lambda cfg: cfg.update(hidden_dim=0),
+        lambda cfg: cfg.update(embed_dim=0),
+        lambda cfg: cfg.update(hidden_dim="8"),
+        lambda cfg: cfg.update(batch_size=8.0),
+        lambda cfg: cfg.update(batch_size=True),
+        lambda cfg: cfg.update(total_iters=12.5),
+        lambda cfg: cfg["stream"].update(num_steps=3.0),
+        lambda cfg: cfg["schedule"].update(warmup_iters=2.5),
+        lambda cfg: cfg.update(merge_first_k=1.0),
     ], ids=["batch_size_string", "max_lr_string", "total_iters_null", "birth_entry_of_one",
-            "seeds_string", "methods_string"])
+            "seeds_string", "methods_string", "hidden_dim_zero", "embed_dim_zero", "hidden_dim_string",
+            "batch_size_float", "batch_size_bool", "total_iters_fraction", "num_steps_float",
+            "warmup_iters_fraction", "merge_first_k_float"])
     def test_wrongly_typed_value_is_exit_1_naming_the_file(self, tmp_path, capsys, edit):
         bad = tmp_path / "bad.json"
         cfg = json.loads(write_config(tmp_path).read_text())
@@ -108,6 +119,13 @@ class TestGen:
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
         assert str(bad) in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_integer_for_a_float_field_loads(self, tmp_path):
+        path = tmp_path / "int_lr.json"
+        cfg = json.loads(write_config(tmp_path).read_text())
+        cfg["schedule"]["max_lr"] = 1
+        path.write_text(json.dumps(cfg))
+        assert main(["gen", "--config", str(path), "--out", str(tmp_path / "d")]) == 0
 
     def test_invalid_config_is_exit_1(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -205,7 +223,10 @@ class TestTrainEvalReport:
         (edited_config(lambda cfg: cfg.update(drift=0.5)), "unknown field 'drift'"),
         (edited_config(lambda cfg: cfg.pop("class_birth_schedule")), "missing field 'class_birth_schedule'"),
         (lambda raw: json.dumps({**json.loads(raw), "config": []}).encode(), "not a JSON object"),
-    ], ids=["truncated", "no_files", "config_unknown", "config_missing", "config_not_an_object"])
+        *[(edited_config(lambda cfg, e=entry: cfg.update(class_birth_schedule=[e])), "'class_birth_schedule'")
+          for entry in ([1], [1, 2, 3], ["1", 3], 5)],
+    ], ids=["truncated", "no_files", "config_unknown", "config_missing", "config_not_an_object",
+            "birth_entry_of_one", "birth_entry_of_three", "birth_entry_string", "birth_entry_not_an_array"])
     def test_corrupt_stream_manifest_is_exit_2_naming_the_file(self, trained, capsys, corrupt, message):
         cfg, data, out = trained
         manifest = data / "stream_manifest.json"
@@ -220,7 +241,8 @@ class TestTrainEvalReport:
         (lambda cfg: cfg.pop("batch_size"), "missing field 'batch_size'"),
         (lambda cfg: cfg["schedule"].update(warmup=3), "unknown field 'warmup'"),
         (lambda cfg: cfg["stream"].pop("seed"), "missing field 'seed'"),
-    ], ids=["unknown", "missing", "unknown_nested", "missing_nested"])
+        (lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]), "'class_birth_schedule'"),
+    ], ids=["unknown", "missing", "unknown_nested", "missing_nested", "birth_entry_of_one"])
     def test_malformed_manifest_config_is_exit_2_naming_the_file(self, trained, capsys, edit, message):
         _, data, out = trained
         manifest = out / "sequential" / "seed_0" / "manifest.json"

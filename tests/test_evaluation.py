@@ -6,18 +6,16 @@ from ticstream.datagen import RecordBatch, StreamConfig, generate_stream
 from ticstream.errors import NumericError, RunError
 from ticstream.evaluation import (
     _BLOCK_BYTES,
-    PerformanceMatrix,
     _paired_hits,
     _top1,
     build_performance_matrix,
-    recall_at_1,
     retrieval_score,
     summarize,
     zero_shot_accuracy,
 )
 from ticstream.model import ModelDims, encode, init_params
 from ticstream.numerics import Rng, l2_normalize_rows
-from ticstream.schedule import BudgetLedger
+from ticstream.schedule import BudgetLedger, forward_macs_per_sample
 
 
 def brute_force_recall(queries, gallery, truth):
@@ -32,22 +30,27 @@ def brute_force_recall(queries, gallery, truth):
     return hits / len(queries)
 
 
+def recall(hits):
+    return float(np.mean(hits))
+
+
 class TestRecallAt1:
     def test_self_retrieval(self):
         embs = l2_normalize_rows(Rng(0).normal((8, 5)))
-        assert recall_at_1(embs, embs, np.arange(8)) == 1.0
+        image_hits, text_hits = _paired_hits(embs, embs)
+        assert recall(image_hits) == 1.0 and recall(text_hits) == 1.0
 
     def test_swapped_query(self):
         gallery = l2_normalize_rows(np.eye(3))
         queries = gallery.copy()
         queries[0] = gallery[1]  # query 0 now points at gallery item 1
         queries[1] = gallery[2]
-        assert recall_at_1(queries, gallery, np.arange(3)) == pytest.approx(1 / 3)
+        assert recall(_paired_hits(queries, gallery)[0]) == pytest.approx(1 / 3)
 
     def test_identical_gallery_tie_rule(self):
         gallery = np.tile(l2_normalize_rows(Rng(1).normal((1, 4))), (5, 1))
         queries = l2_normalize_rows(Rng(2).normal((5, 4)))
-        assert recall_at_1(queries, gallery, np.arange(5)) == pytest.approx(1 / 5)
+        assert recall(_paired_hits(queries, gallery)[0]) == pytest.approx(1 / 5)
 
     def test_matches_brute_force_oracle(self):
         rng = Rng(7)
@@ -58,18 +61,20 @@ class TestRecallAt1:
             q = l2_normalize_rows(sub.split("q").normal((n, d)))
             g = l2_normalize_rows(sub.split("g").normal((n, d)))
             truth = np.arange(n)
-            assert recall_at_1(q, g, truth) == brute_force_recall(q, g, truth)
+            image_hits, text_hits = _paired_hits(q, g)
+            assert recall(image_hits) == brute_force_recall(q, g, truth)
+            assert recall(text_hits) == brute_force_recall(g, q, truth)
 
     def test_scale_invariance(self):
         rng = Rng(3)
         q = l2_normalize_rows(rng.split("q").normal((10, 6)))
         g = l2_normalize_rows(rng.split("g").normal((10, 6)))
-        truth = np.arange(10)
-        assert recall_at_1(q, g, truth) == recall_at_1(7.5 * q, g, truth)
+        for unscaled, scaled in zip(_paired_hits(q, g), _paired_hits(7.5 * q, g)):
+            assert np.array_equal(unscaled, scaled)
 
     def test_empty_rejected(self):
         with pytest.raises(RunError, match="empty query set"):
-            recall_at_1(np.zeros((0, 3)), np.zeros((0, 3)), np.zeros(0))
+            _paired_hits(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
 def blocked_shapes(n_queries, n_gallery):
@@ -105,10 +110,11 @@ class TestTop1:
         v[1000] = v[10]  # tie: text 10 and text 1000 are the same row
         truth = np.arange(2048)
         sims = u @ v.T
-        for q, g, full in ((u, v, sims), (v, u, sims.T)):
+        image_hits, text_hits = _paired_hits(u, v)
+        for hits, full in ((image_hits, sims), (text_hits, sims.T)):
             expected = float(np.mean(np.argmax(full, axis=1) == truth))
-            assert recall_at_1(q, g, truth) == expected
-        assert 0.0 < recall_at_1(u, v, truth) < 1.0
+            assert recall(hits) == expected
+        assert 0.0 < recall(image_hits) < 1.0
 
     def test_zero_shot_matches_full_matrix(self):
         rng = Rng(19)
@@ -299,67 +305,82 @@ class TestPerformanceMatrix:
         return [init_params(ModelDims(6, 5, 8, 4), Rng(s)) for s in range(n)]
 
     def test_single_step(self, small_stream):
-        m = build_performance_matrix(self.make_params(1), small_stream[:1], "retrieval")
-        assert m.entries.shape == (1, 1)
-        s = summarize(m)
-        assert s.backward_transfer is None and s.forward_transfer is None
+        m = build_performance_matrix(self.make_params(1), small_stream[:1], BudgetLedger(1000))
+        for task, metric in (("retrieval", "recall_at_1"), ("classification", "accuracy")):
+            assert (m[task]["T"], m[task]["task"], m[task]["metric"]) == (1, task, metric)
+            assert len(m[task]["entries"]) == 1
+            assert m[task]["backward"] is None and m[task]["forward"] is None
 
     def test_entries_match_single_pair_calls(self, small_stream):
         params = self.make_params(3)
-        m = build_performance_matrix(params, small_stream, "retrieval")
+        m = build_performance_matrix(params, small_stream, BudgetLedger(1000))
         for i in range(3):
             for j in range(3):
-                direct = retrieval_score(params[i], small_stream[j].eval_retrieval)
-                assert m.entries[i, j] == direct
+                ds = small_stream[j]
+                direct = retrieval_score(params[i], ds.eval_retrieval)
+                assert m["retrieval"]["entries"][3 * i + j] == direct
+                direct = zero_shot_accuracy(params[i], ds.eval_classification, ds.prototype_ids, ds.prototypes)
+                assert m["classification"]["entries"][3 * i + j] == direct
+        for task in ("retrieval", "classification"):
+            assert {k: m[task][k] for k in ("in_domain", "backward", "forward")} == summarize(
+                np.reshape(m[task]["entries"], (3, 3)))
 
     def test_recomputation_bit_identical(self, small_stream):
         params = self.make_params(3)
-        a = build_performance_matrix(params, small_stream, "classification")
-        b = build_performance_matrix(params, small_stream, "classification")
-        assert np.array_equal(a.entries, b.entries)
+        a = build_performance_matrix(params, small_stream, BudgetLedger(1000))
+        b = build_performance_matrix(params, small_stream, BudgetLedger(1000))
+        assert np.array_equal(a["classification"]["entries"], b["classification"]["entries"])
+
+    def test_retrieval_cells_are_scored_before_classification_cells(self, small_stream, monkeypatch):
+        calls = []
+        for name in ("retrieval_score", "zero_shot_accuracy"):
+            scorer = getattr(evaluation, name)
+            monkeypatch.setattr(evaluation, name,
+                                lambda *args, name=name, scorer=scorer: calls.append(name) or scorer(*args))
+        build_performance_matrix(self.make_params(3), small_stream, BudgetLedger(1000))
+        assert calls == ["retrieval_score"] * 9 + ["zero_shot_accuracy"] * 9
 
     def test_eval_billed_forward_only(self, small_stream):
         params = self.make_params(3)
         led = BudgetLedger(1000)
-        build_performance_matrix(params, small_stream, "retrieval", led)
+        build_performance_matrix(params, small_stream, led)
         assert led.total_train_macs() == 0
-        assert led.total_eval_macs() > 0
+        rows = sum(2 * len(ds.eval_retrieval) + len(ds.eval_classification) + len(ds.prototype_ids)
+                   for ds in small_stream)
+        per_checkpoint = forward_macs_per_sample(params[0].layout) * rows
+        assert rows > 0 and led.eval_macs == {ds.timestep: per_checkpoint for ds in small_stream}
 
     def test_count_mismatch(self, small_stream):
         with pytest.raises(RunError, match="2 checkpoints vs 3 eval sets"):
-            build_performance_matrix(self.make_params(2), small_stream, "retrieval")
+            build_performance_matrix(self.make_params(2), small_stream, BudgetLedger(1000))
 
 
 class TestSummarize:
-    def mk(self, entries):
-        e = np.asarray(entries, dtype=float)
-        return PerformanceMatrix(e.shape[0], e, "retrieval", "recall_at_1")
-
     def test_identity_matrix(self):
-        s = summarize(self.mk(np.eye(2)))
-        assert (s.in_domain, s.backward_transfer, s.forward_transfer) == (1.0, 0.0, 0.0)
+        s = summarize(np.eye(2))
+        assert (s["in_domain"], s["backward"], s["forward"]) == (1.0, 0.0, 0.0)
 
     def test_hand_example(self):
-        s = summarize(self.mk(np.arange(1, 10).reshape(3, 3) / 10))
-        assert s.in_domain == pytest.approx(0.5)
-        assert s.backward_transfer == pytest.approx((4 + 7 + 8) / 30)
-        assert s.forward_transfer == pytest.approx((2 + 3 + 6) / 30)
+        s = summarize(np.arange(1, 10).reshape(3, 3) / 10)
+        assert s["in_domain"] == pytest.approx(0.5)
+        assert s["backward"] == pytest.approx((4 + 7 + 8) / 30)
+        assert s["forward"] == pytest.approx((2 + 3 + 6) / 30)
 
     def test_constant_matrix(self):
-        s = summarize(self.mk(np.full((4, 4), 0.37)))
-        assert s.in_domain == pytest.approx(0.37)
-        assert s.backward_transfer == pytest.approx(0.37)
-        assert s.forward_transfer == pytest.approx(0.37)
+        s = summarize(np.full((4, 4), 0.37))
+        assert s["in_domain"] == pytest.approx(0.37)
+        assert s["backward"] == pytest.approx(0.37)
+        assert s["forward"] == pytest.approx(0.37)
 
     def test_matches_direct_averaging_on_random_matrices(self):
         rng = Rng(5)
         for trial in range(100):
             t = int(rng.split(trial, "t").uniform(1)[0] * 6) + 2
             e = rng.split(trial, "e").uniform(t * t).reshape(t, t)
-            s = summarize(self.mk(e))
+            s = summarize(e)
             diag = [e[i, i] for i in range(t)]
             lower = [e[i, j] for i in range(t) for j in range(t) if i > j]
             upper = [e[i, j] for i in range(t) for j in range(t) if i < j]
-            assert abs(s.in_domain - sum(diag) / len(diag)) < 1e-12
-            assert abs(s.backward_transfer - sum(lower) / len(lower)) < 1e-12
-            assert abs(s.forward_transfer - sum(upper) / len(upper)) < 1e-12
+            assert abs(s["in_domain"] - sum(diag) / len(diag)) < 1e-12
+            assert abs(s["backward"] - sum(lower) / len(lower)) < 1e-12
+            assert abs(s["forward"] - sum(upper) / len(upper)) < 1e-12
