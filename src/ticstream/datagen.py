@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError, RunError
-from .formats import Cursor, atomic_write, config_fields, read_json, write_json
+from .formats import Cursor, atomic_write, check_types, config_fields, read_json, write_json
 from .numerics import Rng
 
 STREAM_MAGIC = b"TICD"
@@ -45,6 +45,7 @@ class StreamConfig:
     seed: int
 
     def validate(self) -> None:
+        check_types(StreamConfig, vars(self))
         if self.num_steps < 1:
             raise ConfigError("num_steps must be >= 1")
         if min(self.per_step_train_size, self.per_step_eval_size) < 1:

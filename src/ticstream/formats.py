@@ -11,13 +11,17 @@ malformed file with a `FormatError` naming it; a `Cursor` reads the whole file
 once and hands out views of that buffer, never copies. The .ticc and .ticd
 byte layouts live beside their types, in `model` and `datagen`. A config
 object, from a config file or from inside an artifact, is checked against its
-dataclass by `config_fields`, so each field, default and type is declared only there.
+dataclass by `config_fields`, so each field and default is declared only there.
+What type a config value must have is decided only by `_TYPES`, keyed by the
+field's annotation; `check_types` applies it to a config read by
+`config_fields` and, from each config's `validate`, to one built in Python.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -62,19 +66,33 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_array(v, item) -> bool:  # a JSON array; a config built in Python may hold a tuple
+    return isinstance(v, (list, tuple)) and all(map(item, v))
+
+
 # what a field's value must be, keyed by `Field.type`: source text, as config modules postpone annotations
 _TYPES = {
     "int": (_is_int, "an integer"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
-    "tuple[tuple[int, int], ...]": (lambda v: isinstance(v, (list, tuple)) and all(
-        isinstance(e, (list, tuple)) and len(e) == 2 and all(map(_is_int, e)) for e in v),
-        "an array of [step, count] integer pairs"),
+    "float": (lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list[str]": (lambda v: _is_array(v, lambda e: isinstance(e, str)), "an array of strings"),
+    "list[int]": (lambda v: _is_array(v, _is_int), "an array of integers"),
+    "tuple[tuple[int, int], ...]": (lambda v: _is_array(v, lambda e: _is_array(e, _is_int) and len(e) == 2),
+                                    "an array of [step, count] integer pairs"),
 }
+
+
+def check_types(cls, values: dict) -> None:
+    """A ConfigError naming the first field of dataclass `cls` whose value in `values` its
+    annotation refuses (`_TYPES`); a field `values` lacks, or a nested config, is not checked here."""
+    for f in dataclasses.fields(cls):
+        if f.name in values and f.type in _TYPES and not _TYPES[f.type][0](values[f.name]):
+            raise ConfigError(f"field {f.name!r} must be {_TYPES[f.type][1]}, got {values[f.name]!r}")
 
 
 def config_fields(cls, d) -> dict:
     """`d`, the JSON object of a `cls` config; an unknown field, a missing one that `cls`
-    gives no default, or a value its annotation refuses (`_TYPES`) is a ConfigError naming it."""
+    gives no default, or a value its annotation refuses (`check_types`) is a ConfigError naming it."""
     if not isinstance(d, dict):
         raise ConfigError(f"{cls.__name__}: not a JSON object")
     fields = dataclasses.fields(cls)
@@ -83,8 +101,7 @@ def config_fields(cls, d) -> dict:
     for f in fields:
         if f.name not in d and f.default is dataclasses.MISSING:
             raise ConfigError(f"missing field {f.name!r}")
-        if f.name in d and f.type in _TYPES and not _TYPES[f.type][0](d[f.name]):
-            raise ConfigError(f"field {f.name!r} must be {_TYPES[f.type][1]}, got {d[f.name]!r}")
+    check_types(cls, d)
     return d
 
 

@@ -9,14 +9,20 @@ run's checkpoints and writes only metrics.json. A run's per-step budget C is
 counted from the config's model shape (`ModelDims.layout`); no model is built
 to count it. `run_experiment` reads the stream once and hands it, with the
 config, to every (method, seed) job, so a job in a process pool runs exactly
-what a serial one does; `iid_split_experiment` likewise builds each split
-once and trains every seed on it. `ExperimentConfig.from_json` reads each
-field as its dataclass declares it (`formats.config_fields`).
+what a serial one does (a pool worker pins OpenBLAS to one thread, which no
+artifact depends on); `iid_split_experiment` likewise builds each split once
+and trains every seed on it. `ExperimentConfig.from_json` reads each field as
+its dataclass declares it (`formats.config_fields`), and
+`ExperimentConfig.validate` checks a config built in Python against the same
+type table (`formats.check_types`), then only the rules between values:
+ranges, non-empty and unrepeated methods and seeds, and the step cycle the
+schedule and `total_iters` make.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import functools
 import io
 import json
@@ -38,7 +44,7 @@ from .datagen import (
 )
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
-from .formats import atomic_write, config_fields, read_json, write_json
+from .formats import atomic_write, check_types, config_fields, read_json, write_json
 from .methods import StepContext, resolve_method, run_step
 from .model import ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
@@ -67,13 +73,13 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def validate(self) -> None:
+        check_types(ExperimentConfig, vars(self))
         self.stream.validate()
-        if not isinstance(self.methods, (list, tuple)) or not all(isinstance(m, str) for m in self.methods):
-            raise ConfigError("methods must be an array of strings")
-        if not isinstance(self.seeds, (list, tuple)) or not all(isinstance(s, int) for s in self.seeds):
-            raise ConfigError("seeds must be an array of integers")
         if not self.methods or not self.seeds:
             raise ConfigError("need at least one method and one seed")
+        for name, entries in (("methods", self.methods), ("seeds", self.seeds)):
+            if len(set(entries)) < len(entries):  # each (method, seed) run owns one directory
+                raise ConfigError(f"field {name!r} lists an entry twice: {list(entries)!r}")
         if min(self.batch_size, self.hidden_dim, self.embed_dim) < 1:
             raise ConfigError("batch_size, hidden_dim and embed_dim must be >= 1")
         if not (1 <= self.merge_first_k <= self.stream.num_steps):
@@ -98,11 +104,16 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, d: dict) -> "ExperimentConfig":
         """The config `to_json` wrote; a field it leaves out takes its default, and an unknown
-        field, or a missing one without a default, is a ConfigError naming it."""
+        field, a missing one without a default, a wrongly typed value or a `schedule.total_iters`
+        is a ConfigError naming it. A manifest's config holds `"output_dir": null`
+        (`_identity`), which reads as the default."""
+        if isinstance(d, dict) and d.get("output_dir", "") is None:
+            d = {**d, "output_dir": cls.output_dir}
         d = config_fields(cls, d)
-        return cls(**{**d, "stream": StreamConfig.from_json(d["stream"]),
-                      "schedule": ScheduleConfig(**config_fields(ScheduleConfig, d["schedule"])),
-                      "output_dir": d.get("output_dir") or cls.output_dir})  # null in a manifest's config
+        schedule = config_fields(ScheduleConfig, d["schedule"])
+        if "total_iters" in schedule:
+            raise ConfigError("field 'total_iters' of schedule is set per step, never in a config")
+        return cls(**{**d, "stream": StreamConfig.from_json(d["stream"]), "schedule": ScheduleConfig(**schedule)})
 
 
 def reference_config(output_dir: str = ExperimentConfig.output_dir, seeds=(0, 1, 2)) -> ExperimentConfig:
@@ -282,10 +293,29 @@ def _prepare_datasets(cfg: ExperimentConfig, data_dir=None) -> list[TimestepData
     return aggregate_early_steps(datasets, cfg.merge_first_k)
 
 
+def _one_blas_thread() -> None:
+    """A pool worker's initializer: pin the loaded OpenBLAS to one thread, so that N workers
+    share the cores instead of each running a thread per core. The library is found through
+    /proc/self/maps; without /proc, or without numpy's bundled symbol, nothing is pinned.
+    Artifacts do not depend on BLAS threads, so a pooled run still writes a serial one's bytes."""
+    try:
+        with open("/proc/self/maps") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return
+    for lib in libs:
+        set_threads = getattr(ctypes.CDLL(lib), "scipy_openblas_set_num_threads64_", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
+            return
+
+
 def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
     """All (method, seed) runs; returns manifest paths. The stream is read (or generated and
     written) once, here, and every job is `run_method_seed` on `cfg` and it: run in turn, or with
-    TIC_THREADS > 1 in a pool of that many processes, which never read or write `data_dir`."""
+    TIC_THREADS > 1 in a pool of that many processes, each pinned to one BLAS thread, which never
+    read or write `data_dir`."""
     cfg.validate()
     threads = os.environ.get("TIC_THREADS", "1")
     workers = int(threads) if threads.isdecimal() else 0
@@ -298,7 +328,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
     job = functools.partial(run_method_seed, cfg, _prepare_datasets(cfg, data_dir))
     jobs = [(method, seed, out / method / f"seed_{seed}") for method in cfg.methods for seed in cfg.seeds]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as ex:
             list(ex.map(job, *zip(*jobs)))
     else:
         for method, seed, run_dir in jobs:

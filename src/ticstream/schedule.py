@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, RunError
+from .formats import check_types
 
 TRAIN_MAC_MULTIPLIER = 3  # forward + 2x-forward backward
 # similarity-distillation overhead per iteration, matching the reported
@@ -34,6 +35,7 @@ class ScheduleConfig:
     warmup_on_subsequent: float = 0.0  # fraction of warmup_iters reused after step 1
 
     def validate(self) -> None:
+        check_types(ScheduleConfig, vars(self))
         if self.kind not in ("warmup_cosine", "const_cosine"):
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (0 <= self.min_lr <= self.max_lr):

@@ -91,33 +91,44 @@ class TestGen:
         err = capsys.readouterr().err
         assert str(bad) in err and "unknown field 'lwf_lamda'" in err
 
-    @pytest.mark.parametrize("edit", [
-        lambda cfg: cfg.update(batch_size="8"),
-        lambda cfg: cfg["schedule"].update(max_lr="x"),
-        lambda cfg: cfg.update(total_iters=None),
-        lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]),
-        lambda cfg: cfg.update(seeds="ab"),
-        lambda cfg: cfg.update(methods="sequential"),
-        lambda cfg: cfg.update(hidden_dim=0),
-        lambda cfg: cfg.update(embed_dim=0),
-        lambda cfg: cfg.update(hidden_dim="8"),
-        lambda cfg: cfg.update(batch_size=8.0),
-        lambda cfg: cfg.update(batch_size=True),
-        lambda cfg: cfg.update(total_iters=12.5),
-        lambda cfg: cfg["stream"].update(num_steps=3.0),
-        lambda cfg: cfg["schedule"].update(warmup_iters=2.5),
-        lambda cfg: cfg.update(merge_first_k=1.0),
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cfg: cfg.update(batch_size="8"), "batch_size"),
+        (lambda cfg: cfg["schedule"].update(max_lr="x"), "max_lr"),
+        (lambda cfg: cfg.update(total_iters=None), "total_iters"),
+        (lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]), "class_birth_schedule"),
+        (lambda cfg: cfg.update(seeds="ab"), "seeds"),
+        (lambda cfg: cfg.update(methods="sequential"), "methods"),
+        (lambda cfg: cfg.update(hidden_dim=0), "hidden_dim"),
+        (lambda cfg: cfg.update(embed_dim=0), "embed_dim"),
+        (lambda cfg: cfg.update(hidden_dim="8"), "hidden_dim"),
+        (lambda cfg: cfg.update(batch_size=8.0), "batch_size"),
+        (lambda cfg: cfg.update(batch_size=True), "batch_size"),
+        (lambda cfg: cfg.update(total_iters=12.5), "total_iters"),
+        (lambda cfg: cfg["stream"].update(num_steps=3.0), "num_steps"),
+        (lambda cfg: cfg["schedule"].update(warmup_iters=2.5), "warmup_iters"),
+        (lambda cfg: cfg.update(merge_first_k=1.0), "merge_first_k"),
+        (lambda cfg: cfg["schedule"].update(max_lr=float("inf")), "max_lr"),
+        (lambda cfg: cfg["stream"].update(noise_sigma=float("nan")), "noise_sigma"),
+        (lambda cfg: cfg.update(lwf_lambda=float("nan")), "lwf_lambda"),
+        (lambda cfg: cfg.update(output_dir=5), "output_dir"),
+        (lambda cfg: cfg.update(seeds=[True]), "seeds"),
+        (lambda cfg: cfg.update(methods=["sequential", "sequential"]), "methods"),
+        (lambda cfg: cfg.update(seeds=[0, 0]), "seeds"),
+        (lambda cfg: cfg["schedule"].update(total_iters=5000), "total_iters"),
     ], ids=["batch_size_string", "max_lr_string", "total_iters_null", "birth_entry_of_one",
             "seeds_string", "methods_string", "hidden_dim_zero", "embed_dim_zero", "hidden_dim_string",
             "batch_size_float", "batch_size_bool", "total_iters_fraction", "num_steps_float",
-            "warmup_iters_fraction", "merge_first_k_float"])
-    def test_wrongly_typed_value_is_exit_1_naming_the_file(self, tmp_path, capsys, edit):
+            "warmup_iters_fraction", "merge_first_k_float", "max_lr_infinity", "noise_sigma_nan",
+            "lwf_lambda_nan", "output_dir_number", "seed_bool", "method_repeated", "seed_repeated",
+            "schedule_total_iters"])
+    def test_wrongly_typed_value_is_exit_1_naming_the_file(self, tmp_path, capsys, edit, field):
         bad = tmp_path / "bad.json"
         cfg = json.loads(write_config(tmp_path).read_text())
         edit(cfg)
         bad.write_text(json.dumps(cfg))
         assert main(["gen", "--config", str(bad), "--out", str(tmp_path / "d")]) == 1
-        assert str(bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(bad) in err and field in err.replace(str(bad), "")
         assert not (tmp_path / "d").exists()
 
     def test_integer_for_a_float_field_loads(self, tmp_path):
@@ -170,6 +181,8 @@ class TestTrainEvalReport:
     def test_eval_rebuilds(self, trained, capsys):
         _, data, out = trained
         run_dir = out / "sequential" / "seed_0"
+        # a run's manifest names no output directory, and its config still scores
+        assert json.loads((run_dir / "manifest.json").read_text())["config"]["output_dir"] is None
         assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 0
         printed = json.loads(capsys.readouterr().out)
         assert printed["method"] == "sequential"
@@ -225,8 +238,10 @@ class TestTrainEvalReport:
         (lambda raw: json.dumps({**json.loads(raw), "config": []}).encode(), "not a JSON object"),
         *[(edited_config(lambda cfg, e=entry: cfg.update(class_birth_schedule=[e])), "'class_birth_schedule'")
           for entry in ([1], [1, 2, 3], ["1", 3], 5)],
+        (edited_config(lambda cfg: cfg.update(noise_sigma=float("nan"))), "'noise_sigma'"),
     ], ids=["truncated", "no_files", "config_unknown", "config_missing", "config_not_an_object",
-            "birth_entry_of_one", "birth_entry_of_three", "birth_entry_string", "birth_entry_not_an_array"])
+            "birth_entry_of_one", "birth_entry_of_three", "birth_entry_string", "birth_entry_not_an_array",
+            "noise_sigma_nan"])
     def test_corrupt_stream_manifest_is_exit_2_naming_the_file(self, trained, capsys, corrupt, message):
         cfg, data, out = trained
         manifest = data / "stream_manifest.json"
@@ -242,7 +257,10 @@ class TestTrainEvalReport:
         (lambda cfg: cfg["schedule"].update(warmup=3), "unknown field 'warmup'"),
         (lambda cfg: cfg["stream"].pop("seed"), "missing field 'seed'"),
         (lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]), "'class_birth_schedule'"),
-    ], ids=["unknown", "missing", "unknown_nested", "missing_nested", "birth_entry_of_one"])
+        (lambda cfg: cfg.update(lwf_lambda=float("nan")), "'lwf_lambda'"),
+        (lambda cfg: cfg["schedule"].update(total_iters=5000), "'total_iters'"),
+    ], ids=["unknown", "missing", "unknown_nested", "missing_nested", "birth_entry_of_one", "lwf_lambda_nan",
+            "schedule_total_iters"])
     def test_malformed_manifest_config_is_exit_2_naming_the_file(self, trained, capsys, edit, message):
         _, data, out = trained
         manifest = out / "sequential" / "seed_0" / "manifest.json"

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 from pathlib import Path
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 import ticstream
-from ticstream.formats import atomic_write
+from ticstream.datagen import StreamConfig
+from ticstream.formats import _TYPES, atomic_write
+from ticstream.runner import ExperimentConfig
+from ticstream.schedule import ScheduleConfig
 
 SOURCES = Path(ticstream.__file__).parent
 
@@ -82,3 +86,9 @@ def test_interrupted_write_keeps_the_old_file(tmp_path, monkeypatch):
     atomic_write(path, *chunks)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["progress.json"]
     assert path.read_bytes() == want
+
+
+def test_every_config_annotation_has_a_type_check():
+    for cls in (StreamConfig, ScheduleConfig, ExperimentConfig):
+        for f in dataclasses.fields(cls):
+            assert f.type in _TYPES or f.type in ("StreamConfig", "ScheduleConfig"), (cls.__name__, f.name, f.type)

@@ -70,6 +70,12 @@ def openblas_thread_calls():
     return None
 
 
+def record_blas_threads(cfg, datasets, method_id, seed, run_dir):
+    """A stand-in pool job: writes the BLAS thread count of the process that runs it."""
+    Path(run_dir).mkdir(parents=True)
+    (Path(run_dir) / "blas_threads").write_text(str(openblas_thread_calls()[1]()))
+
+
 class TestConfig:
     def test_validate_accepts_tiny(self, tmp_path):
         tiny_config(tmp_path).validate()
@@ -111,6 +117,25 @@ class TestConfig:
         cfg = tiny_config(tmp_path, merge_first_k=9)
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda cfg: dataclasses.replace(cfg, seeds=[True]), "seeds"),
+        (lambda cfg: dataclasses.replace(cfg, seeds=(0, 0)), "seeds"),
+        (lambda cfg: dataclasses.replace(cfg, methods=("sequential", "sequential")), "methods"),
+        (lambda cfg: dataclasses.replace(cfg, lwf_lambda=float("nan")), "lwf_lambda"),
+        (lambda cfg: dataclasses.replace(cfg, output_dir=None), "output_dir"),
+        (lambda cfg: dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule, max_lr=float("inf"))),
+         "max_lr"),
+        (lambda cfg: dataclasses.replace(cfg, stream=dataclasses.replace(cfg.stream, noise_sigma=float("nan"))),
+         "noise_sigma"),
+    ], ids=["seed_bool", "seed_repeated", "method_repeated", "lwf_lambda_nan", "output_dir_none",
+            "max_lr_infinity", "noise_sigma_nan"])
+    def test_a_config_built_in_python_is_checked_as_a_file_is(self, tmp_path, edit, field):
+        with pytest.raises(ConfigError, match=field):
+            edit(tiny_config(tmp_path)).validate()
+
+    def test_a_config_built_in_python_may_hold_tuples(self, tmp_path):
+        tiny_config(tmp_path, methods=("sequential", "lwf"), seeds=(0, 1)).validate()
 
     def test_dims_follow_stream(self, tmp_path):
         d = tiny_config(tmp_path).dims
@@ -347,6 +372,25 @@ class TestRunExperiment:
                 want = artifact_digests(sp.parent)
                 assert len(want) == 6  # two deploy and two carry checkpoints, progress and metrics
                 assert artifact_digests(pp.parent) == want, sp.parent
+
+    def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
+        calls = openblas_thread_calls()
+        if calls is None:
+            pytest.skip("the loaded OpenBLAS exports no scipy_openblas thread-count calls")
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one core: OpenBLAS runs one thread in the parent too")
+        set_threads, get_threads = calls
+        monkeypatch.setattr(runner, "run_method_seed", record_blas_threads)
+        monkeypatch.setenv("TIC_THREADS", "2")
+        original = get_threads()
+        try:
+            set_threads(2)
+            parent = get_threads()
+            manifests = run_experiment(tiny_config(tmp_path, seeds=[0, 1]))
+        finally:
+            set_threads(original)
+        assert parent == 2
+        assert [(mp.parent / "blas_threads").read_text() for mp in manifests] == ["1"] * 4
 
     def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIC_THREADS", "2")
