@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .datagen import generate_stream, write_stream
 from .errors import ConfigError, RunError
+from .methods import resolve_method
 from .runner import (
     ExperimentConfig,
     emit_report,
@@ -47,6 +48,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config)
+    resolve_method(args.method)  # before the stream is generated or any directory made
     datasets = _prepare_datasets(cfg, args.data)
     run_dir = Path(args.out) / args.method / f"seed_{args.seed}"
     metrics = run_method_seed(cfg, datasets, args.method, args.seed, run_dir)

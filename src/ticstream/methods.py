@@ -3,9 +3,12 @@
 Each method is one `MethodSpec` row of `_TABLE`: where its training starts,
 its `replay.BufferPolicy` (which old data it replays, and how many current
 records it takes), whether it distils from its previous model and whether
-its budget grows with the step. One step = assemble data, run one
-training loop under the step's LR cycle, bill the ledger, hand back the
-deploy and carry checkpoints: a run's whole state between steps.
+its budget grows with the step. `METHOD_IDS` is the table's keys. A step
+is read off the stream it has seen, the steps up to and including it: its
+timestep is the last one's, its position their count. One step = plan and
+assemble its data, run one training loop under the step's LR cycle, bill
+the ledger, hand back the deploy and carry checkpoints: a run's whole state
+between steps.
 """
 
 from __future__ import annotations
@@ -35,17 +38,6 @@ from .schedule import (
     eval_macs,
     lr_at,
     macs_per_iteration,
-)
-
-METHOD_IDS = (
-    "oracle",
-    "cumulative_all",
-    "cumulative_exp",
-    "cumulative_equal",
-    "sequential",
-    "restart",
-    "patching",
-    "lwf",
 )
 
 PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
@@ -85,6 +77,8 @@ _TABLE = {
         MethodSpec("lwf", "last_checkpoint", BufferPolicy("new_only"), uses_lwf=True),
     )
 }
+
+METHOD_IDS = tuple(_TABLE)
 
 
 def resolve_method(method_id: str) -> MethodSpec:
@@ -134,7 +128,7 @@ class StepContext:
     dims: ModelDims
     batch_size: int
     per_step_iters: int
-    schedule: ScheduleConfig  # one step's LR cycle (total_iters = per_step_iters)
+    schedule: ScheduleConfig  # the config's; `run_step` sets each step's cycle (`with_total`)
     per_step_size: int  # D
     lwf_lambda: float
     ledger: BudgetLedger
@@ -184,30 +178,17 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
     return params, carry, losses
 
 
-def _assemble_data(spec: MethodSpec, seen: list[TimestepDataset], ctx: StepContext):
-    """The training set of the step that ends `seen`, the stream up to it; returns (records, plan)."""
-    t, cur_train = seen[-1].timestep, seen[-1].train
-    # replay formulas index steps by position so merged early steps count once
-    by_pos = plan_replay(spec.data_policy, len(seen), ctx.per_step_size,
-                         {p: len(d.train) for p, d in enumerate(seen, 1)})
-    plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
-                      by_pos.current_count)
-    rng = Rng(ctx.seed, 0).split("data", t)
-    old = sample_buffer(plan, seen, rng)
-    new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
-    return assemble_training_set([*old, new], rng), plan
-
-
 def run_step(
     spec: MethodSpec,
-    t: int,
-    datasets: list[TimestepDataset],
+    seen: list[TimestepDataset],
     prev_deploy: Checkpoint | None,
     prev_carry: Checkpoint | None,
     ctx: StepContext,
 ) -> tuple[Checkpoint, Checkpoint, dict]:
-    """Execute one method step from the previous step's deploy and carry checkpoints.
+    """Execute the step that ends `seen`, the stream up to and including it, from the
+    previous step's deploy and carry checkpoints.
 
+    The step's timestep is `seen[-1].timestep` and its position `len(seen)`.
     Returns (deploy checkpoint, carry checkpoint, step record), the run's
     whole state for the next step. Under the const-cosine schedule the
     decayed branch is deployed and the pre-decay model is the carry;
@@ -216,13 +197,9 @@ def run_step(
     alpha in the record, and warm-starts from the previous deploy model; every
     other warm start, and the `lwf` teacher, use the previous carry.
     """
-    # the stream up to step t; "first step" means first position, as merged
-    # early steps start the stream above timestep 1
-    steps = [d.timestep for d in datasets]
-    if t not in steps:
-        raise RunError(f"{spec.id}: step {t} is not in the stream")
-    seen = datasets[: steps.index(t) + 1]
-    pos = len(seen)
+    # "first step" means first position, as merged early steps start the
+    # stream above timestep 1
+    t, pos, cur_train = seen[-1].timestep, len(seen), seen[-1].train
     is_initial = pos == 1
     prev = prev_deploy if spec.init_source == "last_patched" else prev_carry
     if spec.init_source != "random" and not is_initial and prev is None:
@@ -232,11 +209,18 @@ def run_step(
     is_first = is_initial or spec.init_source == "random"
     params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t)) if is_first else prev.params
 
-    # data
-    records, plan = _assemble_data(spec, seen, ctx)
+    # data: the replay formulas index steps by position, so merged early steps
+    # count once; the plan, and the sampling keys, name sources by timestep
+    by_pos = plan_replay(spec.data_policy, ctx.per_step_size, [len(d.train) for d in seen])
+    plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
+                      by_pos.current_count)
+    rng = Rng(ctx.seed, 0).split("data", t)
+    old = sample_buffer(plan, seen, rng)
+    new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
+    records = assemble_training_set([*old, new], rng)
 
     # schedule: one cycle per step, of as many budgets as the method spends
-    # there (the from-scratch oracle: t budgets)
+    # there (the from-scratch oracle: one per position)
     iters = ctx.per_step_iters * spec.budgets_at(pos)
     sched = ctx.schedule.with_total(iters)
 
@@ -253,8 +237,8 @@ def run_step(
         "plan": plan.to_json(),
         "train_set_size": len(records),
         "iterations": iters,
-        "mean_loss": float(np.mean(losses)) if losses else 0.0,
-        "final_loss": float(losses[-1]) if losses else 0.0,
+        "mean_loss": float(np.mean(losses)),
+        "final_loss": float(losses[-1]),
     }
     if spec.init_source == "last_patched":
         alpha = 1.0

@@ -4,7 +4,9 @@ A method's training data is decided here alone. Four buffer policies: keep
 everything, halve each old step's share every step (total old data D), split
 a size-D buffer equally across old steps, or replay nothing (`new_only`).
 The first three take at most D current records, `new_only` takes every one.
-Sampling is uniform without replacement and fully seeded.
+A plan is made over stream positions, so merged early steps count as one;
+sampling names its sources by timestep, and is uniform without replacement
+and fully seeded.
 """
 
 from __future__ import annotations
@@ -69,25 +71,23 @@ def _equal_counts(t: int, buffer_size: int) -> dict[int, int]:
     return {j: base + (1 if j <= remainder else 0) for j in range(1, t)}
 
 
-def plan_replay(policy: BufferPolicy, t: int, per_step_size: int, actual_sizes: dict[int, int]) -> ReplayPlan:
-    """Per-source sample counts for step t under the given buffer policy."""
-    if t < 1:
-        raise RunError("t must be >= 1")
-    for j in range(1, t + 1):
-        if j not in actual_sizes:
-            raise RunError(f"actual_sizes missing step {j}")
+def plan_replay(policy: BufferPolicy, per_step_size: int, sizes: list[int]) -> ReplayPlan:
+    """Per-source sample counts for the step at position len(sizes) under the given buffer
+    policy, where sizes[p - 1] is the training-set size at position p; sources and the
+    current step are named by position."""
+    t = len(sizes)
     if policy.kind == "new_only":
-        return ReplayPlan(t, {}, actual_sizes[t])
-    current = min(per_step_size, actual_sizes[t])
+        return ReplayPlan(t, {}, sizes[-1])
+    current = min(per_step_size, sizes[-1])
     if t == 1:
         return ReplayPlan(1, {}, current)
     if policy.kind == "all":
-        counts = {j: actual_sizes[j] for j in range(1, t)}
+        counts = dict(enumerate(sizes[:-1], 1))
     elif policy.kind == "exp":
         counts = _exp_counts(t, per_step_size)
     else:
         counts = _equal_counts(t, per_step_size)
-    counts = {j: min(c, actual_sizes[j]) for j, c in counts.items()}
+    counts = {j: min(c, sizes[j - 1]) for j, c in counts.items()}
     return ReplayPlan(t, counts, current)
 
 

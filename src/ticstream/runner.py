@@ -45,7 +45,7 @@ from .datagen import (
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .formats import atomic_write, check_types, config_fields, read_json, write_json
-from .methods import StepContext, resolve_method, run_step
+from .methods import METHOD_IDS, StepContext, resolve_method, run_step
 from .model import ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import (
@@ -135,10 +135,7 @@ def reference_config(output_dir: str = ExperimentConfig.output_dir, seeds=(0, 1,
     return ExperimentConfig(
         stream=stream,
         schedule=schedule,
-        methods=list(
-            ("oracle", "cumulative_all", "cumulative_exp", "cumulative_equal",
-             "sequential", "restart", "patching", "lwf")
-        ),
+        methods=list(METHOD_IDS),
         seeds=list(seeds),
         total_iters=4000,
         batch_size=256,
@@ -193,9 +190,9 @@ def _step_context(cfg: ExperimentConfig, seed: int, per_step: int, per_step_size
 def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
               run_dir) -> None:
     """Train the steps that progress.json does not count as done, under the identity in manifest.json."""
+    spec = resolve_method(method_id)
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    spec = resolve_method(method_id)
     identity, manifest_path = _identity(cfg, method_id, seed), run_dir / "manifest.json"
     if not manifest_path.exists():
         write_json(manifest_path, identity)
@@ -206,8 +203,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
                 if key == "config" and isinstance(got, dict):  # name the config field that differs
                     key = next(k for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k))
                 raise ConfigError(f"{run_dir}: resumed under another {key} than its manifest.json records")
-    timesteps = [d.timestep for d in datasets]
-    per_step = per_step_iterations(cfg.total_iters, len(timesteps))
+    per_step = per_step_iterations(cfg.total_iters, len(datasets))
     ctx = _step_context(cfg, seed, per_step, cfg.stream.per_step_train_size)
 
     progress_path = run_dir / "progress.json"
@@ -217,18 +213,21 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
         ctx.ledger = BudgetLedger.from_json(progress["ledger"])
     done, records = progress["done_through"], progress["records"]
 
-    # a run's state between steps is its last finished step's deploy and carry checkpoints
+    # a run's state between steps is its last finished step's deploy and carry checkpoints; the
+    # carry has a file of its own only under const_cosine, where it is not the deployed model
+    own_carry = cfg.schedule.kind == "const_cosine"
     deploy = carry = None
-    if 0 < done < len(timesteps):
-        deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[done - 1])
-        deploy = _load_own(deploy_path, method_id, timesteps[done - 1])
-        carry = _load_own(carry_path, method_id, timesteps[done - 1]) if carry_path.exists() else deploy
+    if 0 < done < len(datasets):
+        t = datasets[done - 1].timestep
+        deploy_path, carry_path = _checkpoint_paths(run_dir, t)
+        deploy = _load_own(deploy_path, method_id, t)
+        carry = _load_own(carry_path, method_id, t) if own_carry else deploy
 
-    for i in range(done, len(timesteps)):
-        deploy_path, carry_path = _checkpoint_paths(run_dir, timesteps[i])
-        deploy, carry, rec = run_step(spec, timesteps[i], datasets, deploy, carry, ctx)
+    for i in range(done, len(datasets)):
+        deploy_path, carry_path = _checkpoint_paths(run_dir, datasets[i].timestep)
+        deploy, carry, rec = run_step(spec, datasets[: i + 1], deploy, carry, ctx)
         save_checkpoint(deploy_path, deploy)
-        if cfg.schedule.kind == "const_cosine":
+        if own_carry:
             save_checkpoint(carry_path, carry)
         records.append(rec)
         write_json(progress_path, {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()})
@@ -362,6 +361,9 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
     for k in splits:
         if k not in (1, 2, 4, 8):
             raise ConfigError("splits must be among {1, 2, 4, 8}")
+        if cfg.stream.per_step_train_size < k:
+            raise ConfigError(f"split {k}: per_step_train_size {cfg.stream.per_step_train_size} "
+                              f"leaves a shard without a training record")
         # each split's LR cycle, checked before any split trains
         try:
             cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k))
@@ -380,7 +382,7 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
             ctx = _step_context(cfg, seed, per_step, shard)
             deploy = carry = None
             for t in range(1, k + 1):
-                deploy, carry, _ = run_step(spec, t, datasets, deploy, carry, ctx)
+                deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, ctx)
             accs.append(zero_shot_accuracy(
                 deploy.params, pool.eval_classification, pool.prototype_ids, pool.prototypes
             ))

@@ -40,6 +40,8 @@ class ScheduleConfig:
             raise ConfigError(f"unknown schedule kind {self.kind!r}")
         if not (0 <= self.min_lr <= self.max_lr):
             raise ConfigError("need max_lr >= min_lr >= 0")
+        if self.total_iters < 1:  # a cycle of no iteration would deploy its start model, yet be recorded
+            raise ConfigError(f"a step's cycle must train at least one iteration, got total_iters {self.total_iters}")
         if not (0 <= self.warmup_iters <= self.total_iters):
             raise ConfigError("need 0 <= warmup_iters <= total_iters")
         if not (0 < self.decay_fraction <= 1):

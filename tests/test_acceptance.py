@@ -171,10 +171,10 @@ def test_criterion_02_loss_identities(report):
 
 
 def test_criterion_03_replay_plans(report):
-    avail = {t: 10**6 for t in range(1, 12)}
-    exp3 = plan_replay(BufferPolicy("exp"), 3, 512, avail).per_source_counts
-    exp4 = plan_replay(BufferPolicy("exp"), 4, 512, avail).per_source_counts
-    eq4 = plan_replay(BufferPolicy("equal"), 4, 513, avail).per_source_counts
+    avail = [10**6] * 11  # training-set size per position
+    exp3 = plan_replay(BufferPolicy("exp"), 512, avail[:3]).per_source_counts
+    exp4 = plan_replay(BufferPolicy("exp"), 512, avail[:4]).per_source_counts
+    eq4 = plan_replay(BufferPolicy("equal"), 513, avail[:4]).per_source_counts
     worked = (
         exp3 == {1: 256, 2: 256}
         and exp4 == {1: 128, 2: 128, 3: 256}
@@ -184,12 +184,12 @@ def test_criterion_03_replay_plans(report):
     for kind in ("exp", "equal"):
         for t in range(1, 11):
             for d in range(1, 10_001, 13):
-                if plan_replay(BufferPolicy(kind), t, d, avail).total() > 2 * d:
+                if plan_replay(BufferPolicy(kind), d, avail[:t]).total() > 2 * d:
                     bounded = False
     for kind in ("exp", "equal"):  # exact edges of the sweep range
         for d in (1, 2, 3, 9_999, 10_000):
             for t in range(1, 11):
-                if plan_replay(BufferPolicy(kind), t, d, avail).total() > 2 * d:
+                if plan_replay(BufferPolicy(kind), d, avail[:t]).total() > 2 * d:
                     bounded = False
     ok = worked and bounded
     report(3, ok, f"worked examples {'ok' if worked else 'WRONG'}, "
@@ -217,7 +217,7 @@ def test_criterion_04_budget_ledger_t7(report):
         spec = resolve_method(method)
         deploy = carry = None
         for t in range(1, 8):
-            deploy, carry, _ = run_step(spec, t, datasets, deploy, carry, ctx)
+            deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, ctx)
         totals[method] = ledger.total_train_macs()
 
     oracle_ok = int(totals["oracle"]) == 28 * c and totals["oracle"] == int(totals["oracle"])

@@ -177,6 +177,11 @@ class TestTrainEvalReport:
         main(["gen", "--config", str(cfg), "--out", str(data)])
         assert main(["train", "--config", str(cfg), "--data", str(data),
                      "--method", "nope", "--seed", "0", "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "r").exists()
+        # refused before a stream is generated into a --data that holds none
+        assert main(["train", "--config", str(cfg), "--data", str(tmp_path / "new_data"),
+                     "--method", "nope", "--seed", "0", "--out", str(tmp_path / "r")]) == 1
+        assert not (tmp_path / "new_data").exists() and not (tmp_path / "r").exists()
 
     def test_eval_rebuilds(self, trained, capsys):
         _, data, out = trained
@@ -396,6 +401,23 @@ class TestRunAndIid:
         err = capsys.readouterr().err
         assert "split 8" in err and "warmup_iters" in err
 
+    def test_iid_split_refuses_an_empty_shard_before_any_split_trains(self, tmp_path, capsys, monkeypatch):
+        # 3 training records leave split 4 a shard of none; split 1 must not train first
+        stream = StreamConfig(
+            num_steps=1, per_step_train_size=3, per_step_eval_size=8,
+            image_dim=6, text_dim=5, latent_dim=4,
+            class_birth_schedule=(), drift_angle=0.0, noise_sigma=0.1,
+            static_class_count=3, seed=23,
+        )
+        cfg = write_config(tmp_path, stream=stream, total_iters=16)
+        calls = []
+        run_step = runner.run_step
+        monkeypatch.setattr(runner, "run_step", lambda *args: calls.append(args) or run_step(*args))
+        assert main(["iid-split", "--config", str(cfg), "--splits", "1,4"]) == 1
+        assert calls == []
+        err = capsys.readouterr().err
+        assert "split 4" in err and "per_step_train_size" in err
+
     def test_iid_split_on_drifting_stream_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["iid-split", "--config", str(cfg), "--splits", "1"]) == 1
@@ -413,6 +435,9 @@ class TestRunAndIid:
         # 6 iterations a step decay over the last one only
         (dict(schedule=ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0)),
          "const_cosine cycle of 6 iterations"),
+        # 0 or 1 iterations over 2 steps leave each step's cycle none to train
+        *[(dict(schedule=ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=0), total_iters=n),
+           "got total_iters 0") for n in (0, 1)],
     ])
     def test_bad_run_config_is_exit_1_before_any_work(self, tmp_path, capsys, overrides, message):
         cfg = write_config(tmp_path, methods=["lwf"], **overrides)

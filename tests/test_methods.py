@@ -52,7 +52,7 @@ def run_through(method_id, stream, upto, ctx=None):
     deploy = carry = None
     out = []
     for t in range(1, upto + 1):
-        deploy, carry, rec = run_step(spec, t, stream, deploy, carry, ctx)
+        deploy, carry, rec = run_step(spec, stream[:t], deploy, carry, ctx)
         out.append((deploy, carry, rec))
     return out, ctx
 
@@ -197,7 +197,7 @@ class TestRunStepBasics:
     def test_missing_prev_checkpoint_rejected(self, stream):
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="requires the previous checkpoint"):
-            run_step(spec, 2, stream, None, None, make_ctx())
+            run_step(spec, stream[:2], None, None, make_ctx())
 
     def test_restart_ignores_history(self, stream):
         # restart's step-2 model must not depend on the step-1 checkpoint
@@ -205,7 +205,7 @@ class TestRunStepBasics:
         spec = resolve_method("restart")
         ctx = make_ctx(budget_mult=2.0)
         fake_deploy, fake_carry, _ = run_through("sequential", stream, 1)[0][0]
-        deploy, *_ = run_step(spec, 2, stream, fake_deploy, fake_carry, ctx)
+        deploy, *_ = run_step(spec, stream[:2], fake_deploy, fake_carry, ctx)
         assert flat_equal(deploy.params, out[1][0].params)
 
     def test_adam_state_reset_each_step(self, stream, monkeypatch):
@@ -290,7 +290,7 @@ class TestBudgets:
         ctx = make_ctx(budget_mult=0.5)
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="consumed"):
-            run_step(spec, 1, stream, None, None, ctx)
+            run_step(spec, stream[:1], None, None, ctx)
 
 
 class TestLwfBehavior:
@@ -405,7 +405,7 @@ class TestSegmentsOwnTheirState:
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):
         ctx = make_ctx(budget_mult=2.0)
         spec = resolve_method("patching")
-        deploy, carry, _ = run_step(spec, 1, stream, None, None, ctx)
+        deploy, carry, _ = run_step(spec, stream[:1], None, None, ctx)
         before = deploy.params.vector.copy()
-        run_step(spec, 2, stream, deploy, carry, ctx)
+        run_step(spec, stream[:2], deploy, carry, ctx)
         assert np.array_equal(deploy.params.vector, before)

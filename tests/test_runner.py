@@ -295,6 +295,24 @@ class TestKilledRunResumes:
             assert self.artifacts(run_dir) == want, (name, n)
         assert stops == writes + 1  # each write once, and the torn one
 
+    def test_resume_refuses_a_missing_carry_checkpoint(self, tmp_path, monkeypatch):
+        # under const_cosine the carry is the pre-decay model, not the deployed
+        # one: a resume that took the deploy file in its place would train
+        # another run than the uninterrupted one
+        schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
+        cfg = tiny_config(tmp_path, schedule=schedule, methods=["lwf"], total_iters=48)
+        datasets = _prepare_datasets(cfg)
+        run_dir = tmp_path / "run"
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", stop_at(5))  # manifest, step 1's two checkpoints and progress, then a kill
+            with pytest.raises(Stop):
+                run_method_seed(cfg, datasets, "lwf", 0, run_dir)
+        assert json.loads((run_dir / "progress.json").read_text())["done_through"] == 1
+        (run_dir / "step_001_carry.ticc").unlink()
+        with pytest.raises(FileNotFoundError, match="step_001_carry.ticc"):
+            run_method_seed(cfg, datasets, "lwf", 0, run_dir)
+        assert not (run_dir / "step_002.ticc").exists()
+
 
 class TestRunExperiment:
     def test_all_pairs_run(self, tmp_path):

@@ -186,6 +186,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, min_lr=2e-3, total_iters=10).validate()
 
+    @pytest.mark.parametrize("kind", ["warmup_cosine", "const_cosine"])
+    def test_a_cycle_trains_at_least_one_iteration(self, kind):
+        with pytest.raises(ConfigError, match="total_iters"):
+            ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0).validate()
+        ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=1).validate()
+
     def test_with_total_validates_the_cycle(self):
         # a warmup that fits 1000 iterations but not a 50-iteration cycle
         with pytest.raises(ConfigError, match="warmup_iters"):
