@@ -291,6 +291,10 @@ def read_timestep_file(path, *, train: bool = True) -> TimestepDataset:
     return TimestepDataset(timestep, batch(train_rows) if train else None, eval_r, eval_c, proto_ids, protos)
 
 
+def _step_file(t: int) -> str:
+    return f"step_{t:03d}.ticd"
+
+
 def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) -> Path:
     """Write per-step files, then the JSON manifest; returns the manifest path. The manifest
     marks a complete stream, so an old one goes first and a cut-off write leaves none."""
@@ -298,17 +302,16 @@ def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) ->
     out.mkdir(parents=True, exist_ok=True)
     mpath = out / "stream_manifest.json"
     mpath.unlink(missing_ok=True)
-    paths = []
-    for ds in datasets:
-        p = out / f"step_{ds.timestep:03d}.ticd"
-        write_timestep_file(ds, p)
-        paths.append(p.name)
-    write_json(mpath, {"num_steps": len(datasets), "config": cfg.to_json(), "files": paths})
+    names = [_step_file(ds.timestep) for ds in datasets]
+    for ds, name in zip(datasets, names):
+        write_timestep_file(ds, out / name)
+    write_json(mpath, {"num_steps": len(datasets), "config": cfg.to_json(), "files": names})
     return mpath
 
 
 def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset], StreamConfig]:
-    """The stream in `data_dir` and its config; `train=False` reads every step without its train split."""
+    """The stream in `data_dir` and its config; `train=False` reads every step without its train split.
+    Files other than the config's steps in order, or a header of another step, are refused naming the file."""
     data_dir = Path(data_dir)
     path = data_dir / "stream_manifest.json"
     manifest = read_json(path, "config", "files")
@@ -316,5 +319,11 @@ def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset],
         cfg = StreamConfig.from_json(manifest["config"])
     except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
-    datasets = [read_timestep_file(data_dir / name, train=train) for name in manifest["files"]]
+    names = [_step_file(t) for t in range(1, cfg.num_steps + 1)]
+    if manifest["files"] != names:
+        raise RunError(f"{path}: files {manifest['files']!r} are not its config's steps {names!r}")
+    datasets = [read_timestep_file(data_dir / name, train=train) for name in names]
+    for t, ds in enumerate(datasets, 1):
+        if ds.timestep != t:
+            raise FormatError(f"header timestep {ds.timestep} at step {t}", 8, data_dir / names[t - 1])
     return datasets, cfg

@@ -5,15 +5,16 @@ its `replay.BufferPolicy` (which old data it replays, and how many current
 records it takes), whether it distils from its previous model and whether
 its budget grows with the step. `METHOD_IDS` is the table's keys. A step
 is read off the stream it has seen, the steps up to and including it: its
-timestep is the last one's, its position their count. One step = plan and
-assemble its data, run one training loop under the step's LR cycle, bill
-the ledger, hand back the deploy and carry checkpoints: a run's whole state
-between steps.
+timestep is the last one's, its position their count, and its settings the
+experiment config's. One step = plan and assemble its data, run one training
+loop under the step's LR cycle, bill the run's ledger, hand back the deploy
+and carry checkpoints: a run's whole state between steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .errors import ConfigError, RunError
 from .evaluation import retrieval_score
 from .model import (
     Checkpoint,
-    ModelDims,
     TwoTowerParams,
     init_params,
     teacher_targets,
@@ -33,12 +33,14 @@ from .replay import BufferPolicy, ReplayPlan, assemble_training_set, plan_replay
 from .schedule import (
     LWF_TEACHER_SHARE,
     BudgetLedger,
-    ScheduleConfig,
     decay_start_iter,
     eval_macs,
     lr_at,
     macs_per_iteration,
 )
+
+if TYPE_CHECKING:  # runner imports this module, so never at run time
+    from .runner import ExperimentConfig
 
 PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
 
@@ -120,20 +122,6 @@ def tune_patch_alpha(
     return best_alpha
 
 
-@dataclass
-class StepContext:
-    """Shared per-run settings for executing method steps."""
-
-    seed: int
-    dims: ModelDims
-    batch_size: int
-    per_step_iters: int
-    schedule: ScheduleConfig  # the config's; `run_step` sets each step's cycle (`with_total`)
-    per_step_size: int  # D
-    lwf_lambda: float
-    ledger: BudgetLedger
-
-
 def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher, bill):
     """One step's training loop on a copy of `params`, which is never changed,
     from a fresh Adam state; returns (deploy, carry, per-iteration losses).
@@ -183,12 +171,16 @@ def run_step(
     seen: list[TimestepDataset],
     prev_deploy: Checkpoint | None,
     prev_carry: Checkpoint | None,
-    ctx: StepContext,
+    cfg: ExperimentConfig,
+    seed: int,
+    ledger: BudgetLedger,
 ) -> tuple[Checkpoint, Checkpoint, dict]:
     """Execute the step that ends `seen`, the stream up to and including it, from the
-    previous step's deploy and carry checkpoints.
+    previous step's deploy and carry checkpoints, billing `ledger`.
 
     The step's timestep is `seen[-1].timestep` and its position `len(seen)`.
+    Every setting is `cfg`'s, D (`cfg.stream.per_step_train_size`) and the
+    iterations of one budget (`cfg.per_step_iters`) included; the run adds its seed.
     Returns (deploy checkpoint, carry checkpoint, step record), the run's
     whole state for the next step. Under the const-cosine schedule the
     decayed branch is deployed and the pre-decay model is the carry;
@@ -207,30 +199,30 @@ def run_step(
 
     # initialization; the training loop copies what it starts from
     is_first = is_initial or spec.init_source == "random"
-    params = init_params(ctx.dims, Rng(ctx.seed, 0).split("init", t)) if is_first else prev.params
+    params = init_params(cfg.dims, Rng(seed, 0).split("init", t)) if is_first else prev.params
 
     # data: the replay formulas index steps by position, so merged early steps
     # count once; the plan, and the sampling keys, name sources by timestep
-    by_pos = plan_replay(spec.data_policy, ctx.per_step_size, [len(d.train) for d in seen])
+    by_pos = plan_replay(spec.data_policy, cfg.stream.per_step_train_size, [len(d.train) for d in seen])
     plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
                       by_pos.current_count)
-    rng = Rng(ctx.seed, 0).split("data", t)
+    rng = Rng(seed, 0).split("data", t)
     old = sample_buffer(plan, seen, rng)
     new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
     records = assemble_training_set([*old, new], rng)
 
     # schedule: one cycle per step, of as many budgets as the method spends
     # there (the from-scratch oracle: one per position)
-    iters = ctx.per_step_iters * spec.budgets_at(pos)
-    sched = ctx.schedule.with_total(iters)
+    iters = cfg.per_step_iters * spec.budgets_at(pos)
+    sched = cfg.schedule.with_total(iters)
 
     # the teacher is frozen for the whole step: embed its pairs once
-    teacher = (teacher_targets(prev_carry.params, records.images, records.texts, ctx.lwf_lambda)
+    teacher = (teacher_targets(prev_carry.params, records.images, records.texts, cfg.lwf_lambda)
                if spec.uses_lwf and not is_initial else None)
-    rng = Rng(ctx.seed, 0).split("trainloop", t)
-    deploy, carry, losses = _train(params, records, sched, is_first, ctx.batch_size, rng, ctx.ledger, t,
+    rng = Rng(seed, 0).split("trainloop", t)
+    deploy, carry, losses = _train(params, records, sched, is_first, cfg.batch_size, rng, ledger, t,
                                    teacher, spec.iteration_cost_at(pos))
-    ctx.ledger.assert_within(t, spec.compute_multiplier_at(pos))
+    ledger.assert_within(t, spec.compute_multiplier_at(pos))
 
     record = {
         "step": t,
@@ -243,7 +235,7 @@ def run_step(
     if spec.init_source == "last_patched":
         alpha = 1.0
         if not is_initial:
-            alpha = tune_patch_alpha(prev_deploy.params, deploy, seen[:-1], ctx.ledger, t)
+            alpha = tune_patch_alpha(prev_deploy.params, deploy, seen[:-1], ledger, t)
             # the deployable model is the patched one
             deploy = apply_patch(prev_deploy.params, deploy, alpha)
         record["alpha"] = alpha

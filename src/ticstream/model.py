@@ -8,8 +8,9 @@ directions) backs the warm-start regularization method.
 
 One kernel, `_contrastive_step`, computes the contrastive loss, the penalty
 and their summed gradients with one student forward and one backward, and
-writes the gradients into a vector its caller owns; the public loss functions
-are thin wrappers over it that return fresh ones. `train_minibatch` updates
+writes the gradients into a vector its caller owns, in the one mode training
+runs; the public loss functions wrap it for the gradient oracles and return
+fresh gradients. `train_minibatch` updates
 parameters, an `AdamState` and a gradient vector that its caller owns, in
 place, so a training loop that copies its starting parameters once
 allocates no parameter-sized vector per iteration. The kernel's B x B work
@@ -199,15 +200,12 @@ def teacher_targets(teacher: TwoTowerParams, images: np.ndarray, texts: np.ndarr
 
 
 def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerParams,
-                      teacher: TeacherTargets | None = None, clip: bool = True,
-                      work: list[np.ndarray] | None = None):
+                      teacher: TeacherTargets | None, work: list[np.ndarray]):
     """Contrastive loss, distillation penalty and their summed student gradients.
 
-    One student forward and one backward. With `clip` false the contrastive
-    term stays out of the gradients (its loss is still returned). Writes the
-    gradients into `grads`, in the layout of `params`, and returns
-    (loss, penalty). `work` holds the B x B float64 scratch matrices, reused
-    while B holds.
+    One student forward and one backward. Writes the gradients into `grads`,
+    in the layout of `params`, and returns (loss, penalty). `work` holds the
+    B x B float64 scratch matrices, reused while B holds.
     """
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
@@ -221,9 +219,7 @@ def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerPara
     unit, norms, cache_u, cache_v = _encode_with_caches(params, images, texts)
     u, v = unit[:n], unit[n:]
     scale = float(np.exp(params.log_scale))
-    if work is None:
-        work = []
-    elif work and work[0].shape[0] != n:
+    if work and work[0].shape[0] != n:
         work.clear()
     while len(work) < (3 if teacher is None else 4):
         work.append(np.empty((n, n)))
@@ -262,17 +258,16 @@ def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerPara
     np.divide(grad, rows[:, None], out=e)
     grad /= cols
     grad += e  # row softmax + column softmax
-    # d(loss)/d(logits): (clip + lam) * 0.5/n * student softmaxes
-    # - lam * 0.5/n * teacher softmaxes - [clip] I/n
-    grad *= (float(clip) + lam) * 0.5 / n
+    # d(loss)/d(logits): (1 + lam) * 0.5/n * student softmaxes
+    # - lam * 0.5/n * teacher softmaxes - I/n
+    grad *= (1.0 + lam) * 0.5 / n
     if teacher is not None:
         np.multiply(t, (1.0 / t_rows)[:, None], out=e)
         t *= 1.0 / t_cols
         e += t  # teacher row softmax + column softmax
         e *= lam * 0.5 / n
         grad -= e
-    if clip:
-        grad.reshape(-1)[:: n + 1] -= 1.0 / n
+    grad.reshape(-1)[:: n + 1] -= 1.0 / n
 
     d_unit = np.concatenate((grad @ v, grad.T @ u))
     d_unit *= scale
@@ -291,7 +286,7 @@ def _fresh_grads(params: TwoTowerParams) -> TwoTowerParams:
 def clip_loss_and_grads(params: TwoTowerParams, images: np.ndarray, texts: np.ndarray):
     """Symmetric contrastive loss with diagonal targets and its gradients."""
     grads = _fresh_grads(params)
-    loss, _ = _contrastive_step(params, images, texts, grads)
+    loss, _ = _contrastive_step(params, images, texts, grads, None, [])
     return loss, grads
 
 
@@ -304,11 +299,13 @@ def lwf_penalty_and_grads(
 ):
     """KL(teacher rows || student rows) of the similarity matrix, both directions.
 
-    Gradients flow to the student only.
+    Gradients flow to the student only: grad(loss + penalty) - grad(loss), both as training runs the kernel.
     """
     targets = teacher_targets(teacher, images, texts, lam)
-    grads = _fresh_grads(student)
-    _, penalty = _contrastive_step(student, images, texts, grads, targets, clip=False)
+    grads, plain = _fresh_grads(student), _fresh_grads(student)
+    _, penalty = _contrastive_step(student, images, texts, grads, targets, [])
+    _contrastive_step(student, images, texts, plain, None, [])
+    grads.vector -= plain.vector
     return penalty, grads
 
 
@@ -325,8 +322,8 @@ def train_minibatch(
     images: np.ndarray,
     texts: np.ndarray,
     lr: float,
-    lwf: TeacherTargets | None = None,
-    work: list[np.ndarray] | None = None,
+    lwf: TeacherTargets | None,
+    work: list[np.ndarray],
     *,
     adam: AdamState,
     grads: TwoTowerParams,
@@ -339,7 +336,7 @@ def train_minibatch(
     exactly these pairs, and `work` the kernel's B x B scratch matrices.
     """
     try:
-        loss, penalty = _contrastive_step(params, images, texts, grads, lwf, work=work)
+        loss, penalty = _contrastive_step(params, images, texts, grads, lwf, work)
         if not (math.isfinite(loss) and math.isfinite(penalty) and np.isfinite(grads.vector).all()):
             raise NumericError("non-finite loss, penalty or gradient")
     except NumericError as exc:  # name the iteration that produced it

@@ -5,13 +5,15 @@ manifest.json, written before step 1, is the identity a resume must match.
 `train_run` keys all randomness by (seed, step, purpose) and writes each
 artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step; `score_run` scores a finished
-run's checkpoints and writes only metrics.json. A run's per-step budget C is
-counted from the config's model shape (`ModelDims.layout`); no model is built
-to count it. `run_experiment` reads the stream once and hands it, with the
-config, to every (method, seed) job, so a job in a process pool runs exactly
-what a serial one does (a pool worker pins OpenBLAS to one thread, which no
-artifact depends on); `iid_split_experiment` likewise builds each split once
-and trains every seed on it. `ExperimentConfig.from_json` reads each field as
+run's checkpoints and writes only metrics.json; both read progress.json through
+`_read_progress`. Every step runs under the run's config, seed and ledger, whose
+budget C, `ExperimentConfig.per_step_iters` iterations, `_fresh_ledger` alone
+counts from the config's model shape (`ModelDims.layout`). `run_experiment`
+reads the stream once and hands it, with the config, to every (method, seed)
+job, so a job in a process pool runs exactly what a serial one does (a pool
+worker pins OpenBLAS to one thread, which no artifact depends on);
+`iid_split_experiment` likewise builds each split once and trains every seed on
+it, under a config of k steps. `ExperimentConfig.from_json` reads each field as
 its dataclass declares it (`formats.config_fields`), and
 `ExperimentConfig.validate` checks a config built in Python against the same
 type table (`formats.check_types`), then only the rules between values:
@@ -45,15 +47,10 @@ from .datagen import (
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .formats import atomic_write, check_types, config_fields, read_json, write_json
-from .methods import METHOD_IDS, StepContext, resolve_method, run_step
+from .methods import METHOD_IDS, resolve_method, run_step
 from .model import ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
-from .schedule import (
-    BudgetLedger,
-    ScheduleConfig,
-    macs_per_iteration,
-    per_step_iterations,
-)
+from .schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
 ARTIFACT_VERSION = 2  # of the manifest.json layout
 
@@ -85,12 +82,16 @@ class ExperimentConfig:
         if not (1 <= self.merge_first_k <= self.stream.num_steps):
             raise ConfigError("merge_first_k out of range")
         # one step's LR cycle, checked here so that a bad one fails before any step trains
-        per_step = per_step_iterations(self.total_iters, self.stream.num_steps - self.merge_first_k + 1)
-        self.schedule.with_total(per_step)
+        self.schedule.with_total(self.per_step_iters)
         if self.lwf_lambda < 0:
             raise ConfigError("lwf_lambda must be >= 0")
         for m in self.methods:
             resolve_method(m)
+
+    @property
+    def per_step_iters(self) -> int:
+        """One budget C of iterations: `total_iters` shared equally (floor) by the stream's positions."""
+        return self.total_iters // (self.stream.num_steps - self.merge_first_k + 1)
 
     @property
     def dims(self) -> ModelDims:
@@ -172,19 +173,31 @@ def _identity(cfg: ExperimentConfig, method_id: str, seed: int) -> dict:  # mani
     return {"artifact_version": ARTIFACT_VERSION, "method": method_id, "seed": seed, "config": config}
 
 
-def _step_context(cfg: ExperimentConfig, seed: int, per_step: int, per_step_size: int) -> StepContext:
-    """Step settings and a fresh ledger whose per-step budget is `per_step` iterations of `cfg.dims`."""
-    ledger = BudgetLedger(per_step * macs_per_iteration(cfg.dims.layout, cfg.batch_size))
-    return StepContext(
-        seed=seed,
-        dims=cfg.dims,
-        batch_size=cfg.batch_size,
-        per_step_iters=per_step,
-        schedule=cfg.schedule,
-        per_step_size=per_step_size,
-        lwf_lambda=cfg.lwf_lambda,
-        ledger=ledger,
-    )
+def _fresh_ledger(cfg: ExperimentConfig) -> BudgetLedger:
+    """A run's ledger before its first step: its budget C is `cfg.per_step_iters` iterations of `cfg.dims`."""
+    return BudgetLedger(cfg.per_step_iters * macs_per_iteration(cfg.dims.layout, cfg.batch_size))
+
+
+def _read_progress(cfg: ExperimentConfig, datasets: list[TimestepDataset], run_dir: Path):
+    """progress.json's count of finished steps, their records and the run's ledger (none yet: 0, [], a fresh one);
+    anything but a count in 0..T, as many records and a ledger billing just those steps is a RunError naming it."""
+    path = run_dir / "progress.json"
+    if not path.exists():
+        return 0, [], _fresh_ledger(cfg)
+    progress = read_json(path, "done_through", "records", "ledger")
+    done, records = progress["done_through"], progress["records"]
+    if type(done) is not int or not 0 <= done <= len(datasets):  # a bool is no count
+        raise RunError(f"{path}: done_through {done!r} is not a step count in 0..{len(datasets)}")
+    if not isinstance(records, list) or len(records) != done:
+        raise RunError(f"{path}: records must be a list of {done} step records")
+    try:
+        ledger = BudgetLedger.from_json(progress["ledger"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RunError(f"{path}: malformed ledger: {exc!r}") from exc
+    trained = [d.timestep for d in datasets[:done]]
+    if sorted(ledger.train_macs) != trained or sorted(ledger.train_iters) != trained:
+        raise RunError(f"{path}: the ledger does not bill training to exactly steps {trained}")
+    return done, records, ledger
 
 
 def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
@@ -203,15 +216,7 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
                 if key == "config" and isinstance(got, dict):  # name the config field that differs
                     key = next(k for k in sorted(want.keys() | got.keys()) if got.get(k) != want.get(k))
                 raise ConfigError(f"{run_dir}: resumed under another {key} than its manifest.json records")
-    per_step = per_step_iterations(cfg.total_iters, len(datasets))
-    ctx = _step_context(cfg, seed, per_step, cfg.stream.per_step_train_size)
-
-    progress_path = run_dir / "progress.json"
-    progress = {"done_through": 0, "records": []}
-    if progress_path.exists():
-        progress = read_json(progress_path, "done_through", "records", "ledger")
-        ctx.ledger = BudgetLedger.from_json(progress["ledger"])
-    done, records = progress["done_through"], progress["records"]
+    done, records, ledger = _read_progress(cfg, datasets, run_dir)
 
     # a run's state between steps is its last finished step's deploy and carry checkpoints; the
     # carry has a file of its own only under const_cosine, where it is not the deployed model
@@ -225,12 +230,12 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
 
     for i in range(done, len(datasets)):
         deploy_path, carry_path = _checkpoint_paths(run_dir, datasets[i].timestep)
-        deploy, carry, rec = run_step(spec, datasets[: i + 1], deploy, carry, ctx)
+        deploy, carry, rec = run_step(spec, datasets[: i + 1], deploy, carry, cfg, seed, ledger)
         save_checkpoint(deploy_path, deploy)
         if own_carry:
             save_checkpoint(carry_path, carry)
         records.append(rec)
-        write_json(progress_path, {"done_through": i + 1, "records": records, "ledger": ctx.ledger.to_json()})
+        write_json(run_dir / "progress.json", {"done_through": i + 1, "records": records, "ledger": ledger.to_json()})
 
 
 def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
@@ -238,11 +243,10 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     """Score a finished run's deploy checkpoints into metrics.json, billing eval MACs afresh beside
     progress.json's training bill; a run with a step left to train is refused."""
     run_dir = Path(run_dir)
-    progress_path = run_dir / "progress.json"
-    progress = read_json(progress_path, "done_through", "ledger") if progress_path.exists() else {"done_through": 0}
-    if progress["done_through"] < len(datasets):
-        raise RunError(f"{run_dir}: unfinished run, step {datasets[progress['done_through']].timestep} is not trained")
-    ledger = BudgetLedger.from_json({**progress["ledger"], "eval_macs": {}})
+    done, _, ledger = _read_progress(cfg, datasets, run_dir)
+    if done < len(datasets):
+        raise RunError(f"{run_dir}: unfinished run, step {datasets[done].timestep} is not trained")
+    ledger.eval_macs = {}  # billed afresh
     params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep).params
                        for d in datasets]
     matrices = build_performance_matrix(params_per_step, datasets, ledger)
@@ -358,31 +362,34 @@ def evaluate_run(run_dir, data_dir) -> dict:
 def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
     if cfg.stream.drift_angle != 0 or cfg.stream.class_birth_schedule:
         raise ConfigError("iid experiment requires a drift-free, birth-free stream")
+    split_cfgs = {}  # split k trains k steps under a config of its own
     for k in splits:
         if k not in (1, 2, 4, 8):
             raise ConfigError("splits must be among {1, 2, 4, 8}")
+        if list(splits).count(k) > 1:
+            raise ConfigError(f"split {k} is listed twice: {list(splits)!r}")
         if cfg.stream.per_step_train_size < k:
             raise ConfigError(f"split {k}: per_step_train_size {cfg.stream.per_step_train_size} "
                               f"leaves a shard without a training record")
+        split_cfg = split_cfgs[k] = replace(cfg, stream=replace(cfg.stream, num_steps=k), merge_first_k=1)
         # each split's LR cycle, checked before any split trains
         try:
-            cfg.schedule.with_total(per_step_iterations(cfg.total_iters, k))
+            split_cfg.schedule.with_total(split_cfg.per_step_iters)
         except ConfigError as exc:
             raise ConfigError(f"split {k}: {exc}") from exc
-    pool = generate_stream(replace(cfg.stream, num_steps=1, class_birth_schedule=()))[0]
+    pool = generate_stream(replace(cfg.stream, num_steps=1))[0]
     spec, table = resolve_method("cumulative_all"), {}
-    for k in splits:
+    for k, split_cfg in split_cfgs.items():
         accs = []
-        per_step = per_step_iterations(cfg.total_iters, k)
         perm = Rng(cfg.stream.seed, 0).split("iid", k).permutation(len(pool.train))
         shard = len(pool.train) // k
         datasets = [replace(pool, timestep=t, train=pool.train.take(perm[(t - 1) * shard : t * shard]))
                     for t in range(1, k + 1)]
         for seed in cfg.seeds:
-            ctx = _step_context(cfg, seed, per_step, shard)
+            ledger = _fresh_ledger(split_cfg)
             deploy = carry = None
             for t in range(1, k + 1):
-                deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, ctx)
+                deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, split_cfg, seed, ledger)
             accs.append(zero_shot_accuracy(
                 deploy.params, pool.eval_classification, pool.prototype_ids, pool.prototypes
             ))

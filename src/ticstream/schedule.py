@@ -79,13 +79,6 @@ def decay_start_iter(cfg: ScheduleConfig) -> int:
     return int(round(cfg.total_iters * (1 - cfg.decay_fraction)))
 
 
-def per_step_iterations(total_iters: int, num_steps: int) -> int:
-    """Equal split of the iteration budget across steps (floor)."""
-    if num_steps < 1:
-        raise ConfigError("num_steps must be >= 1")
-    return total_iters // num_steps
-
-
 def forward_macs_per_sample(layout) -> int:
     return sum(fan_in * fan_out for shapes in layout for fan_in, fan_out in shapes)
 

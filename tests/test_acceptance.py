@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ticstream.datagen import StreamConfig, generate_stream
-from ticstream.methods import StepContext, resolve_method, run_step
+from ticstream.methods import resolve_method, run_step
 from ticstream.model import (
     ModelDims,
     TwoTowerParams,
@@ -206,18 +206,18 @@ def test_criterion_04_budget_ledger_t7(report):
     datasets = generate_stream(cfg)
     dims = ModelDims(6, 5, 8, 4)
     per_step = 14
-    sched = ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=per_step, warmup_iters=2)
+    exp_cfg = ExperimentConfig(stream=cfg, schedule=ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, warmup_iters=2),
+                               methods=["oracle"], seeds=[0], total_iters=7 * per_step, batch_size=8,
+                               hidden_dim=8, embed_dim=4)
     c = per_step * macs_per_iteration(dims.layout, 8)
 
     totals = {}
     for method in ("oracle", "sequential", "cumulative_all", "lwf"):
         ledger = BudgetLedger(c)
-        ctx = StepContext(seed=0, dims=dims, batch_size=8, per_step_iters=per_step,
-                          schedule=sched, per_step_size=32, lwf_lambda=1.0, ledger=ledger)
         spec = resolve_method(method)
         deploy = carry = None
         for t in range(1, 8):
-            deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, ctx)
+            deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, exp_cfg, 0, ledger)
         totals[method] = ledger.total_train_macs()
 
     oracle_ok = int(totals["oracle"]) == 28 * c and totals["oracle"] == int(totals["oracle"])

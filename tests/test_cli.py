@@ -32,13 +32,29 @@ def write_config(tmp_path, **overrides):
     return path
 
 
-def edited_config(edit):
-    """A corruption of a JSON artifact: `edit` applied to the config object inside it."""
+def kill_after_step_1(run_dir):
+    """Leave `run_dir`'s progress.json as a run killed after step 1 of 2 leaves it."""
+    progress = json.loads((run_dir / "progress.json").read_text())
+    ledger = progress["ledger"]
+    for key in ("train_macs", "eval_macs", "train_iters"):
+        ledger[key] = {t: v for t, v in ledger[key].items() if t == "1"}
+    (run_dir / "progress.json").write_text(json.dumps(
+        {"done_through": 1, "records": progress["records"][:1], "ledger": ledger}
+    ))
+
+
+def edited(edit):
+    """A corruption of a JSON artifact: `edit` applied to its object."""
     def corrupt(raw):
         doc = json.loads(raw)
-        edit(doc["config"])
+        edit(doc)
         return json.dumps(doc).encode()
     return corrupt
+
+
+def edited_config(edit):
+    """A corruption of a JSON artifact: `edit` applied to the config object inside it."""
+    return edited(lambda doc: edit(doc["config"]))
 
 
 class TestGen:
@@ -204,13 +220,7 @@ class TestTrainEvalReport:
         run_dir = out / "sequential" / "seed_0"
         # a run killed after step 1: step-1 artifacts and a progress.json counting one step
         (run_dir / "step_002.ticc").unlink()
-        progress = json.loads((run_dir / "progress.json").read_text())
-        ledger = progress["ledger"]
-        for key in ("train_macs", "eval_macs", "train_iters"):
-            ledger[key] = {t: v for t, v in ledger[key].items() if t == "1"}
-        (run_dir / "progress.json").write_text(json.dumps(
-            {"done_through": 1, "records": progress["records"][:1], "ledger": ledger}
-        ))
+        kill_after_step_1(run_dir)
         trimmed = (run_dir / "progress.json").read_bytes()
         assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 2
         assert "step 2 is not trained" in capsys.readouterr().err
@@ -221,7 +231,15 @@ class TestTrainEvalReport:
     @pytest.mark.parametrize("corrupt", [
         lambda raw: raw[:20],  # truncated inside a string
         lambda raw: raw[:5] + b"\xff" + raw[6:],  # a byte that is not UTF-8
-    ], ids=["truncated", "not_utf8"])
+        # a progress.json that does not fit the 2-step run it stands for
+        *[edited(lambda doc, count=count: doc.update(done_through=count)) for count in (7, "2", -1, 2.0, True)],
+        edited(lambda doc: doc.update(done_through=1)),  # beside 2 records and a 2-step ledger
+        edited(lambda doc: doc.update(records={})),
+        edited(lambda doc: doc["ledger"]["train_macs"].pop("2")),
+        edited(lambda doc: doc.update(ledger=[])),
+    ], ids=["truncated", "not_utf8", "count_past_the_stream", "count_a_string", "count_negative", "count_a_float",
+            "count_a_bool", "count_short_of_the_records", "records_not_a_list", "ledger_short_of_the_count",
+            "ledger_not_an_object"])
     def test_corrupt_progress_is_exit_2_naming_the_file(self, trained, capsys, command, corrupt):
         cfg, data, out = trained
         progress = out / "sequential" / "seed_0" / "progress.json"
@@ -255,6 +273,30 @@ class TestTrainEvalReport:
                      "--method", "sequential", "--seed", "0", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and message in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("files", [
+        ["step_001.ticd"],
+        ["step_002.ticd", "step_001.ticd"],
+        ["step_001.ticd", "step_002.ticd", "step_002.ticd"],
+        None,  # the manifest is kept, and step 1's file is copied over step 2's
+    ], ids=["one_left_out", "reordered", "listed_twice", "copied_over"])
+    def test_stream_other_than_its_configs_steps_is_exit_2_naming_the_file(self, trained, tmp_path, capsys,
+                                                                           files, command):
+        cfg, data, out = trained
+        named = data / "stream_manifest.json"
+        if files is None:
+            named = data / "step_002.ticd"
+            named.write_bytes((data / "step_001.ticd").read_bytes())
+        else:
+            named.write_text(json.dumps({**json.loads(named.read_text()), "files": files}))
+        argv = {
+            "train": ["train", "--config", str(cfg), "--data", str(data),
+                      "--method", "sequential", "--seed", "0", "--out", str(tmp_path / "again")],
+            "eval": ["eval", "--run", str(out / "sequential" / "seed_0"), "--data", str(data)],
+        }[command]
+        assert main(argv) == 2
+        assert str(named) in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda cfg: cfg.update(lwf_lamda=0.5), "unknown field 'lwf_lamda'"),
@@ -294,8 +336,7 @@ class TestTrainEvalReport:
         run_dir = out / "sequential" / "seed_0"
         (run_dir / "step_001.ticc").write_bytes((out / "lwf" / "seed_0" / "step_001.ticc").read_bytes())
         if command == "train":  # a run killed after step 1 resumes from the step-1 checkpoint
-            progress = json.loads((run_dir / "progress.json").read_text())
-            (run_dir / "progress.json").write_text(json.dumps({**progress, "done_through": 1}))
+            kill_after_step_1(run_dir)
         argv = {
             "train": ["train", "--config", str(cfg), "--data", str(data),
                       "--method", "sequential", "--seed", "0", "--out", str(out)],
@@ -417,6 +458,21 @@ class TestRunAndIid:
         assert calls == []
         err = capsys.readouterr().err
         assert "split 4" in err and "per_step_train_size" in err
+
+    def test_iid_split_refuses_a_repeated_split_before_any_split_trains(self, tmp_path, capsys, monkeypatch):
+        stream = StreamConfig(
+            num_steps=1, per_step_train_size=32, per_step_eval_size=8,
+            image_dim=6, text_dim=5, latent_dim=4,
+            class_birth_schedule=(), drift_angle=0.0, noise_sigma=0.1,
+            static_class_count=3, seed=23,
+        )
+        cfg = write_config(tmp_path, stream=stream, total_iters=8)
+        calls = []
+        run_step = runner.run_step
+        monkeypatch.setattr(runner, "run_step", lambda *args: calls.append(args) or run_step(*args))
+        assert main(["iid-split", "--config", str(cfg), "--splits", "1,1,2"]) == 1
+        assert calls == []
+        assert "split 1 is listed twice" in capsys.readouterr().err
 
     def test_iid_split_on_drifting_stream_is_exit_1(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -1,4 +1,5 @@
 import ast
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,6 @@ from ticstream.datagen import StreamConfig, generate_stream
 from ticstream.errors import ConfigError, RunError
 from ticstream.methods import (
     METHOD_IDS,
-    StepContext,
     apply_patch,
     resolve_method,
     run_step,
@@ -17,6 +17,7 @@ from ticstream.methods import (
 )
 from ticstream.model import ModelDims, init_params
 from ticstream.numerics import Rng
+from ticstream.runner import ExperimentConfig
 from ticstream.schedule import BudgetLedger, ScheduleConfig, decay_start_iter, macs_per_iteration
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
@@ -24,26 +25,29 @@ PER_STEP_ITERS = 12
 BATCH = 8
 
 
+STREAM = StreamConfig(
+    num_steps=4, per_step_train_size=40, per_step_eval_size=10,
+    image_dim=6, text_dim=5, latent_dim=4,
+    class_birth_schedule=((1, 3),), drift_angle=0.3, noise_sigma=0.1,
+    static_class_count=1, seed=17,
+)
+
+# what `run_step` takes besides the step and its start: the config, the run's seed and its ledger
+Ctx = namedtuple("Ctx", "cfg seed ledger")
+
+
 @pytest.fixture(scope="module")
 def stream():
-    cfg = StreamConfig(
-        num_steps=4, per_step_train_size=40, per_step_eval_size=10,
-        image_dim=6, text_dim=5, latent_dim=4,
-        class_birth_schedule=((1, 3),), drift_angle=0.3, noise_sigma=0.1,
-        static_class_count=1, seed=17,
-    )
-    return generate_stream(cfg)
+    return generate_stream(STREAM)
 
 
-def make_ctx(seed=0, kind="warmup_cosine", per_step_iters=PER_STEP_ITERS, budget_mult=1.0):
-    sched = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=per_step_iters,
-                           warmup_iters=2, decay_fraction=0.5)
+def make_ctx(seed=0, kind="warmup_cosine", per_step_iters=PER_STEP_ITERS, budget_mult=1.0, lwf_lambda=1.0):
+    sched = ScheduleConfig(kind=kind, max_lr=1e-3, warmup_iters=2, decay_fraction=0.5)
+    cfg = ExperimentConfig(stream=STREAM, schedule=sched, methods=list(METHOD_IDS), seeds=[seed],
+                           total_iters=per_step_iters * STREAM.num_steps, batch_size=BATCH,
+                           hidden_dim=DIMS.hidden_dim, embed_dim=DIMS.embed_dim, lwf_lambda=lwf_lambda)
     budget = per_step_iters * macs_per_iteration(DIMS.layout, BATCH) * budget_mult
-    return StepContext(
-        seed=seed, dims=DIMS, batch_size=BATCH, per_step_iters=per_step_iters,
-        schedule=sched, per_step_size=40, lwf_lambda=1.0,
-        ledger=BudgetLedger(budget),
-    )
+    return Ctx(cfg, seed, BudgetLedger(budget))
 
 
 def run_through(method_id, stream, upto, ctx=None):
@@ -52,7 +56,7 @@ def run_through(method_id, stream, upto, ctx=None):
     deploy = carry = None
     out = []
     for t in range(1, upto + 1):
-        deploy, carry, rec = run_step(spec, stream[:t], deploy, carry, ctx)
+        deploy, carry, rec = run_step(spec, stream[:t], deploy, carry, *ctx)
         out.append((deploy, carry, rec))
     return out, ctx
 
@@ -197,7 +201,7 @@ class TestRunStepBasics:
     def test_missing_prev_checkpoint_rejected(self, stream):
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="requires the previous checkpoint"):
-            run_step(spec, stream[:2], None, None, make_ctx())
+            run_step(spec, stream[:2], None, None, *make_ctx())
 
     def test_restart_ignores_history(self, stream):
         # restart's step-2 model must not depend on the step-1 checkpoint
@@ -205,7 +209,7 @@ class TestRunStepBasics:
         spec = resolve_method("restart")
         ctx = make_ctx(budget_mult=2.0)
         fake_deploy, fake_carry, _ = run_through("sequential", stream, 1)[0][0]
-        deploy, *_ = run_step(spec, stream[:2], fake_deploy, fake_carry, ctx)
+        deploy, *_ = run_step(spec, stream[:2], fake_deploy, fake_carry, *ctx)
         assert flat_equal(deploy.params, out[1][0].params)
 
     def test_adam_state_reset_each_step(self, stream, monkeypatch):
@@ -290,7 +294,7 @@ class TestBudgets:
         ctx = make_ctx(budget_mult=0.5)
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="consumed"):
-            run_step(spec, stream[:1], None, None, ctx)
+            run_step(spec, stream[:1], None, None, *ctx)
 
 
 class TestLwfBehavior:
@@ -313,15 +317,13 @@ class TestLwfBehavior:
         assert flat_equal(lwf[0][0].params, seq[0][0].params)
 
     def test_zero_lambda_matches_sequential(self, stream):
-        ctx = make_ctx(budget_mult=1.2)
-        ctx.lwf_lambda = 0.0
+        ctx = make_ctx(budget_mult=1.2, lwf_lambda=0.0)
         lwf, _ = run_through("lwf", stream, 2, ctx)
         seq, _ = run_through("sequential", stream, 2)
         assert flat_equal(lwf[1][0].params, seq[1][0].params)
 
     def test_penalty_changes_solution(self, stream):
-        ctx = make_ctx(budget_mult=1.2)
-        ctx.lwf_lambda = 5.0
+        ctx = make_ctx(budget_mult=1.2, lwf_lambda=5.0)
         lwf, _ = run_through("lwf", stream, 2, ctx)
         seq, _ = run_through("sequential", stream, 2)
         assert not flat_equal(lwf[1][0].params, seq[1][0].params)
@@ -392,7 +394,7 @@ class TestSegmentsOwnTheirState:
         monkeypatch.setattr(methods, "train_minibatch", spy_minibatch)
         ctx = make_ctx(kind="const_cosine")
         out, _ = run_through("sequential", stream, 2, ctx)
-        d = decay_start_iter(ctx.schedule)
+        d = decay_start_iter(ctx.cfg.schedule.with_total(PER_STEP_ITERS))
         assert 0 < d < PER_STEP_ITERS and len(before_each) == 2 * PER_STEP_ITERS
         for t, (deploy, carry, _) in enumerate(out):
             assert np.array_equal(carry.params.vector, before_each[t * PER_STEP_ITERS + d])
@@ -405,7 +407,7 @@ class TestSegmentsOwnTheirState:
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):
         ctx = make_ctx(budget_mult=2.0)
         spec = resolve_method("patching")
-        deploy, carry, _ = run_step(spec, stream[:1], None, None, ctx)
+        deploy, carry, _ = run_step(spec, stream[:1], None, None, *ctx)
         before = deploy.params.vector.copy()
-        run_step(spec, stream[:2], deploy, carry, ctx)
+        run_step(spec, stream[:2], deploy, carry, *ctx)
         assert np.array_equal(deploy.params.vector, before)

@@ -214,7 +214,7 @@ class TestTrainMinibatch:
         params, state = self.make_state()
         imgs, txts = small_batch(1, n=4)
         before = params.vector.copy()
-        train_minibatch(params, imgs, txts, lr=0.0, **state)
+        train_minibatch(params, imgs, txts, 0.0, None, [], **state)
         assert np.array_equal(params.vector, before)
         assert state["adam"].step_count == 1
 
@@ -222,7 +222,7 @@ class TestTrainMinibatch:
         params, state = self.make_state()
         imgs, txts = small_batch(2, n=4)
         expected, grads = clip_loss_and_grads(params, imgs, txts)
-        rec = train_minibatch(params, imgs, txts, lr=1e-3, **state)
+        rec = train_minibatch(params, imgs, txts, 1e-3, None, [], **state)
         assert rec["loss"] == expected
         assert np.array_equal(state["grads"].vector, grads.vector)  # the step's gradients, where the caller put them
 
@@ -231,7 +231,7 @@ class TestTrainMinibatch:
         params.log_scale = np.log(99.999)
         imgs, txts = small_batch(3, n=4)
         for _ in range(20):
-            train_minibatch(params, imgs, txts, lr=0.5, **state)
+            train_minibatch(params, imgs, txts, 0.5, None, [], **state)
             assert np.exp(params.log_scale) <= 100.0 + 1e-12
 
     def test_loss_decreases_on_separable_toy_stream(self):
@@ -246,7 +246,7 @@ class TestTrainMinibatch:
             sub = rng.split("batch", it)
             imgs = protos_img + 0.05 * sub.split("ni").normal((8, DIMS.image_dim))
             txts = protos_txt + 0.05 * sub.split("nt").normal((8, DIMS.text_dim))
-            rec = train_minibatch(params, imgs, txts, lr=3e-3, **state)
+            rec = train_minibatch(params, imgs, txts, 3e-3, None, [], **state)
             loss = rec["loss"]
         assert loss < np.log(2)
 
@@ -264,7 +264,7 @@ class TestTrainMinibatch:
         want = start.vector.copy()
         ref = AdamState(adam.first_moment.copy(), adam.second_moment.copy(), adam.step_count)
         adam_step(want, grads.vector + pgrads.vector, ref, 1e-2)
-        rec = train_minibatch(params, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6), **state)
+        rec = train_minibatch(params, imgs, txts, 1e-2, teacher_targets(teacher, imgs, txts, 0.6), [], **state)
         named = zip(tensors(params), tensors(TwoTowerParams(want, params.layout)), tensors(start))
         for i, (got, want_t, before) in enumerate(named):
             assert rel_err(got - before, want_t - before) <= 1e-12, i
@@ -276,7 +276,7 @@ class TestTrainMinibatch:
         imgs, txts = small_batch(6, n=4)
         imgs[2, 1] = np.nan
         with pytest.raises(NumericError, match="iteration 41"):
-            train_minibatch(params, imgs, txts, lr=1e-3, **state)
+            train_minibatch(params, imgs, txts, 1e-3, None, [], **state)
 
 
 class TestWorkBuffers:

@@ -141,6 +141,17 @@ class TestConfig:
         d = tiny_config(tmp_path).dims
         assert (d.image_dim, d.text_dim, d.hidden_dim, d.embed_dim) == (6, 5, 8, 4)
 
+    def test_per_step_iters_is_the_floor_share_of_a_position(self, tmp_path):
+        def share(total_iters, num_steps, merge_first_k=1):
+            stream = dataclasses.replace(tiny_config(tmp_path).stream, num_steps=num_steps)
+            return tiny_config(tmp_path, stream=stream, total_iters=total_iters,
+                               merge_first_k=merge_first_k).per_step_iters
+
+        assert share(35000, 7) == share(20000, 4) == 5000  # the paper's scales
+        assert share(1234, 1) == 1234
+        assert share(20, 3) == 6
+        assert share(35000, 8, merge_first_k=2) == 5000  # the two merged steps are one position
+
 
 class TestRunMethodSeed:
     def run_once(self, tmp_path, method="sequential", sub="a"):

@@ -16,7 +16,6 @@ from ticstream.schedule import (
     forward_macs_per_sample,
     lr_at,
     macs_per_iteration,
-    per_step_iterations,
 )
 
 
@@ -102,15 +101,6 @@ class TestConstCosine:
         cfg = self.cfg(total=8)
         assert 8 - decay_start_iter(cfg) == 2
         cfg.validate()
-
-
-class TestIterationSplit:
-    def test_paper_scale_examples(self):
-        assert per_step_iterations(35000, 7) == 5000
-        assert per_step_iterations(20000, 4) == 5000
-
-    def test_single_step(self):
-        assert per_step_iterations(1234, 1) == 1234
 
 
 class TestMacs:
