@@ -161,11 +161,17 @@ def _draw_batch(cfg, alive, alive_latents, a, b, t, n, rng) -> RecordBatch:
     class_ids = alive[picks]
     protos = alive_latents[picks]
     # latent perturbation is shared between modalities (keeps the paired
-    # text retrievable); ambient noise is independent per modality
-    eps = rng.split("noise").normal((n, cfg.latent_dim))
-    latents = protos + cfg.noise_sigma * eps
-    images = latents @ a.T + cfg.noise_sigma * rng.split("img_noise").normal((n, cfg.image_dim))
-    texts = latents @ b.T + cfg.noise_sigma * rng.split("txt_noise").normal((n, cfg.text_dim))
+    # text retrievable); ambient noise is independent per modality. Each
+    # sum is taken in its noise draw's buffer: x += y gives y + x's bytes
+    latents = rng.split("noise").normal((n, cfg.latent_dim))
+    latents *= cfg.noise_sigma
+    latents += protos
+    images = rng.split("img_noise").normal((n, cfg.image_dim))
+    images *= cfg.noise_sigma
+    images += latents @ a.T
+    texts = rng.split("txt_noise").normal((n, cfg.text_dim))
+    texts *= cfg.noise_sigma
+    texts += latents @ b.T
     return RecordBatch(
         class_ids=class_ids,
         images=images,

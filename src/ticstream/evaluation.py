@@ -97,6 +97,24 @@ def retrieval_score(params: TwoTowerParams, batch: RecordBatch) -> float:
     return 0.5 * (float(np.mean(image_hits)) + float(np.mean(text_hits)))
 
 
+def _check_classes(batch: RecordBatch, prototype_ids: np.ndarray) -> None:
+    """A RunError unless `batch` holds records and a prototype for each of their classes."""
+    if len(batch) == 0:
+        raise RunError("empty query set")
+    known = np.isin(batch.class_ids, prototype_ids)
+    if not known.all():
+        missing = np.unique(batch.class_ids[~known]).tolist()
+        raise RunError(f"no prototype for classes {missing}")
+
+
+def _accuracy(params: TwoTowerParams, batch: RecordBatch, prototype_ids: np.ndarray, prototypes: np.ndarray) -> float:
+    """`zero_shot_accuracy` of a batch `_check_classes` passed."""
+    u = encode(params, batch.images, "image")
+    p = encode(params, prototypes, "text")
+    pred = prototype_ids[_top1(u, p)]
+    return float(np.mean(pred == batch.class_ids))
+
+
 def zero_shot_accuracy(
     params: TwoTowerParams,
     batch: RecordBatch,
@@ -104,17 +122,9 @@ def zero_shot_accuracy(
     prototypes: np.ndarray,
 ) -> float:
     """Classify images against text-side class prototypes by cosine."""
-    if len(batch) == 0:
-        raise RunError("empty query set")
     prototype_ids = np.asarray(prototype_ids)
-    known = np.isin(batch.class_ids, prototype_ids)
-    if not known.all():
-        missing = np.unique(batch.class_ids[~known]).tolist()
-        raise RunError(f"no prototype for classes {missing}")
-    u = encode(params, batch.images, "image")
-    p = encode(params, prototypes, "text")
-    pred = prototype_ids[_top1(u, p)]
-    return float(np.mean(pred == batch.class_ids))
+    _check_classes(batch, prototype_ids)
+    return _accuracy(params, batch, prototype_ids, prototypes)
 
 
 def build_performance_matrix(
@@ -125,18 +135,21 @@ def build_performance_matrix(
     """metrics.json's `retrieval` and `classification` objects: each task's T×T
     matrix as row-major `entries`, with its `summarize` means. Every retrieval
     cell is scored before any classification cell (scoring both per cell ran
-    slower), and each cell's forward passes are billed to the eval MACs of
-    its checkpoint's timestep."""
+    slower), each eval set's classes are checked once, before any cell, and
+    each cell's forward passes are billed to the eval MACs of its
+    checkpoint's timestep."""
     if len(params_per_step) != len(eval_sets):
         raise RunError(f"{len(params_per_step)} checkpoints vs {len(eval_sets)} eval sets")
     t = len(eval_sets)
     cells = [(params, own.timestep, ds) for params, own in zip(params_per_step, eval_sets) for ds in eval_sets]
+    for ds in eval_sets:
+        _check_classes(ds.eval_classification, ds.prototype_ids)
     retrieval, classification = [], []
     for params, timestep, ds in cells:
         retrieval.append(retrieval_score(params, ds.eval_retrieval))
         ledger.charge_eval(timestep, eval_macs(params.layout, 2 * len(ds.eval_retrieval)))
     for params, timestep, ds in cells:
-        classification.append(zero_shot_accuracy(params, ds.eval_classification, ds.prototype_ids, ds.prototypes))
+        classification.append(_accuracy(params, ds.eval_classification, ds.prototype_ids, ds.prototypes))
         ledger.charge_eval(timestep, eval_macs(params.layout, len(ds.eval_classification) + len(ds.prototype_ids)))
     return {task: {"T": t, "task": task, "metric": metric, "entries": entries, **summarize(np.reshape(entries, (t, t)))}
             for task, metric, entries in (("retrieval", "recall_at_1", retrieval),

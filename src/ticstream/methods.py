@@ -207,9 +207,8 @@ def run_step(
     plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
                       by_pos.current_count)
     rng = Rng(seed, 0).split("data", t)
-    old = sample_buffer(plan, seen, rng)
-    new = cur_train.take(rng.split("current").choice(len(cur_train), plan.current_count))
-    records = assemble_training_set([*old, new], rng)
+    current = (cur_train, rng.split("current").choice(len(cur_train), plan.current_count))
+    records = assemble_training_set([*sample_buffer(plan, seen, rng), current], rng)
 
     # schedule: one cycle per step, of as many budgets as the method spends
     # there (the from-scratch oracle: one per position)

@@ -4,7 +4,11 @@ seeded RNG.
 Everything here is double precision. `adam_step` updates the parameter
 vector and its `AdamState` in place; an `AdamState` lives for one step's
 training and is never saved, since every step restarts Adam. `Rng` advances
-its own state. Every other function is pure.
+its own state, and `_mix64_np` mixes the array it is given in place. Every
+other function is pure. Bulk normals are drawn `_NORMAL_BLOCK` Box-Muller
+pairs at a time, written straight into their output, so a draw holds little
+more than its output; the values are bit for bit those of one pass over all
+pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +21,9 @@ from .errors import NumericError, RunError
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# Box-Muller pairs `Rng.normal` makes at once: a block's few temporaries of
+# this many values stay far below the size of a bulk draw's output.
+_NORMAL_BLOCK = 1 << 13
 
 
 def _mix64(z: int) -> int:
@@ -28,10 +35,13 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_np(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 output mixing function, vectorized over uint64 arrays."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """SplitMix64 output mixing function, vectorized over a uint64 array, which it mixes in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def stream_key(*parts) -> int:
@@ -96,13 +106,38 @@ class Rng:
         return (self.u64(n) >> np.uint64(11)) * (2.0**-53)
 
     def normal(self, shape) -> np.ndarray:
-        """Standard normals via Box-Muller."""
+        """Standard normals via Box-Muller: of m = ceil(n / 2) pairs (u1, u2), the
+        first m values are r cos(2 pi u2) and the rest r sin(2 pi u2), with
+        r = sqrt(-2 log u1). u1 in (0, 1] and u2 in [0, 1) are counter-mode
+        draws from one base each, so the pairs are made `_NORMAL_BLOCK` at a
+        time straight into the output, bit for bit what all at once gives."""
         n = int(np.prod(shape)) if not isinstance(shape, int) else shape
         m = (n + 1) // 2
-        u1 = ((self.u64(m) >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)  # (0, 1]
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        out = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+        base1, base2 = np.uint64(self.next_u64()), np.uint64(self.next_u64())
+        out = np.empty(n)
+        for lo in range(0, m, _NORMAL_BLOCK):
+            hi = min(lo + _NORMAL_BLOCK, m)
+            ctr = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+            ctr *= np.uint64(_GAMMA)
+            z = _mix64_np(base1 + ctr)
+            z >>= np.uint64(11)
+            z += np.uint64(1)
+            r = z * (2.0**-53)  # u1
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            ctr += base2
+            z = _mix64_np(ctr)
+            z >>= np.uint64(11)
+            angle = z * (2.0**-53)  # u2
+            angle *= 2.0 * np.pi
+            cos = out[lo:hi]
+            np.cos(angle, out=cos)
+            cos *= r
+            k = min(hi, n - m) - lo  # an odd n drops the last sine
+            sin = out[m + lo : m + lo + k]
+            np.sin(angle[:k], out=sin)
+            sin *= r[:k]
         return out.reshape(shape) if not isinstance(shape, int) else out
 
     def permutation(self, n: int) -> np.ndarray:

@@ -5,13 +5,16 @@ everything, halve each old step's share every step (total old data D), split
 a size-D buffer equally across old steps, or replay nothing (`new_only`).
 The first three take at most D current records, `new_only` takes every one.
 A plan is made over stream positions, so merged early steps count as one;
-sampling names its sources by timestep, and is uniform without replacement
-and fully seeded.
+sampling names its sources by timestep, is uniform without replacement and
+fully seeded, and returns the drawn indices, not rows: assembly gathers
+each row once, straight into its shuffled place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .datagen import RecordBatch, TimestepDataset
 from .errors import RunError
@@ -91,10 +94,11 @@ def plan_replay(policy: BufferPolicy, per_step_size: int, sizes: list[int]) -> R
     return ReplayPlan(t, counts, current)
 
 
-def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -> list[RecordBatch]:
-    """Uniform without-replacement samples of old-step training data, one per source step."""
+def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -> list[tuple[RecordBatch, np.ndarray]]:
+    """Uniform without-replacement samples of old-step training data, one `(train split, drawn
+    indices)` per source step; `assemble_training_set` gathers the rows."""
     by_step = {d.timestep: d for d in datasets}
-    parts = []
+    sources = []
     for j in sorted(plan.per_source_counts):
         count = plan.per_source_counts[j]
         if count == 0:
@@ -102,13 +106,25 @@ def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -
         train = by_step[j].train
         if count > len(train):
             raise RunError(f"step {j}: plan wants {count} of {len(train)} records")
-        idx = rng.split("sample", j).choice(len(train), count)
-        parts.append(train.take(idx))
-    return parts
+        sources.append((train, rng.split("sample", j).choice(len(train), count)))
+    return sources
 
 
-def assemble_training_set(parts: list[RecordBatch], rng: Rng) -> RecordBatch:
-    """Concatenate and shuffle; epoch reshuffles use derived streams."""
-    merged = RecordBatch.concat(parts) if len(parts) > 1 else parts[0]
-    perm = rng.split("shuffle").permutation(len(merged))
-    return merged.take(perm)
+def assemble_training_set(sources: list[tuple[RecordBatch, np.ndarray]], rng: Rng) -> RecordBatch:
+    """The drawn rows of every `(batch, indices)` source, concatenated in order and shuffled by
+    `rng.split("shuffle")`; epoch reshuffles use derived streams. Each column is gathered once,
+    each row straight into its shuffled place, so besides the output only its index arrays and
+    one source's column at a time are held."""
+    n = sum(len(idx) for _, idx in sources)
+    # a row's place in the concatenation -> its place in the shuffled set
+    place = np.argsort(rng.split("shuffle").permutation(n))
+    columns = [f.name for f in fields(RecordBatch)]
+    first = sources[0][0]
+    out = RecordBatch(*(np.empty((n, *getattr(first, c).shape[1:]), getattr(first, c).dtype) for c in columns))
+    start = 0
+    for batch, idx in sources:
+        rows = place[start : start + len(idx)]
+        for c in columns:
+            getattr(out, c)[rows] = getattr(batch, c)[idx]
+        start += len(idx)
+    return out

@@ -30,7 +30,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -147,7 +146,8 @@ def reference_config(output_dir: str = ExperimentConfig.output_dir, seeds=(0, 1,
 
 
 def _static_holdout(datasets: list[TimestepDataset], static_count: int):
-    """Fixed never-drifting holdout: static-class records from the first step's eval split."""
+    """Fixed never-drifting holdout: static-class records from the first position's eval split,
+    which under `merge_first_k` > 1 is the merged first k steps'."""
     first = datasets[0]
     mask = first.eval_classification.class_ids < static_count
     if not mask.any():
@@ -331,6 +331,8 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
     job = functools.partial(run_method_seed, cfg, _prepare_datasets(cfg, data_dir))
     jobs = [(method, seed, out / method / f"seed_{seed}") for method in cfg.methods for seed in cfg.seeds]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as ex:
             list(ex.map(job, *zip(*jobs)))
     else:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from ticstream import datagen
+from ticstream import datagen, numerics, reference_config
 from ticstream.datagen import (
     StreamConfig,
     aggregate_early_steps,
@@ -182,11 +182,23 @@ PINNED_STREAM_SHA256 = {
 }
 
 
+# SHA-256 of step_001.ticd of the reference experiment's stream: its
+# 2048 x 32 image noise and every other training draw span several of
+# `Rng.normal`'s blocks, which no draw of make_cfg()'s stream does.
+PINNED_REFERENCE_STEP_SHA256 = "c6a1c9b4348a5464fc56652f79df8031f1ff70a4a37d3316b6ad1422b052617d"
+
+
 class TestTimestepFile:
     def test_stream_bytes_pinned(self, tmp_path):
         write_stream(generate_stream(make_cfg()), make_cfg(), tmp_path)
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.ticd")}
         assert digests == PINNED_STREAM_SHA256
+
+    def test_reference_step_bytes_pinned(self, tmp_path):
+        cfg = reference_config().stream
+        assert cfg.per_step_train_size * cfg.image_dim > 4 * numerics._NORMAL_BLOCK
+        write_timestep_file(generate_stream(cfg)[0], tmp_path / "step_001.ticd")
+        assert hashlib.sha256((tmp_path / "step_001.ticd").read_bytes()).hexdigest() == PINNED_REFERENCE_STEP_SHA256
 
     def test_round_trip_bit_exact(self, tmp_path):
         ds = generate_stream(make_cfg())[2]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -333,12 +335,32 @@ class TestPerformanceMatrix:
 
     def test_retrieval_cells_are_scored_before_classification_cells(self, small_stream, monkeypatch):
         calls = []
-        for name in ("retrieval_score", "zero_shot_accuracy"):
+        for name in ("retrieval_score", "_accuracy"):
             scorer = getattr(evaluation, name)
             monkeypatch.setattr(evaluation, name,
                                 lambda *args, name=name, scorer=scorer: calls.append(name) or scorer(*args))
         build_performance_matrix(self.make_params(3), small_stream, BudgetLedger(1000))
-        assert calls == ["retrieval_score"] * 9 + ["zero_shot_accuracy"] * 9
+        assert calls == ["retrieval_score"] * 9 + ["_accuracy"] * 9
+
+    def test_each_eval_sets_classes_are_checked_once(self, small_stream, monkeypatch):
+        checked, isin = [], np.isin
+        monkeypatch.setattr(evaluation.np, "isin", lambda a, b: checked.append(len(a)) or isin(a, b))
+        build_performance_matrix(self.make_params(3), small_stream, BudgetLedger(1000))
+        assert checked == [len(ds.eval_classification) for ds in small_stream]
+
+    @pytest.mark.parametrize("fault", ["missing_prototype", "empty_set"])
+    def test_bad_classification_set_is_refused_before_any_cell(self, small_stream, fault):
+        last = small_stream[2]
+        if fault == "missing_prototype":
+            bad = dataclasses.replace(last, prototype_ids=last.prototype_ids[:1], prototypes=last.prototypes[:1])
+            match = "no prototype for classes"
+        else:
+            bad = dataclasses.replace(last, eval_classification=last.eval_classification.take(np.arange(0)))
+            match = "empty query set"
+        ledger = BudgetLedger(1000)
+        with pytest.raises(RunError, match=match):
+            build_performance_matrix(self.make_params(3), [*small_stream[:2], bad], ledger)
+        assert ledger.eval_macs == {}
 
     def test_eval_billed_forward_only(self, small_stream):
         params = self.make_params(3)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ticstream import numerics
 from ticstream.errors import NumericError, RunError
 from ticstream.numerics import (
     ADAM_BETA1,
@@ -131,6 +134,21 @@ class TestFiniteDiff:
         assert np.array_equal(params, [0.1, -2.0, 7.5])
 
 
+BLOCK = numerics._NORMAL_BLOCK
+
+
+def normal_one_shot(rng, shape):
+    """Box-Muller over all of `Rng.normal`'s pairs at once, from the same two
+    counter-mode bases (u1's first): the values its block-wise draws must give."""
+    n = shape if isinstance(shape, int) else int(np.prod(shape))
+    m = (n + 1) // 2
+    u1 = ((rng.u64(m) >> np.uint64(11)) + np.uint64(1)) * (2.0**-53)  # (0, 1]
+    u2 = rng.uniform(m)
+    r = np.sqrt(-2.0 * np.log(u1))
+    out = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])[:n]
+    return out if isinstance(shape, int) else out.reshape(shape)
+
+
 class TestRng:
     def test_replay_identical_sequences(self):
         a = Rng(123, 45)
@@ -147,6 +165,25 @@ class TestRng:
     def test_uniform_range(self):
         u = Rng(4).uniform(10_000)
         assert u.min() >= 0 and u.max() < 1
+
+    @pytest.mark.parametrize("shape", [
+        0, 1, 2, 7, 2 * BLOCK - 2, 2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1, 2 * BLOCK + 2, 5 * BLOCK + 3,
+        (), (0, 4), (3, 5), (BLOCK - 1, 2), (BLOCK, 2), (BLOCK + 1, 2), (2 * BLOCK + 1,), (3, BLOCK + 1),
+    ])
+    def test_normal_equals_the_one_shot_formula(self, shape):
+        for seed in range(3):
+            got, want = Rng(seed, 5).normal(shape), normal_one_shot(Rng(seed, 5), shape)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_bulk_normal_peaks_within_its_output_plus_one_mib(self):
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            Rng(8).normal(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n + (1 << 20)
 
     def test_normal_moments(self):
         x = Rng(8).normal(100_000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,16 @@ from ticstream.replay import (
 
 def sizes(upto, each=1000):
     return [each] * upto
+
+
+def drawn(sources):
+    """The rows `sample_buffer`'s (batch, indices) sources name, in order."""
+    return RecordBatch.concat([batch.take(idx) for batch, idx in sources])
+
+
+def whole(batch):
+    """A source of every row of `batch`, in order."""
+    return batch, np.arange(len(batch))
 
 
 class TestPlanExp:
@@ -128,24 +140,24 @@ def stream():
 class TestSampling:
     def test_full_count_returns_entire_step(self, stream):
         plan = ReplayPlan(3, {1: 30, 2: 30}, 30)
-        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(0)))
+        out = drawn(sample_buffer(plan, stream, Rng(0)))
         assert len(out) == 60
         assert sorted(set(out.timesteps.tolist())) == [1, 2]
 
     def test_zero_count_skips_step(self, stream):
         plan = ReplayPlan(3, {1: 0, 2: 10}, 30)
-        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(0)))
+        out = drawn(sample_buffer(plan, stream, Rng(0)))
         assert np.all(out.timesteps == 2)
 
     def test_deterministic(self, stream):
         plan = ReplayPlan(4, {1: 5, 2: 7, 3: 9}, 30)
-        a = RecordBatch.concat(sample_buffer(plan, stream, Rng(3)))
-        b = RecordBatch.concat(sample_buffer(plan, stream, Rng(3)))
+        a = drawn(sample_buffer(plan, stream, Rng(3)))
+        b = drawn(sample_buffer(plan, stream, Rng(3)))
         assert np.array_equal(a.images, b.images)
 
     def test_no_duplicates_within_source(self, stream):
         plan = ReplayPlan(2, {1: 30}, 30)
-        out = RecordBatch.concat(sample_buffer(plan, stream, Rng(1)))
+        out = drawn(sample_buffer(plan, stream, Rng(1)))
         rows = {tuple(r) for r in out.images}
         assert len(rows) == 30
 
@@ -159,7 +171,7 @@ class TestAssemble:
     def test_multiset_preserved(self, stream):
         old = stream[0].train
         new = stream[1].train
-        out = assemble_training_set([old, new], Rng(9))
+        out = assemble_training_set([whole(old), whole(new)], Rng(9))
         assert len(out) == 60
         got = sorted(map(tuple, out.images))
         want = sorted(map(tuple, np.concatenate([old.images, new.images])))
@@ -167,10 +179,38 @@ class TestAssemble:
 
     def test_empty_old(self, stream):
         new = stream[1].train
-        out = assemble_training_set([stream[0].train.take(np.arange(0)), new], Rng(2))
+        out = assemble_training_set([whole(stream[0].train.take(np.arange(0))), whole(new)], Rng(2))
         assert len(out) == len(new)
 
     def test_same_seed_same_order(self, stream):
-        out1 = assemble_training_set([stream[0].train, stream[1].train], Rng(4))
-        out2 = assemble_training_set([stream[0].train, stream[1].train], Rng(4))
+        out1 = assemble_training_set([whole(stream[0].train), whole(stream[1].train)], Rng(4))
+        out2 = assemble_training_set([whole(stream[0].train), whole(stream[1].train)], Rng(4))
         assert np.array_equal(out1.images, out2.images)
+
+    def test_equals_concatenating_then_shuffling(self, stream):
+        sources = [(stream[0].train, np.array([4, 0, 29, 7])), whole(stream[1].train.take(np.arange(0))),
+                   (stream[2].train, Rng(1).choice(30, 17))]
+        out = assemble_training_set(sources, Rng(6))
+        want = drawn(sources).take(Rng(6).split("shuffle").permutation(21))
+        for name in ("class_ids", "images", "texts", "timesteps"):
+            got, ref = getattr(out, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_peaks_at_one_copy_of_its_output_plus_indices(self):
+        # five sources of 1024 drawn rows, as cumulative_equal assembles at position 5
+        rng = Rng(3)
+        sources = []
+        for t in range(1, 6):
+            batch = RecordBatch(np.zeros(2048, dtype=np.int64), rng.split("i", t).normal((2048, 32)),
+                                rng.split("t", t).normal((2048, 24)), np.full(2048, t, dtype=np.int64))
+            sources.append((batch, rng.split("pick", t).choice(2048, 1024)))
+        tracemalloc.start()
+        try:
+            out = assemble_training_set(sources, Rng(9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out_bytes = sum(getattr(out, c).nbytes for c in ("class_ids", "images", "texts", "timesteps"))
+        one_column_of_one_source = 1024 * 32 * 8
+        assert len(out) == 5 * 1024
+        assert peak <= out_bytes + 2 * 8 * len(out) + one_column_of_one_source

@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -401,6 +403,13 @@ class TestRunExperiment:
                 want = artifact_digests(sp.parent)
                 assert len(want) == 6  # two deploy and two carry checkpoints, progress and metrics
                 assert artifact_digests(pp.parent) == want, sp.parent
+
+    def test_a_serial_process_loads_no_pool(self):
+        code = ("import sys, ticstream, ticstream.cli, ticstream.runner; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_pool_workers_run_one_blas_thread(self, tmp_path, monkeypatch):
         calls = openblas_thread_calls()
