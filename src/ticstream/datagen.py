@@ -311,7 +311,7 @@ def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) ->
     names = [_step_file(ds.timestep) for ds in datasets]
     for ds, name in zip(datasets, names):
         write_timestep_file(ds, out / name)
-    write_json(mpath, {"num_steps": len(datasets), "config": cfg.to_json(), "files": names})
+    write_json(mpath, {"config": cfg.to_json(), "files": names})
     return mpath
 
 

@@ -6,9 +6,9 @@ records it takes), whether it distils from its previous model and whether
 its budget grows with the step. `METHOD_IDS` is the table's keys. A step
 is read off the stream it has seen, the steps up to and including it: its
 timestep is the last one's, its position their count, and its settings the
-experiment config's. One step = plan and assemble its data, run one training
-loop under the step's LR cycle, bill the run's ledger, hand back the deploy
-and carry checkpoints: a run's whole state between steps.
+experiment config's. One step = its training set from `replay`, one training
+loop under the step's LR cycle, the run's ledger billed, and its deploy and
+carry models handed back, unstamped: a run's whole state between steps.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from .datagen import TimestepDataset
 from .errors import ConfigError, RunError
 from .evaluation import retrieval_score
 from .model import (
-    Checkpoint,
     TwoTowerParams,
     init_params,
     teacher_targets,
     train_minibatch,
 )
 from .numerics import AdamState, Rng
-from .replay import BufferPolicy, ReplayPlan, assemble_training_set, plan_replay, sample_buffer
+from .replay import BufferPolicy, assemble_training_set, plan_replay, sample_buffer
 from .schedule import (
     LWF_TEACHER_SHARE,
     BudgetLedger,
@@ -169,19 +168,19 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
 def run_step(
     spec: MethodSpec,
     seen: list[TimestepDataset],
-    prev_deploy: Checkpoint | None,
-    prev_carry: Checkpoint | None,
+    prev_deploy: TwoTowerParams | None,
+    prev_carry: TwoTowerParams | None,
     cfg: ExperimentConfig,
     seed: int,
     ledger: BudgetLedger,
-) -> tuple[Checkpoint, Checkpoint, dict]:
+) -> tuple[TwoTowerParams, TwoTowerParams, dict]:
     """Execute the step that ends `seen`, the stream up to and including it, from the
-    previous step's deploy and carry checkpoints, billing `ledger`.
+    previous step's deploy and carry models, billing `ledger`.
 
     The step's timestep is `seen[-1].timestep` and its position `len(seen)`.
     Every setting is `cfg`'s, D (`cfg.stream.per_step_train_size`) and the
     iterations of one budget (`cfg.per_step_iters`) included; the run adds its seed.
-    Returns (deploy checkpoint, carry checkpoint, step record), the run's
+    Returns (deploy model, carry model, step record), the run's
     whole state for the next step. Under the const-cosine schedule the
     decayed branch is deployed and the pre-decay model is the carry;
     otherwise both are the trained model. `patching` deploys instead its
@@ -191,7 +190,7 @@ def run_step(
     """
     # "first step" means first position, as merged early steps start the
     # stream above timestep 1
-    t, pos, cur_train = seen[-1].timestep, len(seen), seen[-1].train
+    t, pos = seen[-1].timestep, len(seen)
     is_initial = pos == 1
     prev = prev_deploy if spec.init_source == "last_patched" else prev_carry
     if spec.init_source != "random" and not is_initial and prev is None:
@@ -199,16 +198,11 @@ def run_step(
 
     # initialization; the training loop copies what it starts from
     is_first = is_initial or spec.init_source == "random"
-    params = init_params(cfg.dims, Rng(seed, 0).split("init", t)) if is_first else prev.params
+    params = init_params(cfg.dims, Rng(seed, 0).split("init", t)) if is_first else prev
 
-    # data: the replay formulas index steps by position, so merged early steps
-    # count once; the plan, and the sampling keys, name sources by timestep
-    by_pos = plan_replay(spec.data_policy, cfg.stream.per_step_train_size, [len(d.train) for d in seen])
-    plan = ReplayPlan(t, {seen[q - 1].timestep: c for q, c in by_pos.per_source_counts.items()},
-                      by_pos.current_count)
+    plan = plan_replay(spec.data_policy, cfg.stream.per_step_train_size, seen)
     rng = Rng(seed, 0).split("data", t)
-    current = (cur_train, rng.split("current").choice(len(cur_train), plan.current_count))
-    records = assemble_training_set([*sample_buffer(plan, seen, rng), current], rng)
+    records = assemble_training_set(sample_buffer(plan, seen, rng), rng)
 
     # schedule: one cycle per step, of as many budgets as the method spends
     # there (the from-scratch oracle: one per position)
@@ -216,7 +210,7 @@ def run_step(
     sched = cfg.schedule.with_total(iters)
 
     # the teacher is frozen for the whole step: embed its pairs once
-    teacher = (teacher_targets(prev_carry.params, records.images, records.texts, cfg.lwf_lambda)
+    teacher = (teacher_targets(prev_carry, records.images, records.texts, cfg.lwf_lambda)
                if spec.uses_lwf and not is_initial else None)
     rng = Rng(seed, 0).split("trainloop", t)
     deploy, carry, losses = _train(params, records, sched, is_first, cfg.batch_size, rng, ledger, t,
@@ -234,8 +228,8 @@ def run_step(
     if spec.init_source == "last_patched":
         alpha = 1.0
         if not is_initial:
-            alpha = tune_patch_alpha(prev_deploy.params, deploy, seen[:-1], ledger, t)
+            alpha = tune_patch_alpha(prev_deploy, deploy, seen[:-1], ledger, t)
             # the deployable model is the patched one
-            deploy = apply_patch(prev_deploy.params, deploy, alpha)
+            deploy = apply_patch(prev_deploy, deploy, alpha)
         record["alpha"] = alpha
-    return Checkpoint(deploy, t, spec.id), Checkpoint(carry, t, spec.id), record
+    return deploy, carry, record

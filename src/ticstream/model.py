@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NumericError, RunError
+from .errors import ConfigError, FormatError, NumericError, RunError
 from .formats import Cursor, atomic_write
 from .numerics import AdamState, Rng, adam_step, l2_normalize_rows, row_norms
 
@@ -195,7 +195,7 @@ class TeacherTargets:
 def teacher_targets(teacher: TwoTowerParams, images: np.ndarray, texts: np.ndarray, lam: float) -> TeacherTargets:
     """Embed pairs with the teacher, for `train_minibatch`'s `lwf` argument."""
     if lam < 0:
-        raise ValueError("lambda must be >= 0")
+        raise ConfigError("lambda must be >= 0")
     return TeacherTargets(encode(teacher, images, "image"), encode(teacher, texts, "text"), teacher.log_scale, lam)
 
 
@@ -211,7 +211,7 @@ def _contrastive_step(params: TwoTowerParams, images, texts, grads: TwoTowerPara
     texts = np.asarray(texts, dtype=np.float64)
     n = images.shape[0]
     if n == 0:
-        raise ValueError("empty batch")
+        raise RunError("empty batch")
     if texts.shape[0] != n:
         raise RunError("image/text batch sizes differ")
     if teacher is not None and (teacher.images.shape[0] != n or teacher.texts.shape[0] != n):

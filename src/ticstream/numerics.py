@@ -146,7 +146,7 @@ class Rng:
     def choice(self, n: int, k: int) -> np.ndarray:
         """k distinct indices out of range(n)."""
         if k > n:
-            raise ValueError(f"cannot draw {k} distinct indices from {n}")
+            raise RunError(f"cannot draw {k} distinct indices from {n}")
         return self.permutation(n)[:k]
 
 
@@ -185,7 +185,7 @@ class AdamState:
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
     """One bias-corrected Adam update of `params` and `state`, in place."""
     if lr < 0:
-        raise ValueError("lr must be >= 0")
+        raise RunError("lr must be >= 0")
     if grads.shape != params.shape:
         raise RunError(f"grad shape {grads.shape} != param shape {params.shape}")
     state.step_count += 1
@@ -208,7 +208,7 @@ def finite_diff_grad(loss_fn, params: np.ndarray, h: float = 1e-5) -> np.ndarray
     Each coordinate of the vector `params` is perturbed in place and restored.
     """
     if h <= 0:
-        raise ValueError("h must be > 0")
+        raise RunError("h must be > 0")
     grads = np.zeros_like(params)
     for i in range(params.size):
         orig = params[i]

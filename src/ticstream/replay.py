@@ -1,13 +1,14 @@
 """Replay-buffer planning and training-set assembly.
 
-A method's training data is decided here alone. Four buffer policies: keep
-everything, halve each old step's share every step (total old data D), split
-a size-D buffer equally across old steps, or replay nothing (`new_only`).
-The first three take at most D current records, `new_only` takes every one.
-A plan is made over stream positions, so merged early steps count as one;
-sampling names its sources by timestep, is uniform without replacement and
-fully seeded, and returns the drawn indices, not rows: assembly gathers
-each row once, straight into its shuffled place.
+A method's training data is decided here alone: a step's whole training set
+is one `plan_replay`, `sample_buffer` and `assemble_training_set` call each.
+Four buffer policies: keep everything, halve each old step's share every step
+(total old data D), split a size-D buffer equally across old steps, or replay
+nothing (`new_only`). The first three take at most D current records,
+`new_only` takes every one. A plan is made over stream positions, so merged
+early steps count as one, and names its steps by timestep; sampling is uniform
+without replacement and fully seeded, and returns the drawn indices, not rows:
+assembly gathers each row once, straight into its shuffled place.
 """
 
 from __future__ import annotations
@@ -74,39 +75,40 @@ def _equal_counts(t: int, buffer_size: int) -> dict[int, int]:
     return {j: base + (1 if j <= remainder else 0) for j in range(1, t)}
 
 
-def plan_replay(policy: BufferPolicy, per_step_size: int, sizes: list[int]) -> ReplayPlan:
-    """Per-source sample counts for the step at position len(sizes) under the given buffer
-    policy, where sizes[p - 1] is the training-set size at position p; sources and the
-    current step are named by position."""
+def plan_replay(policy: BufferPolicy, per_step_size: int, seen: list[TimestepDataset]) -> ReplayPlan:
+    """Per-source sample counts under the given buffer policy for the step that ends `seen`, the
+    stream up to and including it. The formulas read position p's training-set size off
+    `seen[p - 1]`; the plan names the sources and the current step by timestep."""
+    sizes = [len(d.train) for d in seen]
     t = len(sizes)
-    if policy.kind == "new_only":
-        return ReplayPlan(t, {}, sizes[-1])
-    current = min(per_step_size, sizes[-1])
-    if t == 1:
-        return ReplayPlan(1, {}, current)
-    if policy.kind == "all":
+    if policy.kind == "new_only" or t == 1:
+        counts = {}
+    elif policy.kind == "all":
         counts = dict(enumerate(sizes[:-1], 1))
     elif policy.kind == "exp":
         counts = _exp_counts(t, per_step_size)
     else:
         counts = _equal_counts(t, per_step_size)
-    counts = {j: min(c, sizes[j - 1]) for j, c in counts.items()}
-    return ReplayPlan(t, counts, current)
+    current = sizes[-1] if policy.kind == "new_only" else min(per_step_size, sizes[-1])
+    return ReplayPlan(seen[-1].timestep, {seen[q - 1].timestep: min(c, sizes[q - 1]) for q, c in counts.items()},
+                      current)
 
 
-def sample_buffer(plan: ReplayPlan, datasets: list[TimestepDataset], rng: Rng) -> list[tuple[RecordBatch, np.ndarray]]:
-    """Uniform without-replacement samples of old-step training data, one `(train split, drawn
-    indices)` per source step; `assemble_training_set` gathers the rows."""
-    by_step = {d.timestep: d for d in datasets}
+def sample_buffer(plan: ReplayPlan, seen: list[TimestepDataset], rng: Rng) -> list[tuple[RecordBatch, np.ndarray]]:
+    """Uniform without-replacement draws for the step that ends `seen`, one `(train split, drawn
+    indices)` per source in stream order: each old step with a count, under `rng.split("sample", j)`,
+    then the current step, under `rng.split("current")`; `assemble_training_set` gathers the rows.
+    A plan naming a step outside `seen`, or more records than a step holds, is a RunError."""
+    *old, current = seen
+    if plan.current_step != current.timestep or not plan.per_source_counts.keys() <= {d.timestep for d in old}:
+        raise RunError(f"the plan for step {plan.current_step} names a step outside steps {[d.timestep for d in seen]}")
+    draws = [(d, plan.per_source_counts[d.timestep], rng.split("sample", d.timestep))
+             for d in old if plan.per_source_counts.get(d.timestep)]
     sources = []
-    for j in sorted(plan.per_source_counts):
-        count = plan.per_source_counts[j]
-        if count == 0:
-            continue
-        train = by_step[j].train
-        if count > len(train):
-            raise RunError(f"step {j}: plan wants {count} of {len(train)} records")
-        sources.append((train, rng.split("sample", j).choice(len(train), count)))
+    for d, count, key in [*draws, (current, plan.current_count, rng.split("current"))]:
+        if count > len(d.train):
+            raise RunError(f"step {d.timestep}: plan wants {count} of {len(d.train)} records")
+        sources.append((d.train, key.choice(len(d.train), count)))
     return sources
 
 

@@ -6,12 +6,15 @@ manifest.json, written before step 1, is the identity a resume must match.
 artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step; `score_run` scores a finished
 run's checkpoints and writes only metrics.json; both read progress.json through
-`_read_progress`. Every step runs under the run's config, seed and ledger, whose
-budget C, `ExperimentConfig.per_step_iters` iterations, `_fresh_ledger` alone
-counts from the config's model shape (`ModelDims.layout`). `run_experiment`
-reads the stream once and hands it, with the config, to every (method, seed)
-job, so a job in a process pool runs exactly what a serial one does (a pool
-worker pins OpenBLAS to one thread, which no artifact depends on);
+`_read_progress`; `train_run` alone stamps a step's models with their method and
+step, and `_load_own` alone checks the stamp. Every step runs under the run's
+config, seed and ledger, whose budget C, `ExperimentConfig.per_step_iters`
+iterations, `_fresh_ledger` alone counts from the config's model shape
+(`ModelDims.layout`). `run_experiment` reads the stored stream once (writing
+the config's first into a data directory without one) and hands it, with the
+config, to every (method, seed) job, so a job in a process pool runs exactly
+what a serial one does (a pool worker pins OpenBLAS to one thread, which no
+artifact depends on);
 `iid_split_experiment` likewise builds each split once and trains every seed on
 it, under a config of k steps. `ExperimentConfig.from_json` reads each field as
 its dataclass declares it (`formats.config_fields`), and
@@ -47,7 +50,7 @@ from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
 from .formats import atomic_write, check_types, config_fields, read_json, write_json
 from .methods import METHOD_IDS, resolve_method, run_step
-from .model import ModelDims, load_checkpoint, save_checkpoint
+from .model import Checkpoint, ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
@@ -161,11 +164,11 @@ def _checkpoint_paths(run_dir: Path, t: int) -> tuple[Path, Path]:  # deploy, co
     return run_dir / f"step_{t:03d}.ticc", run_dir / f"step_{t:03d}_carry.ticc"
 
 
-def _load_own(path: Path, method_id: str, t: int):  # refused unless `method_id` wrote it after step `t`
+def _load_own(path: Path, method_id: str, t: int):  # its model, refused unless `method_id` wrote it after step `t`
     ckpt = load_checkpoint(path)
     if (ckpt.method_id, ckpt.trained_through_step) != (method_id, t):
         raise RunError(f"{path}: {ckpt.method_id!r} step {ckpt.trained_through_step}, not {method_id!r} step {t}")
-    return ckpt
+    return ckpt.params
 
 
 def _identity(cfg: ExperimentConfig, method_id: str, seed: int) -> dict:  # manifest.json but its wall clock
@@ -176,6 +179,14 @@ def _identity(cfg: ExperimentConfig, method_id: str, seed: int) -> dict:  # mani
 def _fresh_ledger(cfg: ExperimentConfig) -> BudgetLedger:
     """A run's ledger before its first step: its budget C is `cfg.per_step_iters` iterations of `cfg.dims`."""
     return BudgetLedger(cfg.per_step_iters * macs_per_iteration(cfg.dims.layout, cfg.batch_size))
+
+
+def _read_ledger(path: Path, ledger) -> BudgetLedger:
+    """The `ledger` field of the JSON artifact at `path`; a malformed one is a RunError naming the file."""
+    try:
+        return BudgetLedger.from_json(ledger)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise RunError(f"{path}: malformed ledger: {exc!r}") from exc
 
 
 def _read_progress(cfg: ExperimentConfig, datasets: list[TimestepDataset], run_dir: Path):
@@ -190,10 +201,7 @@ def _read_progress(cfg: ExperimentConfig, datasets: list[TimestepDataset], run_d
         raise RunError(f"{path}: done_through {done!r} is not a step count in 0..{len(datasets)}")
     if not isinstance(records, list) or len(records) != done:
         raise RunError(f"{path}: records must be a list of {done} step records")
-    try:
-        ledger = BudgetLedger.from_json(progress["ledger"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise RunError(f"{path}: malformed ledger: {exc!r}") from exc
+    ledger = _read_ledger(path, progress["ledger"])
     trained = [d.timestep for d in datasets[:done]]
     if sorted(ledger.train_macs) != trained or sorted(ledger.train_iters) != trained:
         raise RunError(f"{path}: the ledger does not bill training to exactly steps {trained}")
@@ -229,11 +237,12 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
         carry = _load_own(carry_path, method_id, t) if own_carry else deploy
 
     for i in range(done, len(datasets)):
-        deploy_path, carry_path = _checkpoint_paths(run_dir, datasets[i].timestep)
+        t = datasets[i].timestep
+        deploy_path, carry_path = _checkpoint_paths(run_dir, t)
         deploy, carry, rec = run_step(spec, datasets[: i + 1], deploy, carry, cfg, seed, ledger)
-        save_checkpoint(deploy_path, deploy)
+        save_checkpoint(deploy_path, Checkpoint(deploy, t, method_id))
         if own_carry:
-            save_checkpoint(carry_path, carry)
+            save_checkpoint(carry_path, Checkpoint(carry, t, method_id))
         records.append(rec)
         write_json(run_dir / "progress.json", {"done_through": i + 1, "records": records, "ledger": ledger.to_json()})
 
@@ -247,8 +256,7 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
     if done < len(datasets):
         raise RunError(f"{run_dir}: unfinished run, step {datasets[done].timestep} is not trained")
     ledger.eval_macs = {}  # billed afresh
-    params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep).params
-                       for d in datasets]
+    params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep) for d in datasets]
     matrices = build_performance_matrix(params_per_step, datasets, ledger)
 
     static = _static_holdout(datasets, cfg.stream.static_class_count)
@@ -286,14 +294,12 @@ def _stored_datasets(cfg: ExperimentConfig, data_dir, *, train: bool = True) -> 
     return aggregate_early_steps(datasets, cfg.merge_first_k)
 
 
-def _prepare_datasets(cfg: ExperimentConfig, data_dir=None) -> list[TimestepDataset]:
-    """The stream in `data_dir`, or `cfg`'s stream generated (and written there) when it holds none."""
-    if data_dir is not None and (Path(data_dir) / "stream_manifest.json").exists():
-        return _stored_datasets(cfg, data_dir)
-    datasets = generate_stream(cfg.stream)
-    if data_dir is not None:
-        write_stream(datasets, cfg.stream, data_dir)
-    return aggregate_early_steps(datasets, cfg.merge_first_k)
+def _prepare_datasets(cfg: ExperimentConfig, data_dir) -> list[TimestepDataset]:
+    """The stream in `data_dir`, where `cfg`'s stream is first written when it holds none, so that
+    a run trains on its stream as stored, as every later run and `evaluate_run` read it."""
+    if not (Path(data_dir) / "stream_manifest.json").exists():
+        write_stream(generate_stream(cfg.stream), cfg.stream, data_dir)
+    return _stored_datasets(cfg, data_dir)
 
 
 def _one_blas_thread() -> None:
@@ -315,8 +321,8 @@ def _one_blas_thread() -> None:
 
 
 def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
-    """All (method, seed) runs; returns manifest paths. The stream is read (or generated and
-    written) once, here, and every job is `run_method_seed` on `cfg` and it: run in turn, or with
+    """All (method, seed) runs; returns manifest paths. The stored stream is read once, here (written
+    first when `data_dir` holds none), and every job is `run_method_seed` on `cfg` and it: run in turn, or with
     TIC_THREADS > 1 in a pool of that many processes, each pinned to one BLAS thread, which never
     read or write `data_dir`."""
     cfg.validate()
@@ -343,10 +349,14 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints and the stream in `data_dir`;
-    rewrites only metrics.json, and a missing stream or a malformed manifest.json config is an
-    error. Scoring reads eval splits only, so the stream is loaded without its training rows."""
+    rewrites only metrics.json, and a missing stream, a manifest.json of another artifact version or
+    a malformed config in it is an error. Scoring reads eval splits only, so the stream is loaded
+    without its training rows."""
     path = Path(run_dir) / "manifest.json"
-    manifest = read_json(path, "config", "method", "seed")
+    manifest = read_json(path, "artifact_version", "config", "method", "seed")
+    if manifest["artifact_version"] != ARTIFACT_VERSION:
+        raise RunError(f"{path}: field 'artifact_version' is {manifest['artifact_version']!r}, "
+                       f"not {ARTIFACT_VERSION}")
     try:
         cfg = ExperimentConfig.from_json(manifest["config"])
     except ConfigError as exc:
@@ -374,9 +384,9 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
             raise ConfigError(f"split {k}: per_step_train_size {cfg.stream.per_step_train_size} "
                               f"leaves a shard without a training record")
         split_cfg = split_cfgs[k] = replace(cfg, stream=replace(cfg.stream, num_steps=k), merge_first_k=1)
-        # each split's LR cycle, checked before any split trains
+        # each split's config, checked before any split trains
         try:
-            split_cfg.schedule.with_total(split_cfg.per_step_iters)
+            split_cfg.validate()
         except ConfigError as exc:
             raise ConfigError(f"split {k}: {exc}") from exc
     pool = generate_stream(replace(cfg.stream, num_steps=1))[0]
@@ -392,9 +402,7 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
             deploy = carry = None
             for t in range(1, k + 1):
                 deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, split_cfg, seed, ledger)
-            accs.append(zero_shot_accuracy(
-                deploy.params, pool.eval_classification, pool.prototype_ids, pool.prototypes
-            ))
+            accs.append(zero_shot_accuracy(deploy, pool.eval_classification, pool.prototype_ids, pool.prototypes))
         table[k] = float(np.mean(accs))
     return table
 
@@ -405,17 +413,20 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
 
 
 def emit_report(manifest_paths, out_path, fmt: str = "csv") -> Path:
-    """One row per (method, seed, task, metric) plus per-run MAC totals, from the metrics.json by each manifest."""
+    """One row per (method, seed, task, metric) plus per-run MAC totals, from the metrics.json by each manifest.
+    A metrics.json without one of the fields read, or with a malformed ledger, is a RunError naming the file;
+    the keys inside each matrix are not checked."""
     rows = []
     for mp in manifest_paths:
-        metrics = read_json(Path(mp).parent / "metrics.json", "method", "seed")
+        path = Path(mp).parent / "metrics.json"
+        metrics = read_json(path, "method", "seed", "retrieval", "classification", "static_final", "ledger")
         method, seed = metrics["method"], metrics["seed"]
         for task in ("retrieval", "classification"):
             m = metrics[task]
             rows += [[method, seed, task, k, m[k]] for k in ("in_domain", "backward", "forward") if m[k] is not None]
         if metrics["static_final"] is not None:
             rows.append([method, seed, "static", "static_final", metrics["static_final"]])
-        ledger = BudgetLedger.from_json(metrics["ledger"])
+        ledger = _read_ledger(path, metrics["ledger"])
         rows.append([method, seed, "compute", "train_macs_total", ledger.total_train_macs()])
         rows.append([method, seed, "compute", "eval_macs_total", ledger.total_eval_macs()])
     header = ["method", "seed", "task", "metric", "value"]

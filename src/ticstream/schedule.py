@@ -62,7 +62,7 @@ class ScheduleConfig:
 def lr_at(cfg: ScheduleConfig, it: int, is_first_step: bool = True) -> float:
     """Learning rate for iteration `it` (0-based) of a run of total_iters."""
     if not (0 <= it < cfg.total_iters):
-        raise IndexError(f"iteration {it} out of range [0, {cfg.total_iters})")
+        raise RunError(f"iteration {it} out of range [0, {cfg.total_iters})")
     w = cfg.warmup_iters if is_first_step else round(cfg.warmup_on_subsequent * cfg.warmup_iters)
     if it < w:
         return cfg.max_lr * (it + 1) / w

@@ -10,6 +10,7 @@ print to the pinned reference values in REFERENCE_FIGURES.
 import json
 import shutil
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -171,7 +172,8 @@ def test_criterion_02_loss_identities(report):
 
 
 def test_criterion_03_replay_plans(report):
-    avail = [10**6] * 11  # training-set size per position
+    # the stream as plan_replay reads it: each position's timestep and training-set size
+    avail = [SimpleNamespace(timestep=t, train=range(10**6)) for t in range(1, 12)]
     exp3 = plan_replay(BufferPolicy("exp"), 512, avail[:3]).per_source_counts
     exp4 = plan_replay(BufferPolicy("exp"), 512, avail[:4]).per_source_counts
     eq4 = plan_replay(BufferPolicy("equal"), 513, avail[:4]).per_source_counts

@@ -215,6 +215,19 @@ class TestTrainEvalReport:
         assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 0
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
 
+    def test_eval_refuses_a_manifest_of_another_artifact_version(self, trained, capsys):
+        # as a resume does (exit 1 there: `train` checks the manifest as the run's identity)
+        cfg, data, out = trained
+        manifest = out / "sequential" / "seed_0" / "manifest.json"
+        manifest.write_bytes(edited(lambda doc: doc.update(artifact_version=99))(manifest.read_bytes()))
+        before = {p.name: p.read_bytes() for p in manifest.parent.iterdir()}
+        assert main(["eval", "--run", str(manifest.parent), "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and "'artifact_version'" in err
+        assert {p.name: p.read_bytes() for p in manifest.parent.iterdir()} == before
+        assert main(["train", "--config", str(cfg), "--data", str(data),
+                     "--method", "sequential", "--seed", "0", "--out", str(out)]) == 1
+
     def test_eval_refuses_an_unfinished_run(self, trained, capsys):
         _, data, out = trained
         run_dir = out / "sequential" / "seed_0"
@@ -397,6 +410,14 @@ class TestTrainEvalReport:
         report = tmp_path / "report.csv"
         assert main(["report", "--runs", str(out), "--out", str(report)]) == 0
         assert report.read_text().startswith("method,seed,task,metric,value")
+
+    def test_report_names_the_file_and_the_field_it_cannot_read(self, trained, tmp_path, capsys):
+        _, _, out = trained
+        metrics = out / "sequential" / "seed_0" / "metrics.json"
+        metrics.write_bytes(edited(lambda doc: doc.pop("ledger"))(metrics.read_bytes()))
+        assert main(["report", "--runs", str(out), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(metrics) in err and "missing field 'ledger'" in err
 
     def test_report_without_manifests_is_exit_2(self, tmp_path):
         empty = tmp_path / "empty"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -300,6 +301,17 @@ class TestTimestepFile:
         assert len(back) == len(stream)
         for a, b in zip(stream, back):
             assert np.array_equal(a.train.images, b.train.images)
+
+    def test_stream_manifest_says_each_thing_once(self, tmp_path):
+        # the step count is the config's; a manifest written with its own copy still loads
+        cfg = make_cfg()
+        write_stream(generate_stream(cfg), cfg, tmp_path)
+        path = tmp_path / "stream_manifest.json"
+        manifest = json.loads(path.read_text())
+        assert set(manifest) == {"config", "files"}
+        path.write_text(json.dumps({**manifest, "num_steps": cfg.num_steps}))
+        back, back_cfg = load_stream(tmp_path)
+        assert back_cfg == cfg and [d.timestep for d in back] == list(range(1, cfg.num_steps + 1))
 
     def test_cut_off_rewrite_leaves_no_manifest(self, tmp_path, monkeypatch):
         # a stream B written over stream A and killed after its first step

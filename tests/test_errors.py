@@ -1,12 +1,28 @@
+import ast
 import importlib
 import inspect
 import pickle
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import ticstream
+from ticstream import errors
 from ticstream.errors import ConfigError, FormatError, NumericError, RunError, TicError
+
+PACKAGE_ERRORS = {name for name, obj in vars(errors).items() if inspect.isclass(obj) and issubclass(obj, TicError)}
+
+
+def foreign_raises(source: str) -> list[int]:
+    """The line of each `raise` in `source` that names no class of `ticstream.errors`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in PACKAGE_ERRORS):
+                found.append(node.lineno)
+    return found
 
 
 def test_every_exception_class_is_in_the_hierarchy():
@@ -40,3 +56,16 @@ def test_format_error_names_file_and_offset():
     assert str(exc) == "runs/lwf/seed_0/step_001.ticc: truncated file (byte offset 4354)"
     assert exc.offset == 4354
     assert pickle.loads(pickle.dumps(exc)).offset == 4354
+
+
+def test_scanner_finds_foreign_raises():
+    source = ('raise RunError("x")\nraise ValueError("x")\nraise KeyError\n'
+              'raise FormatError("x", 0, "p") from None\ntry:\n    pass\nexcept OSError:\n    raise\n')
+    assert foreign_raises(source) == [2, 3]
+
+
+def test_every_raise_names_a_package_error_class():
+    # the CLI picks its exit code by class, and a caller catches TicError: a builtin raised
+    # inside the package would be a runtime error whatever its cause, and escape that catch
+    for path in sorted(Path(ticstream.__file__).parent.glob("*.py")):
+        assert foreign_raises(path.read_text()) == [], path.name

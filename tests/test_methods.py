@@ -157,7 +157,7 @@ class TestTunePatchAlpha:
     def test_prefers_better_endpoint(self, stream):
         # a briefly trained model beats a fresh one on step-1 retrieval
         out, _ = run_through("sequential", stream, 1, make_ctx(per_step_iters=60))
-        trained = out[0][0].params
+        trained = out[0][0]
         fresh = init_params(DIMS, Rng(99))
         from ticstream.evaluation import retrieval_score
 
@@ -184,19 +184,19 @@ class TestRunStepBasics:
         a, _ = run_through("cumulative_exp", stream, 3)
         b, _ = run_through("cumulative_exp", stream, 3)
         for (da, *_), (db, *_) in zip(a, b):
-            assert flat_equal(da.params, db.params)
+            assert flat_equal(da, db)
 
     def test_first_step_identical_across_methods(self, stream):
         # at t=1 every method sees the same data, init, and rng keys
         ref, _ = run_through("sequential", stream, 1)
         for mid in METHOD_IDS:
             out, _ = run_through(mid, stream, 1)
-            assert flat_equal(out[0][0].params, ref[0][0].params), mid
+            assert flat_equal(out[0][0], ref[0][0]), mid
 
     def test_methods_diverge_at_second_step(self, stream):
         seq, _ = run_through("sequential", stream, 2)
         cum, _ = run_through("cumulative_all", stream, 2)
-        assert not flat_equal(seq[1][0].params, cum[1][0].params)
+        assert not flat_equal(seq[1][0], cum[1][0])
 
     def test_missing_prev_checkpoint_rejected(self, stream):
         spec = resolve_method("sequential")
@@ -210,7 +210,7 @@ class TestRunStepBasics:
         ctx = make_ctx(budget_mult=2.0)
         fake_deploy, fake_carry, _ = run_through("sequential", stream, 1)[0][0]
         deploy, *_ = run_step(spec, stream[:2], fake_deploy, fake_carry, *ctx)
-        assert flat_equal(deploy.params, out[1][0].params)
+        assert flat_equal(deploy, out[1][0])
 
     def test_adam_state_reset_each_step(self, stream, monkeypatch):
         # each step trains from an AdamState of its own, at zero when it
@@ -314,19 +314,19 @@ class TestLwfBehavior:
     def test_first_step_matches_sequential(self, stream):
         lwf, _ = run_through("lwf", stream, 1)
         seq, _ = run_through("sequential", stream, 1)
-        assert flat_equal(lwf[0][0].params, seq[0][0].params)
+        assert flat_equal(lwf[0][0], seq[0][0])
 
     def test_zero_lambda_matches_sequential(self, stream):
         ctx = make_ctx(budget_mult=1.2, lwf_lambda=0.0)
         lwf, _ = run_through("lwf", stream, 2, ctx)
         seq, _ = run_through("sequential", stream, 2)
-        assert flat_equal(lwf[1][0].params, seq[1][0].params)
+        assert flat_equal(lwf[1][0], seq[1][0])
 
     def test_penalty_changes_solution(self, stream):
         ctx = make_ctx(budget_mult=1.2, lwf_lambda=5.0)
         lwf, _ = run_through("lwf", stream, 2, ctx)
         seq, _ = run_through("sequential", stream, 2)
-        assert not flat_equal(lwf[1][0].params, seq[1][0].params)
+        assert not flat_equal(lwf[1][0], seq[1][0])
 
 
 class TestPatchingMethod:
@@ -336,11 +336,10 @@ class TestPatchingMethod:
         assert rec["alpha"] == 1.0
 
     def test_deploy_is_patched_model(self, stream):
-        # the patched model is deployed as a checkpoint of the step that trained it
+        # the patched model is deployed, and trained on from the next step
         out, _ = run_through("patching", stream, 2, make_ctx(budget_mult=2.0))
         deploy, carry, rec = out[1]
-        assert flat_equal(deploy.params, apply_patch(out[0][0].params, carry.params, rec["alpha"]))
-        assert (deploy.trained_through_step, deploy.method_id) == (2, "patching")
+        assert flat_equal(deploy, apply_patch(out[0][0], carry, rec["alpha"]))
         assert 0.0 <= rec["alpha"] <= 1.0
 
     def test_patched_equals_manual_interpolation(self, stream):
@@ -348,9 +347,9 @@ class TestPatchingMethod:
         # step 3 on is itself patched (alpha 0.9 at step 3 of this stream)
         out, _ = run_through("patching", stream, 4, make_ctx(budget_mult=2.0))
         for (prev_deploy, _, _), (deploy, carry, rec) in zip(out, out[1:]):
-            manual = apply_patch(prev_deploy.params, carry.params, rec["alpha"])
-            assert flat_equal(deploy.params, manual)
-        assert not flat_equal(out[2][0].params, out[2][1].params)
+            manual = apply_patch(prev_deploy, carry, rec["alpha"])
+            assert flat_equal(deploy, manual)
+        assert not flat_equal(out[2][0], out[2][1])
 
 
 class TestConstCosine:
@@ -358,7 +357,7 @@ class TestConstCosine:
         ctx = make_ctx(kind="const_cosine")
         out, _ = run_through("sequential", stream, 1, ctx)
         deploy, carry, *_ = out[0]
-        assert not flat_equal(deploy.params, carry.params)
+        assert not flat_equal(deploy, carry)
 
     def test_carry_feeds_next_step(self, stream):
         # the next step must warm-start from the pre-decay branch
@@ -369,7 +368,7 @@ class TestConstCosine:
     def test_warmup_cosine_deploy_equals_carry(self, stream):
         out, _ = run_through("sequential", stream, 1)
         deploy, carry, *_ = out[0]
-        assert flat_equal(deploy.params, carry.params)
+        assert flat_equal(deploy, carry)
 
 
 class TestSegmentsOwnTheirState:
@@ -397,10 +396,10 @@ class TestSegmentsOwnTheirState:
         d = decay_start_iter(ctx.cfg.schedule.with_total(PER_STEP_ITERS))
         assert 0 < d < PER_STEP_ITERS and len(before_each) == 2 * PER_STEP_ITERS
         for t, (deploy, carry, _) in enumerate(out):
-            assert np.array_equal(carry.params.vector, before_each[t * PER_STEP_ITERS + d])
-            assert not flat_equal(deploy.params, carry.params)
+            assert np.array_equal(carry.vector, before_each[t * PER_STEP_ITERS + d])
+            assert not flat_equal(deploy, carry)
         assert len(starts) == 2  # one loop per step
-        assert starts[1][0] is out[0][1].params  # step 2 starts from step 1's carry
+        assert starts[1][0] is out[0][1]  # step 2 starts from step 1's carry
         for params, before in starts:
             assert params.vector.tobytes() == before
 
@@ -408,6 +407,6 @@ class TestSegmentsOwnTheirState:
         ctx = make_ctx(budget_mult=2.0)
         spec = resolve_method("patching")
         deploy, carry, _ = run_step(spec, stream[:1], None, None, *ctx)
-        before = deploy.params.vector.copy()
+        before = deploy.vector.copy()
         run_step(spec, stream[:2], deploy, carry, *ctx)
-        assert np.array_equal(deploy.params.vector, before)
+        assert np.array_equal(deploy.vector, before)

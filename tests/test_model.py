@@ -18,7 +18,7 @@ from ticstream.model import (
     teacher_targets,
     train_minibatch,
 )
-from ticstream.errors import FormatError, NumericError
+from ticstream.errors import FormatError, NumericError, RunError
 from ticstream.numerics import AdamState, Rng, adam_step, finite_diff_grad
 
 DIMS = ModelDims(image_dim=6, text_dim=5, hidden_dim=8, embed_dim=4)
@@ -140,7 +140,7 @@ class TestClipLoss:
 
     def test_empty_batch_rejected(self):
         p = init_params(DIMS, Rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(RunError, match="empty batch"):
             clip_loss_and_grads(p, np.zeros((0, DIMS.image_dim)), np.zeros((0, DIMS.text_dim)))
 
 

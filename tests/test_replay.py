@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,8 +16,14 @@ from ticstream.replay import (
 )
 
 
+def seen(train_sizes, first=1):
+    """A stream up to and including position len(train_sizes), as `plan_replay` reads it: each
+    position's timestep, from `first` on, and its training-set size."""
+    return [SimpleNamespace(timestep=t, train=range(n)) for t, n in enumerate(train_sizes, first)]
+
+
 def sizes(upto, each=1000):
-    return [each] * upto
+    return seen([each] * upto)
 
 
 def drawn(sources):
@@ -57,7 +64,7 @@ class TestPlanExp:
                 assert nxt[j] == now[j] // 2 or nxt[j] == (now[j] + 1) // 2
 
     def test_capped_at_availability(self):
-        plan = plan_replay(BufferPolicy("exp"), 512, [100, 100, 100])
+        plan = plan_replay(BufferPolicy("exp"), 512, seen([100, 100, 100]))
         assert plan.per_source_counts == {1: 100, 2: 100}
         assert plan.current_count == 100
 
@@ -87,7 +94,7 @@ class TestPlanEqual:
 
 class TestPlanGeneral:
     def test_all_policy_takes_everything(self):
-        plan = plan_replay(BufferPolicy("all"), 512, [11, 22, 33])
+        plan = plan_replay(BufferPolicy("all"), 512, seen([11, 22, 33]))
         assert plan.per_source_counts == {1: 11, 2: 22}
         assert plan.current_count == 33
 
@@ -113,7 +120,7 @@ class TestPlanNewOnly:
         for t in range(1, 8):
             actual = [100 * j + 7 for j in range(1, t + 1)]
             for d in (1, 100, 513, 10_000):
-                plan = plan_replay(BufferPolicy("new_only"), d, actual)
+                plan = plan_replay(BufferPolicy("new_only"), d, seen(actual))
                 assert plan.per_source_counts == {}
                 assert plan.current_count == actual[-1]
 
@@ -121,9 +128,18 @@ class TestPlanNewOnly:
         # Today's rule for a first position (e.g. merged early steps) larger
         # than D: new_only trains on all of it, the replay policies on D.
         # ROADMAP item 3 Step A gives every method one first-position set.
-        assert plan_replay(BufferPolicy("new_only"), 1024, [2048]).current_count == 2048
+        assert plan_replay(BufferPolicy("new_only"), 1024, seen([2048])).current_count == 2048
         for kind in ("all", "exp", "equal"):
-            assert plan_replay(BufferPolicy(kind), 1024, [2048]).current_count == 1024
+            assert plan_replay(BufferPolicy(kind), 1024, seen([2048])).current_count == 1024
+
+
+class TestPlanNames:
+    def test_sources_by_timestep_formulas_by_position(self):
+        # merged early steps start the stream above timestep 1: position 1 is timestep 2
+        plan = plan_replay(BufferPolicy("exp"), 512, seen([1000, 1000, 1000], first=2))
+        assert (plan.current_step, plan.per_source_counts) == (4, {2: 256, 3: 256})
+        plan = plan_replay(BufferPolicy("all"), 512, seen([11, 22, 33], first=2))
+        assert (plan.current_step, plan.per_source_counts, plan.current_count) == (4, {2: 11, 3: 22}, 33)
 
 
 @pytest.fixture(scope="module")
@@ -140,14 +156,19 @@ def stream():
 class TestSampling:
     def test_full_count_returns_entire_step(self, stream):
         plan = ReplayPlan(3, {1: 30, 2: 30}, 30)
-        out = drawn(sample_buffer(plan, stream, Rng(0)))
-        assert len(out) == 60
-        assert sorted(set(out.timesteps.tolist())) == [1, 2]
+        sources = sample_buffer(plan, stream[:3], Rng(0))
+        old = drawn(sources[:-1])
+        assert len(old) == 60
+        assert sorted(set(old.timesteps.tolist())) == [1, 2]
+        # the current step's draw comes last, under its own key
+        assert sources[-1][0] is stream[2].train
+        assert np.array_equal(sources[-1][1], Rng(0).split("current").choice(30, 30))
 
     def test_zero_count_skips_step(self, stream):
         plan = ReplayPlan(3, {1: 0, 2: 10}, 30)
-        out = drawn(sample_buffer(plan, stream, Rng(0)))
-        assert np.all(out.timesteps == 2)
+        sources = sample_buffer(plan, stream[:3], Rng(0))
+        assert np.all(drawn(sources[:-1]).timesteps == 2)
+        assert [len(idx) for _, idx in sources] == [10, 30]
 
     def test_deterministic(self, stream):
         plan = ReplayPlan(4, {1: 5, 2: 7, 3: 9}, 30)
@@ -157,14 +178,20 @@ class TestSampling:
 
     def test_no_duplicates_within_source(self, stream):
         plan = ReplayPlan(2, {1: 30}, 30)
-        out = drawn(sample_buffer(plan, stream, Rng(1)))
+        out = drawn(sample_buffer(plan, stream[:2], Rng(1)))
         rows = {tuple(r) for r in out.images}
-        assert len(rows) == 30
+        assert len(rows) == 60
 
     def test_overdraw_rejected(self, stream):
-        plan = ReplayPlan(2, {1: 31}, 30)
-        with pytest.raises(RunError, match="plan wants 31 of 30"):
-            sample_buffer(plan, stream, Rng(0))
+        for plan in (ReplayPlan(2, {1: 31}, 30), ReplayPlan(2, {1: 30}, 31)):
+            with pytest.raises(RunError, match="plan wants 31 of 30"):
+                sample_buffer(plan, stream[:2], Rng(0))
+
+    def test_plan_naming_a_step_outside_the_stream_seen_is_refused(self, stream):
+        # a source after the current step, the current step as a source, another current step
+        for plan in (ReplayPlan(3, {4: 5}, 30), ReplayPlan(3, {3: 5}, 30), ReplayPlan(4, {1: 5}, 30)):
+            with pytest.raises(RunError, match="outside steps \\[1, 2, 3\\]"):
+                sample_buffer(plan, stream[:3], Rng(0))
 
 
 class TestAssemble:

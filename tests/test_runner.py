@@ -18,6 +18,7 @@ from ticstream import datagen, runner
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
+from ticstream.model import load_checkpoint
 from ticstream.numerics import Rng
 from ticstream.runner import (
     ExperimentConfig,
@@ -158,7 +159,7 @@ class TestConfig:
 class TestRunMethodSeed:
     def run_once(self, tmp_path, method="sequential", sub="a"):
         cfg = tiny_config(tmp_path / sub)
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         run_dir = tmp_path / sub / method / "seed_0"
         metrics = run_method_seed(cfg, datasets, method, 0, run_dir)
         return cfg, run_dir, metrics
@@ -209,7 +210,7 @@ class TestRunMethodSeed:
         schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
         # 16 iterations a step, so the decay branch moves the parameters
         cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         full_dir, part_dir = (tmp_path / sub / method / "seed_0" for sub in ("full", "part"))
         run_method_seed(cfg, datasets, method, 0, full_dir)
         # simulate a run killed after step 1: keep only step-1 artifacts
@@ -233,10 +234,23 @@ class TestRunMethodSeed:
         for name in compared:
             assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
+    def test_checkpoints_name_their_method_and_step(self, tmp_path):
+        # merged steps 1 and 2 are position 1: a checkpoint names the timestep it was trained through
+        schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
+        cfg = tiny_config(tmp_path, schedule=schedule, merge_first_k=2, total_iters=32)
+        run_dir = tmp_path / "patching" / "seed_0"
+        run_method_seed(cfg, _prepare_datasets(cfg, tmp_path / "data"), "patching", 0, run_dir)
+        for t in (2, 3):
+            for name in (f"step_{t:03d}.ticc", f"step_{t:03d}_carry.ticc"):
+                ckpt = load_checkpoint(run_dir / name)
+                assert (ckpt.trained_through_step, ckpt.method_id) == (t, "patching"), name
+        assert sorted(p.name for p in run_dir.glob("*.ticc")) == [
+            "step_002.ticc", "step_002_carry.ticc", "step_003.ticc", "step_003_carry.ticc"]
+
     def test_completed_run_is_not_retrained(self, tmp_path):
         cfg, run_dir, _ = self.run_once(tmp_path)
         before = (run_dir / "step_003.ticc").read_bytes()
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         run_method_seed(cfg, datasets, "sequential", 0, run_dir)
         assert (run_dir / "step_003.ticc").read_bytes() == before
 
@@ -290,7 +304,7 @@ class TestKilledRunResumes:
     def test_killed_at_any_write_resumes_bit_exactly(self, tmp_path, monkeypatch, method, kind, writes):
         schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
         cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         run_method_seed(cfg, datasets, method, 0, tmp_path / "full")
         want = self.artifacts(tmp_path / "full")
         kills = [("replace", n, stop_at(n)) for n in range(1, writes + 2)]
@@ -314,7 +328,7 @@ class TestKilledRunResumes:
         # another run than the uninterrupted one
         schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
         cfg = tiny_config(tmp_path, schedule=schedule, methods=["lwf"], total_iters=48)
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         run_dir = tmp_path / "run"
         with monkeypatch.context() as m:
             m.setattr(os, "replace", stop_at(5))  # manifest, step 1's two checkpoints and progress, then a kill
@@ -328,6 +342,27 @@ class TestKilledRunResumes:
 
 
 class TestRunExperiment:
+    def test_first_run_trains_on_the_stream_as_stored(self, tmp_path, monkeypatch):
+        # the run that writes the stream trains on what load_stream reads back, as every later run does
+        loaded, trained_on = [], []
+        real_load, real_step = runner.load_stream, runner.run_step
+
+        def load_stream(*args, **kwargs):
+            loaded.append(real_load(*args, **kwargs))
+            return loaded[-1]
+
+        def run_step(spec, seen, *rest):
+            trained_on.append(seen[-1].train)
+            return real_step(spec, seen, *rest)
+
+        monkeypatch.setattr(runner, "load_stream", load_stream)
+        monkeypatch.setattr(runner, "run_step", run_step)
+        cfg = tiny_config(tmp_path, methods=["sequential"])
+        run_experiment(cfg, tmp_path / "data")
+        assert len(loaded) == 1
+        assert len(trained_on) == cfg.stream.num_steps
+        assert all(got is ds.train for got, ds in zip(trained_on, loaded[0][0]))
+
     def test_all_pairs_run(self, tmp_path):
         cfg = tiny_config(tmp_path, seeds=[0, 1])
         manifests = run_experiment(cfg)
@@ -522,7 +557,7 @@ class TestTrainingBytesPinned:
             methods=[method], total_iters=48, batch_size=batch,
         )
         run_dir = tmp_path / method / "seed_0"
-        run_method_seed(cfg, _prepare_datasets(cfg), method, 0, run_dir)
+        run_method_seed(cfg, _prepare_datasets(cfg, Path(cfg.output_dir) / "data"), method, 0, run_dir)
         return artifact_digests(run_dir)
 
     @pytest.mark.parametrize("run", sorted(PINNED_TRAINING_SHA256))
@@ -595,6 +630,15 @@ class TestIidSplit:
         with pytest.raises(ConfigError):
             iid_split_experiment(self.make_cfg(tmp_path), splits=(3,))
 
+    @pytest.mark.parametrize("field", ["batch_size", "hidden_dim", "embed_dim"])
+    def test_checks_each_split_config_before_any_trains(self, tmp_path, monkeypatch, field):
+        # a config built in Python reaches the split experiment without `run_experiment`'s check
+        calls = []
+        monkeypatch.setattr(runner, "run_step", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError, match=f"split 1: .*{field}"):
+            iid_split_experiment(self.make_cfg(tmp_path, **{field: 0}), splits=(1, 2))
+        assert calls == []
+
 
 class TestReports:
     def test_csv_report(self, tmp_path):
@@ -623,20 +667,32 @@ class TestReports:
             emit_report([tmp_path / "manifest.json"], tmp_path / "r.csv")
         assert str(bad) in str(exc.value)
 
-    def test_metrics_missing_field(self, tmp_path):
+    # the keys inside the retrieval and classification matrices are not checked
+    @pytest.mark.parametrize("field", ["method", "seed", "retrieval", "classification", "static_final", "ledger"])
+    def test_metrics_missing_field(self, tmp_path, field):
         cfg = tiny_config(tmp_path)
         manifests = run_experiment(cfg)
         path = manifests[0].parent / "metrics.json"
         metrics = json.loads(path.read_text())
-        del metrics["method"]
+        del metrics[field]
         path.write_text(json.dumps(metrics))
-        with pytest.raises(RunError, match="missing field 'method'") as exc:
+        with pytest.raises(RunError, match=f"missing field '{field}'") as exc:
+            emit_report(manifests, tmp_path / "r.csv")
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("ledger", [[], {"budget_c_macs": 1.0}, {"budget_c_macs": 1.0, "train_macs": 5,
+                                                                      "eval_macs": {}, "train_iters": {}}])
+    def test_metrics_malformed_ledger(self, tmp_path, ledger):
+        manifests = run_experiment(tiny_config(tmp_path))
+        path = manifests[0].parent / "metrics.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "ledger": ledger}))
+        with pytest.raises(RunError, match="malformed ledger") as exc:
             emit_report(manifests, tmp_path / "r.csv")
         assert str(path) in str(exc.value)
 
     def test_report_covers_scored_runs_only(self, tmp_path, monkeypatch):
         cfg = tiny_config(tmp_path / "runs")
-        datasets = _prepare_datasets(cfg)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
         run_method_seed(cfg, datasets, "sequential", 0, tmp_path / "runs" / "finished")
         # killed at its 4th write, the step-2 checkpoint: manifest.json, step 1 and progress.json are on disk
         with monkeypatch.context() as m:

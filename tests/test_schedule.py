@@ -57,9 +57,9 @@ class TestWarmupCosine:
         assert lr_at(cfg, 9, is_first_step=False) == pytest.approx(1e-2)
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(RunError, match="out of range"):
             lr_at(wc(), 1000)
-        with pytest.raises(IndexError):
+        with pytest.raises(RunError, match="out of range"):
             lr_at(wc(), -1)
 
 
