@@ -7,8 +7,8 @@ its budget grows with the step. `METHOD_IDS` is the table's keys. A step
 is read off the stream it has seen, the steps up to and including it: its
 timestep is the last one's, its position their count, and its settings the
 experiment config's. One step = its training set from `replay`, one training
-loop under the step's LR cycle, the run's ledger billed, and its deploy and
-carry models handed back, unstamped: a run's whole state between steps.
+loop under the step's LR cycle, the run's ledger billed, and its deploy model
+and its next step's start model, a run's whole state between steps, handed back unstamped.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class MethodSpec:
     id: str
     init_source: str  # "random" | "last_checkpoint" | "last_patched"
     data_policy: BufferPolicy  # plans the step's training data, old and current
-    uses_lwf: bool = False  # distil from the previous carry from position 2 on
+    uses_lwf: bool = False  # distil from the step's start model from position 2 on
     budgets_grow: bool = False  # position p trains one fresh cycle of p budgets
 
     def budgets_at(self, pos: int) -> int:
@@ -168,31 +168,29 @@ def _train(params, records, sched, is_first, batch_size, rng, ledger, t, teacher
 def run_step(
     spec: MethodSpec,
     seen: list[TimestepDataset],
-    prev_deploy: TwoTowerParams | None,
-    prev_carry: TwoTowerParams | None,
+    prev: TwoTowerParams | None,
     cfg: ExperimentConfig,
     seed: int,
     ledger: BudgetLedger,
-) -> tuple[TwoTowerParams, TwoTowerParams, dict]:
-    """Execute the step that ends `seen`, the stream up to and including it, from the
-    previous step's deploy and carry models, billing `ledger`.
+) -> tuple[TwoTowerParams, TwoTowerParams | None, dict]:
+    """Execute the step that ends `seen`, the stream up to and including it, from
+    `prev`, the model the previous step handed on, billing `ledger`.
 
     The step's timestep is `seen[-1].timestep` and its position `len(seen)`.
     Every setting is `cfg`'s, D (`cfg.stream.per_step_train_size`) and the
     iterations of one budget (`cfg.per_step_iters`) included; the run adds its seed.
-    Returns (deploy model, carry model, step record), the run's
-    whole state for the next step. Under the const-cosine schedule the
-    decayed branch is deployed and the pre-decay model is the carry;
-    otherwise both are the trained model. `patching` deploys instead its
-    interpolation of the previous deploy model and the trained one, with the
-    alpha in the record, and warm-starts from the previous deploy model; every
-    other warm start, and the `lwf` teacher, use the previous carry.
+    `prev` is the warm start, the `lwf` teacher and `patching`'s base for its
+    alpha mix; a random-init method ignores it. Returns (deploy model, start
+    model, step record). The deployed model is the decayed branch under
+    const-cosine, else the trained model; `patching` deploys instead its mix of
+    `prev` and that model, with the alpha in the record. The start model, which
+    the next step starts from, is None under random init, the deployed model
+    for `last_patched`, and otherwise the carry: const-cosine's pre-decay model.
     """
     # "first step" means first position, as merged early steps start the
     # stream above timestep 1
     t, pos = seen[-1].timestep, len(seen)
     is_initial = pos == 1
-    prev = prev_deploy if spec.init_source == "last_patched" else prev_carry
     if spec.init_source != "random" and not is_initial and prev is None:
         raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
 
@@ -210,10 +208,10 @@ def run_step(
     sched = cfg.schedule.with_total(iters)
 
     # the teacher is frozen for the whole step: embed its pairs once
-    teacher = (teacher_targets(prev_carry, records.images, records.texts, cfg.lwf_lambda)
+    teacher = (teacher_targets(prev, records.images, records.texts, cfg.lwf_lambda)
                if spec.uses_lwf and not is_initial else None)
     rng = Rng(seed, 0).split("trainloop", t)
-    deploy, carry, losses = _train(params, records, sched, is_first, cfg.batch_size, rng, ledger, t,
+    deploy, start, losses = _train(params, records, sched, is_first, cfg.batch_size, rng, ledger, t,
                                    teacher, spec.iteration_cost_at(pos))
     ledger.assert_within(t, spec.compute_multiplier_at(pos))
 
@@ -228,8 +226,9 @@ def run_step(
     if spec.init_source == "last_patched":
         alpha = 1.0
         if not is_initial:
-            alpha = tune_patch_alpha(prev_deploy, deploy, seen[:-1], ledger, t)
+            alpha = tune_patch_alpha(prev, deploy, seen[:-1], ledger, t)
             # the deployable model is the patched one
-            deploy = apply_patch(prev_deploy, deploy, alpha)
+            deploy = apply_patch(prev, deploy, alpha)
         record["alpha"] = alpha
-    return deploy, carry, record
+        start = deploy
+    return deploy, None if spec.init_source == "random" else start, record

@@ -4,7 +4,8 @@ Every run is a (method, seed) pair owning one output directory, whose
 manifest.json, written before step 1, is the identity a resume must match.
 `train_run` keys all randomness by (seed, step, purpose) and writes each
 artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
-bit-identically from its last finished step; `score_run` scores a finished
+bit-identically from its last finished step and the one model the next step
+starts from, its whole state between steps; `score_run` scores a finished
 run's checkpoints and writes only metrics.json; both read progress.json through
 `_read_progress`; `train_run` alone stamps a step's models with their method and
 step, and `_load_own` alone checks the stamp. Every step runs under the run's
@@ -14,7 +15,7 @@ iterations, `_fresh_ledger` alone counts from the config's model shape
 the config's first into a data directory without one) and hands it, with the
 config, to every (method, seed) job, so a job in a process pool runs exactly
 what a serial one does (a pool worker pins OpenBLAS to one thread, which no
-artifact depends on);
+artifact depends on, and dies with the run's process);
 `iid_split_experiment` likewise builds each split once and trains every seed on
 it, under a config of k steps. `ExperimentConfig.from_json` reads each field as
 its dataclass declares it (`formats.config_fields`), and
@@ -32,6 +33,7 @@ import functools
 import io
 import json
 import os
+import signal
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -226,23 +228,23 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
                 raise ConfigError(f"{run_dir}: resumed under another {key} than its manifest.json records")
     done, records, ledger = _read_progress(cfg, datasets, run_dir)
 
-    # a run's state between steps is its last finished step's deploy and carry checkpoints; the
-    # carry has a file of its own only under const_cosine, where it is not the deployed model
-    own_carry = cfg.schedule.kind == "const_cosine"
-    deploy = carry = None
-    if 0 < done < len(datasets):
+    # a run's state between steps is the one model its next step starts from (`run_step`). It has a
+    # file of its own, the carry, only under const_cosine for a `last_checkpoint` method, and never
+    # after the last step; a resume loads that file, else the deploy file, and none under random init
+    own_carry = cfg.schedule.kind == "const_cosine" and spec.init_source == "last_checkpoint"
+    start = None
+    if 0 < done < len(datasets) and spec.init_source != "random":
         t = datasets[done - 1].timestep
         deploy_path, carry_path = _checkpoint_paths(run_dir, t)
-        deploy = _load_own(deploy_path, method_id, t)
-        carry = _load_own(carry_path, method_id, t) if own_carry else deploy
+        start = _load_own(carry_path if own_carry else deploy_path, method_id, t)
 
     for i in range(done, len(datasets)):
         t = datasets[i].timestep
         deploy_path, carry_path = _checkpoint_paths(run_dir, t)
-        deploy, carry, rec = run_step(spec, datasets[: i + 1], deploy, carry, cfg, seed, ledger)
+        deploy, start, rec = run_step(spec, datasets[: i + 1], start, cfg, seed, ledger)
         save_checkpoint(deploy_path, Checkpoint(deploy, t, method_id))
-        if own_carry:
-            save_checkpoint(carry_path, Checkpoint(carry, t, method_id))
+        if own_carry and i + 1 < len(datasets):
+            save_checkpoint(carry_path, Checkpoint(start, t, method_id))
         records.append(rec)
         write_json(run_dir / "progress.json", {"done_through": i + 1, "records": records, "ledger": ledger.to_json()})
 
@@ -302,11 +304,20 @@ def _prepare_datasets(cfg: ExperimentConfig, data_dir) -> list[TimestepDataset]:
     return _stored_datasets(cfg, data_dir)
 
 
-def _one_blas_thread() -> None:
-    """A pool worker's initializer: pin the loaded OpenBLAS to one thread, so that N workers
-    share the cores instead of each running a thread per core. The library is found through
-    /proc/self/maps; without /proc, or without numpy's bundled symbol, nothing is pinned.
-    Artifacts do not depend on BLAS threads, so a pooled run still writes a serial one's bytes."""
+def _init_worker(parent: int) -> None:
+    """A pool worker's initializer. The worker, forked from the run's process `parent`, asks the
+    kernel through libc's prctl to SIGKILL it when that process dies, and exits if it has already
+    died, so that a killed run leaves no worker behind to train on; without prctl it does neither.
+    Then it pins the loaded OpenBLAS to one thread, so that N workers share the cores instead of
+    each running a thread per core. The library is found through /proc/self/maps; without /proc,
+    or without numpy's bundled symbol, nothing is pinned. Artifacts do not depend on BLAS threads,
+    so a pooled run still writes a serial one's bytes."""
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(1)
     try:
         with open("/proc/self/maps") as f:
             libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
@@ -323,8 +334,8 @@ def _one_blas_thread() -> None:
 def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
     """All (method, seed) runs; returns manifest paths. The stored stream is read once, here (written
     first when `data_dir` holds none), and every job is `run_method_seed` on `cfg` and it: run in turn, or with
-    TIC_THREADS > 1 in a pool of that many processes, each pinned to one BLAS thread, which never
-    read or write `data_dir`."""
+    TIC_THREADS > 1 in a pool of that many processes forked from this one, each pinned to one BLAS
+    thread and killed when this process dies, which never read or write `data_dir`."""
     cfg.validate()
     threads = os.environ.get("TIC_THREADS", "1")
     workers = int(threads) if threads.isdecimal() else 0
@@ -338,8 +349,10 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
     jobs = [(method, seed, out / method / f"seed_{seed}") for method in cfg.methods for seed in cfg.seeds]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # a serial run loads no pool
+        from multiprocessing import get_context
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as ex:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("fork"),
+                                 initializer=_init_worker, initargs=(os.getpid(),)) as ex:
             list(ex.map(job, *zip(*jobs)))
     else:
         for method, seed, run_dir in jobs:
@@ -399,9 +412,9 @@ def iid_split_experiment(cfg: ExperimentConfig, splits=(1, 2, 4, 8)) -> dict:
                     for t in range(1, k + 1)]
         for seed in cfg.seeds:
             ledger = _fresh_ledger(split_cfg)
-            deploy = carry = None
+            start = None
             for t in range(1, k + 1):
-                deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, split_cfg, seed, ledger)
+                deploy, start, _ = run_step(spec, datasets[:t], start, split_cfg, seed, ledger)
             accs.append(zero_shot_accuracy(deploy, pool.eval_classification, pool.prototype_ids, pool.prototypes))
         table[k] = float(np.mean(accs))
     return table

@@ -217,9 +217,9 @@ def test_criterion_04_budget_ledger_t7(report):
     for method in ("oracle", "sequential", "cumulative_all", "lwf"):
         ledger = BudgetLedger(c)
         spec = resolve_method(method)
-        deploy = carry = None
+        start = None
         for t in range(1, 8):
-            deploy, carry, _ = run_step(spec, datasets[:t], deploy, carry, exp_cfg, 0, ledger)
+            _, start, _ = run_step(spec, datasets[:t], start, exp_cfg, 0, ledger)
         totals[method] = ledger.total_train_macs()
 
     oracle_ok = int(totals["oracle"]) == 28 * c and totals["oracle"] == int(totals["oracle"])

@@ -51,14 +51,28 @@ def make_ctx(seed=0, kind="warmup_cosine", per_step_iters=PER_STEP_ITERS, budget
 
 
 def run_through(method_id, stream, upto, ctx=None):
+    """Each step's (deploy, start, record), every step starting from the previous one's start model."""
     spec = resolve_method(method_id)
     ctx = ctx or make_ctx()
-    deploy = carry = None
+    start = None
     out = []
     for t in range(1, upto + 1):
-        deploy, carry, rec = run_step(spec, stream[:t], deploy, carry, *ctx)
-        out.append((deploy, carry, rec))
+        deploy, start, rec = run_step(spec, stream[:t], start, *ctx)
+        out.append((deploy, start, rec))
     return out, ctx
+
+
+def spy_trained(monkeypatch):
+    """The list that each step's trained (deploy, carry) pair, before any patch, is appended to."""
+    trained, train = [], methods._train
+
+    def spy(*args):
+        out = train(*args)
+        trained.append(out[:2])
+        return out
+
+    monkeypatch.setattr(methods, "_train", spy)
+    return trained
 
 
 def flat_equal(a, b):
@@ -201,15 +215,15 @@ class TestRunStepBasics:
     def test_missing_prev_checkpoint_rejected(self, stream):
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="requires the previous checkpoint"):
-            run_step(spec, stream[:2], None, None, *make_ctx())
+            run_step(spec, stream[:2], None, *make_ctx())
 
     def test_restart_ignores_history(self, stream):
         # restart's step-2 model must not depend on the step-1 checkpoint
         out, _ = run_through("restart", stream, 2)
         spec = resolve_method("restart")
         ctx = make_ctx(budget_mult=2.0)
-        fake_deploy, fake_carry, _ = run_through("sequential", stream, 1)[0][0]
-        deploy, *_ = run_step(spec, stream[:2], fake_deploy, fake_carry, *ctx)
+        fake, _, _ = run_through("sequential", stream, 1)[0][0]
+        deploy, *_ = run_step(spec, stream[:2], fake, *ctx)
         assert flat_equal(deploy, out[1][0])
 
     def test_adam_state_reset_each_step(self, stream, monkeypatch):
@@ -294,7 +308,7 @@ class TestBudgets:
         ctx = make_ctx(budget_mult=0.5)
         spec = resolve_method("sequential")
         with pytest.raises(RunError, match="consumed"):
-            run_step(spec, stream[:1], None, None, *ctx)
+            run_step(spec, stream[:1], None, *ctx)
 
 
 class TestLwfBehavior:
@@ -335,21 +349,25 @@ class TestPatchingMethod:
         _, _, rec = out[0]
         assert rec["alpha"] == 1.0
 
-    def test_deploy_is_patched_model(self, stream):
+    def test_deploy_is_patched_model(self, stream, monkeypatch):
         # the patched model is deployed, and trained on from the next step
+        trained = spy_trained(monkeypatch)
         out, _ = run_through("patching", stream, 2, make_ctx(budget_mult=2.0))
-        deploy, carry, rec = out[1]
-        assert flat_equal(deploy, apply_patch(out[0][0], carry, rec["alpha"]))
+        deploy, start, rec = out[1]
+        assert flat_equal(deploy, apply_patch(out[0][0], trained[1][0], rec["alpha"]))
+        assert start is deploy
         assert 0.0 <= rec["alpha"] <= 1.0
 
-    def test_patched_equals_manual_interpolation(self, stream):
+    def test_patched_equals_manual_interpolation(self, stream, monkeypatch):
         # each step interpolates against the previous deploy model, which from
         # step 3 on is itself patched (alpha 0.9 at step 3 of this stream)
+        trained = spy_trained(monkeypatch)
         out, _ = run_through("patching", stream, 4, make_ctx(budget_mult=2.0))
-        for (prev_deploy, _, _), (deploy, carry, rec) in zip(out, out[1:]):
-            manual = apply_patch(prev_deploy, carry, rec["alpha"])
+        assert len(trained) == 4
+        for (prev_deploy, _, _), (deploy, _, rec), (new, _) in zip(out, out[1:], trained[1:]):
+            manual = apply_patch(prev_deploy, new, rec["alpha"])
             assert flat_equal(deploy, manual)
-        assert not flat_equal(out[2][0], out[2][1])
+        assert not flat_equal(out[2][0], trained[2][0])
 
 
 class TestConstCosine:
@@ -369,6 +387,18 @@ class TestConstCosine:
         out, _ = run_through("sequential", stream, 1)
         deploy, carry, *_ = out[0]
         assert flat_equal(deploy, carry)
+
+    @pytest.mark.parametrize("method_id", METHOD_IDS)
+    def test_a_step_hands_on_the_model_its_next_step_starts_from(self, stream, monkeypatch, method_id):
+        # none under random init, the deployed (patched) model for patching,
+        # and for every other warm start the pre-decay carry, not the deployed model
+        trained = spy_trained(monkeypatch)
+        out, _ = run_through(method_id, stream, 2, make_ctx(kind="const_cosine", budget_mult=2.0))
+        assert len(trained) == 2
+        for (deploy, start, _), (_, carry) in zip(out, trained):
+            want = {"random": None, "last_patched": deploy, "last_checkpoint": carry}
+            assert start is want[resolve_method(method_id).init_source]
+            assert start is None or start is deploy or not flat_equal(start, deploy)
 
 
 class TestSegmentsOwnTheirState:
@@ -406,7 +436,7 @@ class TestSegmentsOwnTheirState:
     def test_patching_leaves_the_previous_patch_unchanged(self, stream):
         ctx = make_ctx(budget_mult=2.0)
         spec = resolve_method("patching")
-        deploy, carry, _ = run_step(spec, stream[:1], None, None, *ctx)
+        deploy, start, _ = run_step(spec, stream[:1], None, *ctx)
         before = deploy.vector.copy()
-        run_step(spec, stream[:2], deploy, carry, *ctx)
+        run_step(spec, stream[:2], start, *ctx)
         assert np.array_equal(deploy.vector, before)

@@ -6,8 +6,10 @@ import itertools
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from ticstream import datagen, runner
 from ticstream.cli import main
 from ticstream.datagen import StreamConfig
 from ticstream.errors import ConfigError, FormatError, RunError
+from ticstream.methods import METHOD_IDS
 from ticstream.model import load_checkpoint
 from ticstream.numerics import Rng
 from ticstream.runner import (
@@ -71,6 +74,28 @@ def openblas_thread_calls():
             calls[0].argtypes, calls[1].restype = [ctypes.c_int], ctypes.c_int
             return tuple(calls)
     return None
+
+
+def children_of(pid):
+    """The pids whose parent is `pid`, read from /proc."""
+    found = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()  # state, parent pid, ...
+        except OSError:  # gone since the listing
+            continue
+        if int(fields[1]) == pid:
+            found.append(int(stat.parent.name))
+    return found
+
+
+def is_running(pid):
+    """Whether `pid` exists and has not yet exited: a zombie waiting to be reaped has."""
+    try:
+        os.kill(pid, 0)
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except (ProcessLookupError, FileNotFoundError):
+        return False
 
 
 def record_blas_threads(cfg, datasets, method_id, seed, run_dir):
@@ -201,8 +226,8 @@ class TestRunMethodSeed:
         ("sequential", "warmup_cosine"),
         # without carry files a resume takes the deploy file as the carry
         ("patching", "warmup_cosine"),
-        # const_cosine writes carry checkpoints: patching resumes from its
-        # patched deploy model, lwf from the carry, which is also its teacher
+        # patching resumes from its patched deploy model under either schedule;
+        # under const_cosine lwf resumes from its carry, which is also its teacher
         ("patching", "const_cosine"),
         ("lwf", "const_cosine"),
     ])
@@ -230,22 +255,42 @@ class TestRunMethodSeed:
         run_method_seed(cfg, datasets, method, 0, part_dir)
         compared = sorted(p.name for p in full_dir.iterdir()
                           if p.suffix == ".ticc" or p.name in ("progress.json", "metrics.json"))
-        assert len(compared) == (8 if kind == "const_cosine" else 5)
+        # a checkpoint per step, lwf's carry for each step but the last, progress and metrics
+        assert len(compared) == (7 if (method, kind) == ("lwf", "const_cosine") else 5)
         for name in compared:
             assert (part_dir / name).read_bytes() == (full_dir / name).read_bytes(), name
 
     def test_checkpoints_name_their_method_and_step(self, tmp_path):
-        # merged steps 1 and 2 are position 1: a checkpoint names the timestep it was trained through
+        # merged steps 1 and 2 are position 1: a checkpoint names the timestep it was trained through.
+        # cumulative_all keeps the carry its next step starts from; patching starts from its deploy model
         schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
         cfg = tiny_config(tmp_path, schedule=schedule, merge_first_k=2, total_iters=32)
-        run_dir = tmp_path / "patching" / "seed_0"
-        run_method_seed(cfg, _prepare_datasets(cfg, tmp_path / "data"), "patching", 0, run_dir)
-        for t in (2, 3):
-            for name in (f"step_{t:03d}.ticc", f"step_{t:03d}_carry.ticc"):
+        datasets = _prepare_datasets(cfg, tmp_path / "data")
+        for method, want in [
+            ("cumulative_all", [(2, "step_002.ticc"), (2, "step_002_carry.ticc"), (3, "step_003.ticc")]),
+            ("patching", [(2, "step_002.ticc"), (3, "step_003.ticc")]),
+        ]:
+            run_dir = tmp_path / method / "seed_0"
+            run_method_seed(cfg, datasets, method, 0, run_dir)
+            assert sorted(p.name for p in run_dir.glob("*.ticc")) == [name for _, name in want]
+            for t, name in want:
                 ckpt = load_checkpoint(run_dir / name)
-                assert (ckpt.trained_through_step, ckpt.method_id) == (t, "patching"), name
-        assert sorted(p.name for p in run_dir.glob("*.ticc")) == [
-            "step_002.ticc", "step_002_carry.ticc", "step_003.ticc", "step_003_carry.ticc"]
+                assert (ckpt.trained_through_step, ckpt.method_id) == (t, method), name
+
+    @pytest.mark.parametrize("kind", ["warmup_cosine", "const_cosine"])
+    @pytest.mark.parametrize("method", METHOD_IDS)
+    def test_a_run_keeps_a_carry_only_where_a_later_step_reads_it(self, tmp_path, method, kind):
+        # a step starts from the pre-decay carry only for a warm start from the last checkpoint under
+        # const_cosine; random init starts from nothing, and patching from its patched deploy model
+        schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
+        cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
+        run_dir = tmp_path / method / "seed_0"
+        run_method_seed(cfg, _prepare_datasets(cfg, tmp_path / "data"), method, 0, run_dir)
+        want = ["step_001.ticc", "step_002.ticc", "step_003.ticc"]
+        if kind == "const_cosine" and method in ("cumulative_all", "cumulative_exp", "cumulative_equal",
+                                                  "sequential", "lwf"):
+            want += ["step_001_carry.ticc", "step_002_carry.ticc"]
+        assert sorted(p.name for p in run_dir.glob("*.ticc")) == sorted(want)
 
     def test_completed_run_is_not_retrained(self, tmp_path):
         cfg, run_dir, _ = self.run_once(tmp_path)
@@ -295,11 +340,13 @@ class TestKilledRunResumes:
         manifest.pop("wall_clock_seconds")
         return files, manifest
 
-    # artifact writes: manifest.json, then a deploy checkpoint, a carry one under
-    # const_cosine and progress.json per step, then metrics.json and manifest.json
+    # artifact writes: manifest.json, then a deploy checkpoint, a carry one where
+    # a later step reads it (lwf under const_cosine, before the last step) and
+    # progress.json per step, then metrics.json and manifest.json
     @pytest.mark.parametrize("method, kind, writes", [
-        ("patching", "const_cosine", 12),
+        ("patching", "const_cosine", 9),
         ("lwf", "warmup_cosine", 9),
+        ("lwf", "const_cosine", 11),
     ])
     def test_killed_at_any_write_resumes_bit_exactly(self, tmp_path, monkeypatch, method, kind, writes):
         schedule = ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0, warmup_iters=2)
@@ -339,6 +386,30 @@ class TestKilledRunResumes:
         with pytest.raises(FileNotFoundError, match="step_001_carry.ticc"):
             run_method_seed(cfg, datasets, "lwf", 0, run_dir)
         assert not (run_dir / "step_002.ticc").exists()
+
+    @pytest.mark.parametrize("method", ["oracle", "patching"])
+    def test_a_run_that_reads_no_carry_resumes_without_one(self, tmp_path, monkeypatch, method):
+        # under const_cosine oracle's next step starts from nothing and patching's from its deploy model
+        schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
+        cfg = tiny_config(tmp_path, schedule=schedule, methods=[method], total_iters=48)
+        datasets = _prepare_datasets(cfg, Path(cfg.output_dir) / "data")
+        run_method_seed(cfg, datasets, method, 0, tmp_path / "full")
+        real_step = runner.run_step
+
+        def stop_at_step_2(spec, seen, *rest):
+            if len(seen) == 2:
+                raise Stop
+            return real_step(spec, seen, *rest)
+
+        run_dir = tmp_path / "run"
+        with monkeypatch.context() as m:
+            m.setattr(runner, "run_step", stop_at_step_2)
+            with pytest.raises(Stop):
+                run_method_seed(cfg, datasets, method, 0, run_dir)
+        assert json.loads((run_dir / "progress.json").read_text())["done_through"] == 1
+        (run_dir / "step_001_carry.ticc").unlink(missing_ok=True)
+        run_method_seed(cfg, datasets, method, 0, run_dir)
+        assert self.artifacts(run_dir) == self.artifacts(tmp_path / "full")
 
 
 class TestRunExperiment:
@@ -409,7 +480,8 @@ class TestRunExperiment:
         assert runs[1] == runs[2]
 
     def test_pool_workers_never_touch_the_stream(self, tmp_path, monkeypatch):
-        # const_cosine writes carry files; merge_first_k=2 merges steps 1 and 2 into the first position
+        # under const_cosine cumulative_all writes a carry file; merge_first_k=2 merges steps 1 and 2
+        # into the first position
         schedule = ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=0, warmup_iters=2)
 
         def cfg(sub):
@@ -436,7 +508,8 @@ class TestRunExperiment:
             assert len(manifests) == len(serial) == 4
             for sp, pp in zip(serial, manifests):
                 want = artifact_digests(sp.parent)
-                assert len(want) == 6  # two deploy and two carry checkpoints, progress and metrics
+                # two deploy checkpoints, cumulative_all's step-2 carry, progress and metrics
+                assert len(want) == {"patching": 4, "cumulative_all": 5}[sp.parent.parent.name]
                 assert artifact_digests(pp.parent) == want, sp.parent
 
     def test_a_serial_process_loads_no_pool(self):
@@ -464,6 +537,52 @@ class TestRunExperiment:
             set_threads(original)
         assert parent == 2
         assert [(mp.parent / "blas_threads").read_text() for mp in manifests] == ["1"] * 4
+
+    def test_pool_workers_die_with_a_killed_run(self, tmp_path):
+        # `ticstream run` is SIGKILLed mid-step: its pool workers must die with it rather than train
+        # on as orphans, and a rerun finishes what they left to the uninterrupted run's bytes
+        if getattr(ctypes.CDLL(None), "prctl", None) is None or not Path("/proc/self/stat").exists():
+            pytest.skip("no prctl or no /proc")
+
+        def cfg(sub):  # one job a worker, about a second of training each
+            return tiny_config(tmp_path / sub, methods=["cumulative_all"], seeds=[0, 1], total_iters=12000)
+
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg("killed").to_json()))
+        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1]), "TIC_THREADS": "2"}
+        proc = subprocess.Popen([sys.executable, "-m", "ticstream.cli", "run", "--config", str(config)], env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while not list((tmp_path / "killed").glob("cumulative_all/seed_*/step_001.ticc")):
+                assert proc.poll() is None and time.monotonic() < deadline, "the run made no step"
+                time.sleep(0.005)
+            workers = children_of(proc.pid)
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            assert len(workers) == 2
+            deadline = time.monotonic() + 10
+            while any(map(is_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [pid for pid in workers if is_running(pid)] == []
+        finally:  # leave no process behind, whatever failed
+            proc.kill()
+            proc.wait(timeout=10)
+            for pid in filter(is_running, workers):
+                os.kill(pid, signal.SIGKILL)
+        rerun, whole = run_experiment(cfg("killed")), run_experiment(cfg("whole"))
+        for got, want in zip(rerun, whole):
+            assert artifact_digests(got.parent) == artifact_digests(want.parent), got.parent
+
+    def test_a_worker_whose_parent_is_gone_exits(self):
+        # a parent that died before its worker asked to die with it is seen through the parent pid
+        if getattr(ctypes.CDLL(None), "prctl", None) is None:
+            pytest.skip("no prctl")
+        code = "import sys; from ticstream.runner import _init_worker; _init_worker(int(sys.argv[1])); print('up')"
+        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1])}
+        for parent, want in ((os.getpid(), (0, "up")), (0, (1, ""))):
+            out = subprocess.run([sys.executable, "-c", code, str(parent)], env=env, capture_output=True, text=True)
+            assert (out.returncode, out.stdout.strip()) == want, out.stderr
 
     def test_corrupt_checkpoint_in_a_worker_names_the_file(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TIC_THREADS", "2")
@@ -497,11 +616,8 @@ PINNED_TRAINING_SHA256 = {
         "metrics.json": "0d1fad97555ed68931b8be05bc2430fa1fadff7762f2d6d280b79d5262f0ee85",
         "progress.json": "758a5cf49a9316096ccdac5ec62be37703804ba3d93419039e209a14d69b5241",
         "step_001.ticc": "fbd8a05def52aad8316229ae7e10251d189005c3616af7ee95acd791eb8c80fe",
-        "step_001_carry.ticc": "8c12ff6c3486257aaab179db57ca39bbd6e3ecf54fa3ce307c74f7bac8c4d46b",
         "step_002.ticc": "380e8ac5d1ff8769d4c5c99be9926aa17eaa7b4ef33de4296be406d51faf0405",
-        "step_002_carry.ticc": "008b33344938ddfafacc7b5b1cb8172f0c29adeed8f78389a9cb6491eb8f95ce",
         "step_003.ticc": "f632bb9d20b3932873754a5462e67b5e1afadc4dc11b8f2c3299beb636b617fb",
-        "step_003_carry.ticc": "2d00a2006e0f63365daf9879b02cd532a1678d269d4237c025ae6c01c1feb48a",
     },
     "lwf": {
         "metrics.json": "decdec404e89c36b43fbfd68f31fd542a831cb12278d8ad5768395ae57408748",
@@ -525,15 +641,14 @@ PINNED_TRAINING_SHA256 = {
         "step_002.ticc": "1247afec4af92be64761464884b1d40af27e75bdafa86c82da668032f05156b3",
         "step_002_carry.ticc": "dd6586c90c187178a82ed5b2dcba09917717730d39fe2a6e80f937a97b66440e",
         "step_003.ticc": "8f5fe9359eff0851f388cbb51e5674341dfcbd8034f4fbc378e0136750521ef2",
-        "step_003_carry.ticc": "4d477dc0b41b5e9090fe29963123e41759240323a5fef3cc5abaa812af6766c5",
     },
 }
 
 
-# pinned run: (method, schedule kind, batch size). patching covers carry
-# checkpoints and the patch alpha grid; lwf the teacher penalty; oracle a cycle
-# that grows with the step; lwf_const_cosine the teacher and the decay branch
-# together, at a batch size that does not divide the training set
+# pinned run: (method, schedule kind, batch size). patching covers the decay
+# branch and the patch alpha grid; lwf the teacher penalty; oracle a cycle that
+# grows with the step; lwf_const_cosine the teacher, the decay branch and carry
+# checkpoints together, at a batch size that does not divide the training set
 PINNED_RUNS = {
     "patching": ("patching", "const_cosine", 32),
     "lwf": ("lwf", "warmup_cosine", 16),
