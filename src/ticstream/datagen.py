@@ -12,6 +12,8 @@ written straight from its packed structured array's buffer, and read as a
 view of the file's buffer that is converted once into the record columns. A
 reader that needs no training rows (`train=False`) still bounds-checks the
 train section but converts none of it, and its datasets hold `train=None`.
+The class roster is derived from the config, never stored (`_class_latents`):
+ids in birth order, static classes first.
 """
 
 from __future__ import annotations
@@ -108,43 +110,32 @@ class TimestepDataset:
     prototypes: np.ndarray  # (c, text_dim) canonical text vectors
 
 
-class _ClassTable:
-    """Class ids, birth steps, and latent prototypes for one stream."""
+def _class_latents(cfg: StreamConfig):
+    """The stream's class roster as `at(t)`: the ids of the classes alive at step t and their
+    latent prototypes, one row each. Ids are assigned in birth order, the static classes first, so
+    the classes alive at t are ids 0..k-1 and class c is static exactly when c < static_class_count,
+    which `runner._static_holdout` relies on. A static prototype is a fixed unit vector; a drifting
+    one turns in the drift plane by `drift_angle` per step from a seeded phase at its birth."""
+    rng = Rng(cfg.seed, 0).split("classes")
+    static = cfg.static_class_count
+    births = [1] * static + [step for step, count in sorted(cfg.class_birth_schedule) for _ in range(count)]
+    # drift plane: first two axes of a seeded random orthonormal frame
+    plane, _ = np.linalg.qr(rng.split("plane").normal((cfg.latent_dim, 2)))
+    # each class's own draw: a static class's unit latent, a drifting class's phase
+    units = [z / np.linalg.norm(z) for z in (rng.split("proto", c).normal(cfg.latent_dim) for c in range(static))]
+    phases = [float(rng.split("proto", c).uniform(1)[0] * 2 * np.pi) for c in range(static, len(births))]
 
-    def __init__(self, cfg: StreamConfig):
-        rng = Rng(cfg.seed, 0).split("classes")
-        self.static_ids = list(range(cfg.static_class_count))
-        self.birth_step: dict[int, int] = {c: 1 for c in self.static_ids}
-        self.is_static: dict[int, bool] = {c: True for c in self.static_ids}
-        next_id = cfg.static_class_count
-        for step, count in sorted(cfg.class_birth_schedule):
-            for _ in range(count):
-                self.birth_step[next_id] = step
-                self.is_static[next_id] = False
-                next_id += 1
-        # drift plane: first two axes of a seeded random orthonormal frame
-        g = rng.split("plane").normal((cfg.latent_dim, 2))
-        q, _ = np.linalg.qr(g)
-        self.plane = q  # (latent_dim, 2) orthonormal
-        self.base_latent: dict[int, np.ndarray] = {}
-        self.phase: dict[int, float] = {}
-        for c in sorted(self.birth_step):
-            sub = rng.split("proto", c)
-            if self.is_static[c]:
-                z = sub.normal(cfg.latent_dim)
-                self.base_latent[c] = z / np.linalg.norm(z)
-            else:
-                self.phase[c] = float(sub.uniform(1)[0] * 2 * np.pi)
-        self.drift_angle = cfg.drift_angle
+    def latent(c: int, t: int) -> np.ndarray:
+        if c < static:
+            return units[c]
+        angle = phases[c - static] + (t - births[c]) * cfg.drift_angle
+        return plane[:, 0] * np.cos(angle) + plane[:, 1] * np.sin(angle)
 
-    def alive(self, t: int) -> list[int]:
-        return sorted(c for c, b in self.birth_step.items() if b <= t)
+    def at(t: int) -> tuple[np.ndarray, np.ndarray]:
+        k = sum(b <= t for b in births)
+        return np.arange(k, dtype=np.int64), np.stack([latent(c, t) for c in range(k)])
 
-    def latent(self, c: int, t: int) -> np.ndarray:
-        if self.is_static[c]:
-            return self.base_latent[c]
-        angle = self.phase[c] + (t - self.birth_step[c]) * self.drift_angle
-        return self.plane[:, 0] * np.cos(angle) + self.plane[:, 1] * np.sin(angle)
+    return at
 
 
 def _mixing_maps(cfg: StreamConfig):
@@ -183,15 +174,13 @@ def _draw_batch(cfg, alive, alive_latents, a, b, t, n, rng) -> RecordBatch:
 def generate_stream(cfg: StreamConfig) -> list[TimestepDataset]:
     """Deterministic stream of per-step datasets; pure function of cfg."""
     cfg.validate()
-    table = _ClassTable(cfg)
+    roster = _class_latents(cfg)
     a, b = _mixing_maps(cfg)
     root = Rng(cfg.seed, 0)
     datasets = []
     for t in range(1, cfg.num_steps + 1):
         step_rng = root.split("step", t)
-        ids = table.alive(t)
-        alive = np.asarray(ids, dtype=np.int64)
-        latents = np.stack([table.latent(c, t) for c in ids])
+        alive, latents = roster(t)
         # eval splits first, then training data
         eval_r = _draw_batch(cfg, alive, latents, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_retrieval"))
         eval_c = _draw_batch(cfg, alive, latents, a, b, t, cfg.per_step_eval_size, step_rng.split("eval_classification"))

@@ -1,7 +1,7 @@
 """The eight continual-training policies and their per-step execution.
 
 Each method is one `MethodSpec` row of `_TABLE`: where its training starts,
-its `replay.BufferPolicy` (which old data it replays, and how many current
+its buffer policy, by name (which old data it replays, and how many current
 records it takes), whether it distils from its previous model and whether
 its budget grows with the step. `METHOD_IDS` is the table's keys. A step
 is read off the stream it has seen, the steps up to and including it: its
@@ -28,7 +28,7 @@ from .model import (
     train_minibatch,
 )
 from .numerics import AdamState, Rng
-from .replay import BufferPolicy, assemble_training_set, plan_replay, sample_buffer
+from .replay import assemble_training_set, plan_replay, sample_buffer
 from .schedule import (
     LWF_TEACHER_SHARE,
     BudgetLedger,
@@ -48,7 +48,7 @@ PATCH_ALPHA_GRID = [round(0.1 * i, 1) for i in range(11)]
 class MethodSpec:
     id: str
     init_source: str  # "random" | "last_checkpoint" | "last_patched"
-    data_policy: BufferPolicy  # plans the step's training data, old and current
+    data_policy: str  # one of `replay.POLICIES`: plans the step's training data, old and current
     uses_lwf: bool = False  # distil from the step's start model from position 2 on
     budgets_grow: bool = False  # position p trains one fresh cycle of p budgets
 
@@ -68,14 +68,14 @@ class MethodSpec:
 _TABLE = {
     spec.id: spec
     for spec in (
-        MethodSpec("oracle", "random", BufferPolicy("all"), budgets_grow=True),
-        MethodSpec("cumulative_all", "last_checkpoint", BufferPolicy("all")),
-        MethodSpec("cumulative_exp", "last_checkpoint", BufferPolicy("exp")),
-        MethodSpec("cumulative_equal", "last_checkpoint", BufferPolicy("equal")),
-        MethodSpec("sequential", "last_checkpoint", BufferPolicy("new_only")),
-        MethodSpec("restart", "random", BufferPolicy("all")),
-        MethodSpec("patching", "last_patched", BufferPolicy("new_only")),
-        MethodSpec("lwf", "last_checkpoint", BufferPolicy("new_only"), uses_lwf=True),
+        MethodSpec("oracle", "random", "all", budgets_grow=True),
+        MethodSpec("cumulative_all", "last_checkpoint", "all"),
+        MethodSpec("cumulative_exp", "last_checkpoint", "exp"),
+        MethodSpec("cumulative_equal", "last_checkpoint", "equal"),
+        MethodSpec("sequential", "last_checkpoint", "new_only"),
+        MethodSpec("restart", "random", "all"),
+        MethodSpec("patching", "last_patched", "new_only"),
+        MethodSpec("lwf", "last_checkpoint", "new_only", uses_lwf=True),
     )
 }
 

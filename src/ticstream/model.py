@@ -158,7 +158,9 @@ def _normalize_backward(d_unit, unit, norms):
 
 
 def encode(params: TwoTowerParams, inputs: np.ndarray, tower: str) -> np.ndarray:
-    """Row-normalized embeddings from one tower."""
+    """Row-normalized embeddings from one tower, "image" or "text"."""
+    if tower not in ("image", "text"):
+        raise RunError(f"encode: no tower {tower!r}, only 'image' and 'text'")
     layers = params.image_layers if tower == "image" else params.text_layers
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != layers[0][0].shape[0]:

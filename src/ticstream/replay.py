@@ -21,16 +21,7 @@ from .datagen import RecordBatch, TimestepDataset
 from .errors import RunError
 from .numerics import Rng
 
-POLICIES = ("all", "exp", "equal", "new_only")
-
-
-@dataclass(frozen=True)
-class BufferPolicy:
-    kind: str  # "all" | "exp" | "equal" | "new_only"
-
-    def __post_init__(self):
-        if self.kind not in POLICIES:
-            raise RunError(f"unknown buffer policy {self.kind!r}")
+POLICIES = ("all", "exp", "equal", "new_only")  # a buffer policy is its name
 
 
 @dataclass
@@ -38,9 +29,6 @@ class ReplayPlan:
     current_step: int
     per_source_counts: dict[int, int]  # source step -> sample count
     current_count: int
-
-    def total(self) -> int:
-        return self.current_count + sum(self.per_source_counts.values())
 
     def to_json(self) -> dict:
         return {
@@ -75,21 +63,23 @@ def _equal_counts(t: int, buffer_size: int) -> dict[int, int]:
     return {j: base + (1 if j <= remainder else 0) for j in range(1, t)}
 
 
-def plan_replay(policy: BufferPolicy, per_step_size: int, seen: list[TimestepDataset]) -> ReplayPlan:
-    """Per-source sample counts under the given buffer policy for the step that ends `seen`, the
-    stream up to and including it. The formulas read position p's training-set size off
-    `seen[p - 1]`; the plan names the sources and the current step by timestep."""
+def plan_replay(policy: str, per_step_size: int, seen: list[TimestepDataset]) -> ReplayPlan:
+    """Per-source sample counts under buffer policy `policy`, one of `POLICIES`, for the step that
+    ends `seen`, the stream up to and including it. The formulas read position p's training-set size
+    off `seen[p - 1]`; the plan names the sources and the current step by timestep."""
+    if policy not in POLICIES:
+        raise RunError(f"unknown buffer policy {policy!r}")
     sizes = [len(d.train) for d in seen]
     t = len(sizes)
-    if policy.kind == "new_only" or t == 1:
+    if policy == "new_only" or t == 1:
         counts = {}
-    elif policy.kind == "all":
+    elif policy == "all":
         counts = dict(enumerate(sizes[:-1], 1))
-    elif policy.kind == "exp":
+    elif policy == "exp":
         counts = _exp_counts(t, per_step_size)
     else:
         counts = _equal_counts(t, per_step_size)
-    current = sizes[-1] if policy.kind == "new_only" else min(per_step_size, sizes[-1])
+    current = sizes[-1] if policy == "new_only" else min(per_step_size, sizes[-1])
     return ReplayPlan(seen[-1].timestep, {seen[q - 1].timestep: min(c, sizes[q - 1]) for q, c in counts.items()},
                       current)
 

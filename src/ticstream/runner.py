@@ -7,7 +7,9 @@ artifact whole (`formats.atomic_write`), so a run killed at any instant resumes
 bit-identically from its last finished step and the one model the next step
 starts from, its whole state between steps; `score_run` scores a finished
 run's checkpoints and writes only metrics.json; both read progress.json through
-`_read_progress`; `train_run` alone stamps a step's models with their method and
+`_read_progress`, and run under the lock (`formats.lock_directory`) that
+`run_method_seed` or `evaluate_run` holds, so a run directory has one writer
+at a time; `train_run` alone stamps a step's models with their method and
 step, and `_load_own` alone checks the stamp. Every step runs under the run's
 config, seed and ledger, whose budget C, `ExperimentConfig.per_step_iters`
 iterations, `_fresh_ledger` alone counts from the config's model shape
@@ -21,8 +23,9 @@ it, under a config of k steps. `ExperimentConfig.from_json` reads each field as
 its dataclass declares it (`formats.config_fields`), and
 `ExperimentConfig.validate` checks a config built in Python against the same
 type table (`formats.check_types`), then only the rules between values:
-ranges, non-empty and unrepeated methods and seeds, and the step cycle the
-schedule and `total_iters` make.
+ranges, non-empty and unrepeated methods and seeds, a schedule that leaves
+its cycle length to the step, and the step cycle the schedule and
+`total_iters` make.
 """
 
 from __future__ import annotations
@@ -50,19 +53,20 @@ from .datagen import (
 )
 from .errors import ConfigError, RunError
 from .evaluation import build_performance_matrix, zero_shot_accuracy
-from .formats import atomic_write, check_types, config_fields, read_json, write_json
+from .formats import atomic_write, check_types, config_fields, lock_directory, read_json, write_json
 from .methods import METHOD_IDS, resolve_method, run_step
 from .model import Checkpoint, ModelDims, load_checkpoint, save_checkpoint
 from .numerics import Rng
 from .schedule import BudgetLedger, ScheduleConfig, macs_per_iteration
 
 ARTIFACT_VERSION = 2  # of the manifest.json layout
+_TOTAL_ITERS_SET_PER_STEP = "field 'total_iters' of schedule is set per step, never in a config"
 
 
 @dataclass
 class ExperimentConfig:
     stream: StreamConfig
-    schedule: ScheduleConfig  # its total_iters is not read: each step sets its own
+    schedule: ScheduleConfig  # its total_iters stays 0: each step sets its own
     methods: list[str]
     seeds: list[int]
     total_iters: int
@@ -85,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError("batch_size, hidden_dim and embed_dim must be >= 1")
         if not (1 <= self.merge_first_k <= self.stream.num_steps):
             raise ConfigError("merge_first_k out of range")
+        if self.schedule.total_iters:
+            raise ConfigError(_TOTAL_ITERS_SET_PER_STEP)
         # one step's LR cycle, checked here so that a bad one fails before any step trains
         self.schedule.with_total(self.per_step_iters)
         if self.lwf_lambda < 0:
@@ -117,7 +123,7 @@ class ExperimentConfig:
         d = config_fields(cls, d)
         schedule = config_fields(ScheduleConfig, d["schedule"])
         if "total_iters" in schedule:
-            raise ConfigError("field 'total_iters' of schedule is set per step, never in a config")
+            raise ConfigError(_TOTAL_ITERS_SET_PER_STEP)
         return cls(**{**d, "stream": StreamConfig.from_json(d["stream"]), "schedule": ScheduleConfig(**schedule)})
 
 
@@ -212,10 +218,10 @@ def _read_progress(cfg: ExperimentConfig, datasets: list[TimestepDataset], run_d
 
 def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
               run_dir) -> None:
-    """Train the steps that progress.json does not count as done, under the identity in manifest.json."""
+    """Train the steps that progress.json does not count as done, under the identity in manifest.json,
+    in `run_dir`, which the caller has made and locked."""
     spec = resolve_method(method_id)
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     identity, manifest_path = _identity(cfg, method_id, seed), run_dir / "manifest.json"
     if not manifest_path.exists():
         write_json(manifest_path, identity)
@@ -252,7 +258,8 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
 def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
               run_dir) -> dict:
     """Score a finished run's deploy checkpoints into metrics.json, billing eval MACs afresh beside
-    progress.json's training bill; a run with a step left to train is refused."""
+    progress.json's training bill; a run with a step left to train is refused. The caller holds
+    the run directory's lock."""
     run_dir = Path(run_dir)
     done, _, ledger = _read_progress(cfg, datasets, run_dir)
     if done < len(datasets):
@@ -278,12 +285,16 @@ def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
 
 def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
                     run_dir) -> dict:
-    """Train one (method, seed) pair over all steps, score it and add its wall clock to its manifest."""
+    """Train one (method, seed) pair over all steps, score it and add its wall clock to its manifest,
+    holding its run directory's lock throughout."""
     start = time.time()
-    train_run(cfg, datasets, method_id, seed, run_dir)
-    metrics = score_run(cfg, datasets, method_id, seed, run_dir)
-    write_json(Path(run_dir) / "manifest.json",
-               {**_identity(cfg, method_id, seed), "wall_clock_seconds": time.time() - start})
+    run_dir = Path(run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    with lock_directory(run_dir):
+        train_run(cfg, datasets, method_id, seed, run_dir)
+        metrics = score_run(cfg, datasets, method_id, seed, run_dir)
+        write_json(run_dir / "manifest.json",
+                   {**_identity(cfg, method_id, seed), "wall_clock_seconds": time.time() - start})
     return metrics
 
 
@@ -362,7 +373,7 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints and the stream in `data_dir`;
-    rewrites only metrics.json, and a missing stream, a manifest.json of another artifact version or
+    rewrites only metrics.json, under the run directory's lock, and a missing stream, a manifest.json of another artifact version or
     a malformed config in it is an error. Scoring reads eval splits only, so the stream is loaded
     without its training rows."""
     path = Path(run_dir) / "manifest.json"
@@ -375,7 +386,8 @@ def evaluate_run(run_dir, data_dir) -> dict:
     except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
     datasets = _stored_datasets(cfg, data_dir, train=False)
-    return score_run(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
+    with lock_directory(run_dir):
+        return score_run(cfg, datasets, manifest["method"], manifest["seed"], run_dir)
 
 
 # ---------------------------------------------------------------------------

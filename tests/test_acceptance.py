@@ -25,7 +25,7 @@ from ticstream.model import (
     lwf_penalty_and_grads,
 )
 from ticstream.numerics import Rng, finite_diff_grad
-from ticstream.replay import BufferPolicy, plan_replay
+from ticstream.replay import plan_replay
 from ticstream.runner import (
     ExperimentConfig,
     _prepare_datasets,
@@ -174,9 +174,13 @@ def test_criterion_02_loss_identities(report):
 def test_criterion_03_replay_plans(report):
     # the stream as plan_replay reads it: each position's timestep and training-set size
     avail = [SimpleNamespace(timestep=t, train=range(10**6)) for t in range(1, 12)]
-    exp3 = plan_replay(BufferPolicy("exp"), 512, avail[:3]).per_source_counts
-    exp4 = plan_replay(BufferPolicy("exp"), 512, avail[:4]).per_source_counts
-    eq4 = plan_replay(BufferPolicy("equal"), 513, avail[:4]).per_source_counts
+
+    def total(plan):  # every record a plan draws, old and current
+        return plan.current_count + sum(plan.per_source_counts.values())
+
+    exp3 = plan_replay("exp", 512, avail[:3]).per_source_counts
+    exp4 = plan_replay("exp", 512, avail[:4]).per_source_counts
+    eq4 = plan_replay("equal", 513, avail[:4]).per_source_counts
     worked = (
         exp3 == {1: 256, 2: 256}
         and exp4 == {1: 128, 2: 128, 3: 256}
@@ -186,12 +190,12 @@ def test_criterion_03_replay_plans(report):
     for kind in ("exp", "equal"):
         for t in range(1, 11):
             for d in range(1, 10_001, 13):
-                if plan_replay(BufferPolicy(kind), d, avail[:t]).total() > 2 * d:
+                if total(plan_replay(kind, d, avail[:t])) > 2 * d:
                     bounded = False
     for kind in ("exp", "equal"):  # exact edges of the sweep range
         for d in (1, 2, 3, 9_999, 10_000):
             for t in range(1, 11):
-                if plan_replay(BufferPolicy(kind), d, avail[:t]).total() > 2 * d:
+                if total(plan_replay(kind, d, avail[:t])) > 2 * d:
                     bounded = False
     ok = worked and bounded
     report(3, ok, f"worked examples {'ok' if worked else 'WRONG'}, "

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +218,30 @@ class TestTrainEvalReport:
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
         assert main(["eval", "--run", str(run_dir), "--data", str(data)]) == 0
         assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+
+    def test_a_run_directory_another_process_holds_is_exit_2_and_unchanged(self, trained, capsys):
+        cfg, data, out = trained
+        run_dir = out / "sequential" / "seed_0"
+        kill_after_step_1(run_dir)  # a train that got in would write step 2
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+        hold = ("import sys, time\nfrom ticstream.formats import lock_directory\n"
+                "with lock_directory(sys.argv[1]):\n    print('locked', flush=True)\n    time.sleep(600)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1])}
+        train = ["train", "--config", str(cfg), "--data", str(data),
+                 "--method", "sequential", "--seed", "0", "--out", str(out)]
+        holder = subprocess.Popen([sys.executable, "-c", hold, str(run_dir)], env=env, stdout=subprocess.PIPE)
+        try:
+            assert holder.stdout.readline() == b"locked\n"
+            for argv in (train, ["eval", "--run", str(run_dir), "--data", str(data)]):
+                assert main(argv) == 2
+                assert f"{run_dir}: another writer holds its lock" in capsys.readouterr().err
+            assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
+        finally:
+            holder.kill()  # SIGKILL: the kernel drops the dead holder's lock
+            holder.wait()
+            holder.stdout.close()
+        assert main(train) == 0
+        assert json.loads((run_dir / "progress.json").read_text())["done_through"] == 2
 
     def test_eval_refuses_a_manifest_of_another_artifact_version(self, trained, capsys):
         # as a resume does (exit 1 there: `train` checks the manifest as the run's identity)

@@ -49,6 +49,13 @@ def make_cfg(**overrides):
     return StreamConfig(**base)
 
 
+# a birth schedule out of step order that names step 3 twice, and the SHA-256 of every array
+# (each split's columns, then the prototype ids and rows, step by step) of make_cfg()'s stream
+# under it with 2 static classes
+UNSORTED_BIRTHS = ((3, 2), (1, 1), (3, 1))
+PINNED_UNSORTED_BIRTHS_SHA256 = "52d63b5fcea4865d1a0f40609dc5d54010dad68fdfe0864ab1e454db65507313"
+
+
 class TestGenerateStream:
     def test_deterministic(self):
         a = generate_stream(make_cfg())
@@ -84,16 +91,32 @@ class TestGenerateStream:
     def test_drift_angle_matches_elapsed_steps(self):
         cfg = make_cfg(noise_sigma=0.0, drift_angle=0.25,
                        class_birth_schedule=((1, 3),), static_class_count=0)
-        stream = generate_stream(cfg)
-        from ticstream.datagen import _ClassTable
-
-        table = _ClassTable(cfg)
+        at = datagen._class_latents(cfg)
         for c in range(3):
-            z1 = table.latent(c, 1)
+            z1 = at(1)[1][c]
             for t in (2, 3, 4):
-                zt = table.latent(c, t)
+                zt = at(t)[1][c]
                 angle = np.arccos(np.clip(zt @ z1, -1, 1))
                 assert abs(angle - (t - 1) * 0.25) < 1e-9
+
+    def test_alive_ids_are_a_prefix_in_birth_order(self):
+        # unsorted, with step 3 listed twice: ids go to the static classes, then by birth step
+        cfg = make_cfg(class_birth_schedule=UNSORTED_BIRTHS, static_class_count=2)
+        at = datagen._class_latents(cfg)
+        alive = [at(t)[0].tolist() for t in range(1, 5)]
+        assert alive == [[0, 1, 2]] * 2 + [[0, 1, 2, 3, 4, 5]] * 2
+        assert [ds.prototype_ids.tolist() for ds in generate_stream(cfg)] == alive
+
+    def test_unsorted_birth_stream_pinned(self):
+        stream = generate_stream(make_cfg(class_birth_schedule=UNSORTED_BIRTHS, static_class_count=2))
+        h = hashlib.sha256()
+        for ds in stream:
+            for split in (ds.train, ds.eval_retrieval, ds.eval_classification):
+                for column in (split.class_ids, split.images, split.texts, split.timesteps):
+                    h.update(column.tobytes())
+            h.update(ds.prototype_ids.tobytes())
+            h.update(ds.prototypes.tobytes())
+        assert h.hexdigest() == PINNED_UNSORTED_BIRTHS_SHA256
 
     def test_static_prototypes_never_move(self):
         stream = generate_stream(make_cfg())

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 import ticstream
 from ticstream.datagen import StreamConfig
-from ticstream.formats import _TYPES, atomic_write
+from ticstream.errors import RunError
+from ticstream.formats import _TYPES, atomic_write, lock_directory
 from ticstream.runner import ExperimentConfig
 from ticstream.schedule import ScheduleConfig
 
@@ -92,3 +94,17 @@ def test_every_config_annotation_has_a_type_check():
     for cls in (StreamConfig, ScheduleConfig, ExperimentConfig):
         for f in dataclasses.fields(cls):
             assert f.type in _TYPES or f.type in ("StreamConfig", "ScheduleConfig"), (cls.__name__, f.name, f.type)
+
+
+def test_a_locked_directory_refuses_a_second_lock_until_released(tmp_path):
+    # a second lock conflicts even within one process: its flock is on another open file
+    with lock_directory(tmp_path):
+        with pytest.raises(RunError, match=re.escape(f"{tmp_path}: another writer holds its lock")):
+            with lock_directory(tmp_path):
+                pass
+    with pytest.raises(Stop):  # released on leaving the block, an exception included
+        with lock_directory(tmp_path):
+            raise Stop
+    with lock_directory(tmp_path):
+        pass
+    assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == [("writer.lock", b"")]

@@ -92,6 +92,12 @@ class TestEncode:
         with pytest.raises(NumericError):
             encode(p, x, "image")
 
+    def test_unknown_tower_is_refused_by_name(self):
+        # text-shaped rows, which the text tower would take
+        p = init_params(DIMS, Rng(2))
+        with pytest.raises(RunError, match="no tower 'img'"):
+            encode(p, Rng(3).normal((4, DIMS.text_dim)), "img")
+
     def test_batch_independence(self):
         p = init_params(DIMS, Rng(4))
         x = Rng(6).normal((5, DIMS.image_dim))

@@ -162,6 +162,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=field):
             edit(tiny_config(tmp_path)).validate()
 
+    def test_a_schedule_cycle_length_set_in_python_is_refused(self, tmp_path):
+        # each step sets its own cycle length, so one set in the config would be silently ignored
+        schedule = dataclasses.replace(tiny_config(tmp_path).schedule, total_iters=500)
+        with pytest.raises(ConfigError, match="field 'total_iters' of schedule is set per step"):
+            tiny_config(tmp_path, schedule=schedule).validate()
+
     def test_a_config_built_in_python_may_hold_tuples(self, tmp_path):
         tiny_config(tmp_path, methods=("sequential", "lwf"), seeds=(0, 1)).validate()
 
