@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .datagen import generate_stream, write_stream
 from .errors import ConfigError, RunError
+from .formats import lock_directory
 from .methods import resolve_method
 from .runner import (
     ExperimentConfig,
@@ -41,7 +42,8 @@ def _load_config(path) -> ExperimentConfig:
 def _cmd_gen(args) -> int:
     cfg = _load_config(args.config)
     datasets = generate_stream(cfg.stream)
-    manifest = write_stream(datasets, cfg.stream, args.out)
+    with lock_directory(args.out, wait=True):  # a data directory's second writer waits
+        manifest = write_stream(datasets, cfg.stream, args.out)
     print(f"wrote {len(datasets)} timestep files, manifest {manifest}")
     return 0
 

@@ -19,7 +19,7 @@ ids in birth order, static classes first.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +63,8 @@ class StreamConfig:
         for step, count in self.class_birth_schedule:
             if not (1 <= step <= self.num_steps) or count < 1:
                 raise ConfigError(f"bad birth schedule entry ({step}, {count})")
+        if self.static_class_count < 0:
+            raise ConfigError("static_class_count must be >= 0")
         if self.static_class_count + sum(c for s, c in self.class_birth_schedule if s == 1) < 1:
             raise ConfigError("no class alive at step 1: need a static class or a birth at step 1")
 
@@ -88,16 +90,11 @@ class RecordBatch:
         return len(self.class_ids)
 
     def take(self, idx) -> "RecordBatch":
-        return RecordBatch(self.class_ids[idx], self.images[idx], self.texts[idx], self.timesteps[idx])
+        return RecordBatch(*(getattr(self, f.name)[idx] for f in fields(RecordBatch)))
 
     @classmethod
     def concat(cls, batches) -> "RecordBatch":
-        return cls(
-            np.concatenate([b.class_ids for b in batches]),
-            np.concatenate([b.images for b in batches]),
-            np.concatenate([b.texts for b in batches]),
-            np.concatenate([b.timesteps for b in batches]),
-        )
+        return cls(*(np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(cls)))
 
 
 @dataclass
@@ -306,12 +303,14 @@ def write_stream(datasets: list[TimestepDataset], cfg: StreamConfig, out_dir) ->
 
 def load_stream(data_dir, *, train: bool = True) -> tuple[list[TimestepDataset], StreamConfig]:
     """The stream in `data_dir` and its config; `train=False` reads every step without its train split.
-    Files other than the config's steps in order, or a header of another step, are refused naming the file."""
+    A config that a config file could not hold, files other than the config's steps in order, or a
+    header of another step, is refused naming the file."""
     data_dir = Path(data_dir)
     path = data_dir / "stream_manifest.json"
     manifest = read_json(path, "config", "files")
     try:
         cfg = StreamConfig.from_json(manifest["config"])
+        cfg.validate()
     except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
     names = [_step_file(t) for t in range(1, cfg.num_steps + 1)]

@@ -6,8 +6,9 @@ progress.json, metrics.json, manifest.json, the CSV/JSON report) goes through
 old or new; a stray `*.tmp` it leaves is harmless and replaced by the next
 write. A writer hands `atomic_write` its buffers as they are (bytes, a
 memoryview, an ndarray) and they are written in order, never joined first.
-A run directory has one writer at a time: `lock_directory` holds an
-exclusive flock on its empty `writer.lock`, the one file not written here.
+A run directory, and a data directory while a stream is written into it,
+has one writer at a time: `lock_directory` holds an exclusive flock on its
+empty `writer.lock`, the one file not written here.
 Every artifact is read through `Cursor` or `read_json`, which refuse a
 malformed file with a `FormatError` naming it; a `Cursor` reads the whole file
 once and hands out views of that buffer, never copies. The .ticc and .ticd
@@ -48,15 +49,18 @@ def atomic_write(path, *chunks) -> None:
 
 
 @contextlib.contextmanager
-def lock_directory(directory):
+def lock_directory(directory, *, wait: bool = False):
     """Hold an exclusive lock on `directory` for the `with` block: a flock on its empty
-    `writer.lock`, made if missing. A directory that another holder has locked is a RunError
-    naming it, raised before any file changes. The kernel drops the lock when its holder's
-    process dies, so a killed writer leaves no stale lock. A second lock on the same directory
-    conflicts even within one process, so whoever holds it calls only helpers that do not take it."""
+    `writer.lock`, made if missing, as is the directory. A directory that another holder has locked is a RunError
+    naming it, raised before any file changes, or with `wait` is locked once that holder lets
+    go: a run directory refuses a second writer, and a data directory's waits for the first.
+    The kernel drops the lock when its holder's process dies, so a killed writer leaves no stale
+    lock. A second lock on the same directory conflicts even within one process, so whoever
+    holds it calls only helpers that do not take it."""
+    Path(directory).mkdir(parents=True, exist_ok=True)
     with open(Path(directory) / "writer.lock", "ab") as f:
         try:
-            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(f, fcntl.LOCK_EX if wait else fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise RunError(f"{directory}: another writer holds its lock") from None
         yield

@@ -180,22 +180,21 @@ def run_step(
     Every setting is `cfg`'s, D (`cfg.stream.per_step_train_size`) and the
     iterations of one budget (`cfg.per_step_iters`) included; the run adds its seed.
     `prev` is the warm start, the `lwf` teacher and `patching`'s base for its
-    alpha mix; a random-init method ignores it. Returns (deploy model, start
-    model, step record). The deployed model is the decayed branch under
+    alpha mix. A step is first, and starts afresh without `prev`, at position 1
+    (not timestep 1: merged early steps start the stream above it) and at every
+    step of a random-init method. Returns (deploy model, start model, step
+    record). The deployed model is the decayed branch under
     const-cosine, else the trained model; `patching` deploys instead its mix of
     `prev` and that model, with the alpha in the record. The start model, which
     the next step starts from, is None under random init, the deployed model
     for `last_patched`, and otherwise the carry: const-cosine's pre-decay model.
     """
-    # "first step" means first position, as merged early steps start the
-    # stream above timestep 1
     t, pos = seen[-1].timestep, len(seen)
-    is_initial = pos == 1
-    if spec.init_source != "random" and not is_initial and prev is None:
+    is_first = pos == 1 or spec.init_source == "random"
+    if not is_first and prev is None:
         raise RunError(f"{spec.id}: step {t} requires the previous checkpoint")
 
     # initialization; the training loop copies what it starts from
-    is_first = is_initial or spec.init_source == "random"
     params = init_params(cfg.dims, Rng(seed, 0).split("init", t)) if is_first else prev
 
     plan = plan_replay(spec.data_policy, cfg.stream.per_step_train_size, seen)
@@ -209,7 +208,7 @@ def run_step(
 
     # the teacher is frozen for the whole step: embed its pairs once
     teacher = (teacher_targets(prev, records.images, records.texts, cfg.lwf_lambda)
-               if spec.uses_lwf and not is_initial else None)
+               if spec.uses_lwf and not is_first else None)
     rng = Rng(seed, 0).split("trainloop", t)
     deploy, start, losses = _train(params, records, sched, is_first, cfg.batch_size, rng, ledger, t,
                                    teacher, spec.iteration_cost_at(pos))
@@ -225,7 +224,7 @@ def run_step(
     }
     if spec.init_source == "last_patched":
         alpha = 1.0
-        if not is_initial:
+        if not is_first:
             alpha = tune_patch_alpha(prev, deploy, seen[:-1], ledger, t)
             # the deployable model is the patched one
             deploy = apply_patch(prev, deploy, alpha)

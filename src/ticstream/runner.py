@@ -14,10 +14,10 @@ step, and `_load_own` alone checks the stamp. Every step runs under the run's
 config, seed and ledger, whose budget C, `ExperimentConfig.per_step_iters`
 iterations, `_fresh_ledger` alone counts from the config's model shape
 (`ModelDims.layout`). `run_experiment` reads the stored stream once (writing
-the config's first into a data directory without one) and hands it, with the
-config, to every (method, seed) job, so a job in a process pool runs exactly
-what a serial one does (a pool worker pins OpenBLAS to one thread, which no
-artifact depends on, and dies with the run's process);
+the config's first, under the directory's lock, into a data directory without
+one) and hands it, with the config, to every (method, seed) job, so a job in a
+process pool runs exactly what a serial one does (a pool worker pins OpenBLAS
+to one thread, which no artifact depends on, and dies with the run's process);
 `iid_split_experiment` likewise builds each split once and trains every seed on
 it, under a config of k steps. `ExperimentConfig.from_json` reads each field as
 its dataclass declares it (`formats.config_fields`), and
@@ -38,7 +38,7 @@ import json
 import os
 import signal
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -257,14 +257,13 @@ def train_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id:
 
 def score_run(cfg: ExperimentConfig, datasets: list[TimestepDataset], method_id: str, seed: int,
               run_dir) -> dict:
-    """Score a finished run's deploy checkpoints into metrics.json, billing eval MACs afresh beside
-    progress.json's training bill; a run with a step left to train is refused. The caller holds
-    the run directory's lock."""
+    """Score a finished run's deploy checkpoints into metrics.json, whose ledger is progress.json's,
+    the run's whole bill so far (`patching`'s alpha grid included), with scoring's eval MACs added;
+    a run with a step left to train is refused. The caller holds the run directory's lock."""
     run_dir = Path(run_dir)
     done, _, ledger = _read_progress(cfg, datasets, run_dir)
     if done < len(datasets):
         raise RunError(f"{run_dir}: unfinished run, step {datasets[done].timestep} is not trained")
-    ledger.eval_macs = {}  # billed afresh
     params_per_step = [_load_own(_checkpoint_paths(run_dir, d.timestep)[0], method_id, d.timestep) for d in datasets]
     matrices = build_performance_matrix(params_per_step, datasets, ledger)
 
@@ -289,7 +288,6 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
     holding its run directory's lock throughout."""
     start = time.time()
     run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
     with lock_directory(run_dir):
         train_run(cfg, datasets, method_id, seed, run_dir)
         metrics = score_run(cfg, datasets, method_id, seed, run_dir)
@@ -299,19 +297,27 @@ def run_method_seed(cfg: ExperimentConfig, datasets: list[TimestepDataset], meth
 
 
 def _stored_datasets(cfg: ExperimentConfig, data_dir, *, train: bool = True) -> list[TimestepDataset]:
-    """The stream in `data_dir`, which must be `cfg`'s; a missing one is an error. `train=False`
-    leaves out the train splits (see `load_stream`)."""
+    """The stream in `data_dir`, which must be `cfg`'s: one of another config is a ConfigError
+    naming the directory and the first field that differs, and a missing one is an error.
+    `train=False` leaves out the train splits (see `load_stream`)."""
     datasets, stored = load_stream(data_dir, train=train)
     if stored != cfg.stream:
-        raise ConfigError("stored stream config differs from experiment config")
+        field = next(f.name for f in fields(StreamConfig)
+                     if getattr(stored, f.name) != getattr(cfg.stream, f.name))
+        raise ConfigError(f"{data_dir}: stored stream config differs from experiment config in field {field!r}")
     return aggregate_early_steps(datasets, cfg.merge_first_k)
 
 
 def _prepare_datasets(cfg: ExperimentConfig, data_dir) -> list[TimestepDataset]:
     """The stream in `data_dir`, where `cfg`'s stream is first written when it holds none, so that
-    a run trains on its stream as stored, as every later run and `evaluate_run` read it."""
-    if not (Path(data_dir) / "stream_manifest.json").exists():
-        write_stream(generate_stream(cfg.stream), cfg.stream, data_dir)
+    a run trains on its stream as stored, as every later run and `evaluate_run` read it. The
+    stream is written under the data directory's lock, so a second writer waits for the first
+    and then reads what it wrote; a stored stream is read without the lock."""
+    manifest = Path(data_dir) / "stream_manifest.json"
+    if not manifest.exists():
+        with lock_directory(data_dir, wait=True):
+            if not manifest.exists():  # unless a writer it waited for has written it
+                write_stream(generate_stream(cfg.stream), cfg.stream, data_dir)
     return _stored_datasets(cfg, data_dir)
 
 
@@ -373,9 +379,9 @@ def run_experiment(cfg: ExperimentConfig, data_dir=None) -> list[Path]:
 
 def evaluate_run(run_dir, data_dir) -> dict:
     """Score a finished run directory from its checkpoints and the stream in `data_dir`;
-    rewrites only metrics.json, under the run directory's lock, and a missing stream, a manifest.json of another artifact version or
-    a malformed config in it is an error. Scoring reads eval splits only, so the stream is loaded
-    without its training rows."""
+    rewrites only metrics.json, under the run directory's lock. A missing stream, a manifest.json
+    of another artifact version, or a config in it that a config file could not hold, is an error.
+    Scoring reads eval splits only, so the stream is loaded without its training rows."""
     path = Path(run_dir) / "manifest.json"
     manifest = read_json(path, "artifact_version", "config", "method", "seed")
     if manifest["artifact_version"] != ARTIFACT_VERSION:
@@ -383,6 +389,7 @@ def evaluate_run(run_dir, data_dir) -> dict:
                        f"not {ARTIFACT_VERSION}")
     try:
         cfg = ExperimentConfig.from_json(manifest["config"])
+        cfg.validate()
     except ConfigError as exc:
         raise RunError(f"{path}: {exc}") from exc
     datasets = _stored_datasets(cfg, data_dir, train=False)

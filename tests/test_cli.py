@@ -1,7 +1,9 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +61,46 @@ def edited(edit):
 def edited_config(edit):
     """A corruption of a JSON artifact: `edit` applied to the config object inside it."""
     return edited(lambda doc: edit(doc["config"]))
+
+
+def package_env():
+    """The environment a subprocess imports this package's sources in."""
+    return {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1])}
+
+
+@contextlib.contextmanager
+def lock_held_elsewhere(directory):
+    """For the `with` block, `directory`'s writer lock is held by a process of its own, which is
+    then SIGKILLed: the kernel drops a dead holder's lock."""
+    hold = ("import sys, time\nfrom ticstream.formats import lock_directory\n"
+            "with lock_directory(sys.argv[1]):\n    print('locked', flush=True)\n    time.sleep(600)\n")
+    holder = subprocess.Popen([sys.executable, "-c", hold, str(directory)], env=package_env(), stdout=subprocess.PIPE)
+    try:
+        assert holder.stdout.readline() == b"locked\n"
+        yield
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+
+
+def train_process(cfg, data, out, seed=0):
+    """`ticstream train` on `data` in a process of its own."""
+    return subprocess.Popen([sys.executable, "-m", "ticstream.cli", "train", "--config", str(cfg), "--data", str(data),
+                             "--method", "sequential", "--seed", str(seed), "--out", str(out)], env=package_env())
+
+
+def written_bytes(*roots):
+    """Every file under `roots` by its path below its root, a manifest.json without its wall clock."""
+    found = {}
+    for i, root in enumerate(roots):
+        for path in sorted(root.rglob("*")):
+            if path.is_file():
+                raw = path.read_bytes()
+                if path.name == "manifest.json":
+                    raw = json.dumps({k: v for k, v in json.loads(raw).items() if k != "wall_clock_seconds"})
+                found[i, path.relative_to(root).as_posix()] = raw
+    return found
 
 
 class TestGen:
@@ -224,22 +266,13 @@ class TestTrainEvalReport:
         run_dir = out / "sequential" / "seed_0"
         kill_after_step_1(run_dir)  # a train that got in would write step 2
         before = {p.name: p.read_bytes() for p in run_dir.iterdir()}
-        hold = ("import sys, time\nfrom ticstream.formats import lock_directory\n"
-                "with lock_directory(sys.argv[1]):\n    print('locked', flush=True)\n    time.sleep(600)\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(runner.__file__).resolve().parents[1])}
         train = ["train", "--config", str(cfg), "--data", str(data),
                  "--method", "sequential", "--seed", "0", "--out", str(out)]
-        holder = subprocess.Popen([sys.executable, "-c", hold, str(run_dir)], env=env, stdout=subprocess.PIPE)
-        try:
-            assert holder.stdout.readline() == b"locked\n"
+        with lock_held_elsewhere(run_dir):
             for argv in (train, ["eval", "--run", str(run_dir), "--data", str(data)]):
                 assert main(argv) == 2
                 assert f"{run_dir}: another writer holds its lock" in capsys.readouterr().err
             assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == before
-        finally:
-            holder.kill()  # SIGKILL: the kernel drops the dead holder's lock
-            holder.wait()
-            holder.stdout.close()
         assert main(train) == 0
         assert json.loads((run_dir / "progress.json").read_text())["done_through"] == 2
 
@@ -303,17 +336,38 @@ class TestTrainEvalReport:
         *[(edited_config(lambda cfg, e=entry: cfg.update(class_birth_schedule=[e])), "'class_birth_schedule'")
           for entry in ([1], [1, 2, 3], ["1", 3], 5)],
         (edited_config(lambda cfg: cfg.update(noise_sigma=float("nan"))), "'noise_sigma'"),
+        # well typed, but out of range: validated as a config file is
+        (edited_config(lambda cfg: cfg.update(noise_sigma=-1)), "noise_sigma must be >= 0"),
+        (edited_config(lambda cfg: cfg.update(drift_angle=4.0)), "drift_angle must be in [0, pi)"),
+        (edited_config(lambda cfg: cfg.update(static_class_count=-1)), "static_class_count must be >= 0"),
     ], ids=["truncated", "no_files", "config_unknown", "config_missing", "config_not_an_object",
             "birth_entry_of_one", "birth_entry_of_three", "birth_entry_string", "birth_entry_not_an_array",
-            "noise_sigma_nan"])
+            "noise_sigma_nan", "noise_sigma_negative", "drift_angle_past_pi", "static_class_count_negative"])
     def test_corrupt_stream_manifest_is_exit_2_naming_the_file(self, trained, capsys, corrupt, message):
         cfg, data, out = trained
         manifest = data / "stream_manifest.json"
         manifest.write_bytes(corrupt(manifest.read_bytes()))
-        assert main(["train", "--config", str(cfg), "--data", str(data),
-                     "--method", "sequential", "--seed", "0", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert str(manifest) in err and message in err
+        for argv in (["train", "--config", str(cfg), "--data", str(data),
+                      "--method", "sequential", "--seed", "0", "--out", str(out)],
+                     ["eval", "--run", str(out / "sequential" / "seed_0"), "--data", str(data)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert str(manifest) in err and message in err
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_a_stream_of_another_config_is_exit_1_naming_the_directory_and_field(self, trained, capsys,
+                                                                                 command):
+        cfg, data, out = trained
+        manifest = data / "stream_manifest.json"
+        manifest.write_bytes(edited_config(lambda c: c.update(seed=12))(manifest.read_bytes()))
+        argv = {
+            "train": ["train", "--config", str(cfg), "--data", str(data),
+                      "--method", "sequential", "--seed", "0", "--out", str(out)],
+            "eval": ["eval", "--run", str(out / "sequential" / "seed_0"), "--data", str(data)],
+        }[command]
+        assert main(argv) == 1
+        assert f"{data}: stored stream config differs from experiment config in field 'seed'" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("files", [
@@ -347,8 +401,12 @@ class TestTrainEvalReport:
         (lambda cfg: cfg["stream"].update(class_birth_schedule=[[1]]), "'class_birth_schedule'"),
         (lambda cfg: cfg.update(lwf_lambda=float("nan")), "'lwf_lambda'"),
         (lambda cfg: cfg["schedule"].update(total_iters=5000), "'total_iters'"),
+        # well typed, but out of range: validated as a config file is
+        (lambda cfg: cfg.update(merge_first_k=0), "merge_first_k out of range"),
+        (lambda cfg: cfg.update(merge_first_k=9), "merge_first_k out of range"),
+        (lambda cfg: cfg.update(batch_size=0), "batch_size, hidden_dim and embed_dim must be >= 1"),
     ], ids=["unknown", "missing", "unknown_nested", "missing_nested", "birth_entry_of_one", "lwf_lambda_nan",
-            "schedule_total_iters"])
+            "schedule_total_iters", "merge_first_k_0", "merge_first_k_past_the_stream", "batch_size_0"])
     def test_malformed_manifest_config_is_exit_2_naming_the_file(self, trained, capsys, edit, message):
         _, data, out = trained
         manifest = out / "sequential" / "seed_0" / "manifest.json"
@@ -454,12 +512,42 @@ class TestTrainEvalReport:
                      "--out", str(tmp_path / "r.csv")]) == 2
 
 
+class TestDataDirectoryWriters:
+    def test_a_second_writer_waits_for_the_first_and_reads_what_it_wrote(self, tmp_path):
+        cfg = write_config(tmp_path)
+        solo = train_process(cfg, tmp_path / "solo_data", tmp_path / "solo_runs")
+        assert solo.wait(timeout=120) == 0
+        data, out = tmp_path / "data", tmp_path / "runs"
+        data.mkdir()
+        with lock_held_elsewhere(data):
+            waiting = train_process(cfg, data, out)
+            time.sleep(2)  # ample for a train that did not wait to write its stream
+            while_held = waiting.poll(), [p.name for p in data.iterdir()], out.exists()
+        assert waiting.wait(timeout=120) == 0
+        assert while_held == (None, ["writer.lock"], False)
+        assert written_bytes(data, out) == written_bytes(tmp_path / "solo_data", tmp_path / "solo_runs")
+
+    def test_trains_started_together_on_one_fresh_data_directory_all_succeed(self, tmp_path):
+        cfg = write_config(tmp_path)
+        trains = [train_process(cfg, tmp_path / "data", tmp_path / "runs", seed) for seed in (0, 1, 2)]
+        assert [p.wait(timeout=120) for p in trains] == [0, 0, 0]
+
+
 class TestRunAndIid:
     def test_run_full_experiment(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["run", "--config", str(cfg)]) == 0
         assert "completed 1 runs" in capsys.readouterr().out
         assert (tmp_path / "runs" / "sequential" / "seed_0" / "metrics.json").exists()
+
+    def test_run_writes_under_out(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        out = tmp_path / "elsewhere"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"completed 1 runs under {out}" in capsys.readouterr().out
+        assert (out / "sequential" / "seed_0" / "metrics.json").exists()
+        assert (out / "data" / "stream_manifest.json").exists()
+        assert not (tmp_path / "runs").exists()
 
     def test_iid_split(self, tmp_path, capsys):
         stream = StreamConfig(

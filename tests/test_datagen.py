@@ -144,6 +144,19 @@ class TestGenerateStream:
             make_cfg(noise_sigma=-1.0).validate()
         with pytest.raises(ConfigError):
             make_cfg(class_birth_schedule=((9, 1),)).validate()
+        for field in ("per_step_train_size", "per_step_eval_size"):
+            with pytest.raises(ConfigError, match="split sizes must be >= 1"):
+                make_cfg(**{field: 0}).validate()
+        for field in ("image_dim", "text_dim", "latent_dim"):
+            with pytest.raises(ConfigError, match="dims must be >= 1"):
+                make_cfg(**{field: 0}).validate()
+        with pytest.raises(ConfigError, match="latent_dim must be >= 2"):
+            make_cfg(latent_dim=1).validate()
+
+    def test_negative_static_class_count_rejected(self):
+        # with 3 births at step 1 the count check alone passes, and 3 classes would be generated
+        with pytest.raises(ConfigError, match="static_class_count must be >= 0"):
+            make_cfg(static_class_count=-1, class_birth_schedule=((1, 3),)).validate()
 
     def test_no_class_alive_at_step_1_rejected(self):
         cfg = make_cfg(static_class_count=0, class_birth_schedule=((2, 2),))
@@ -247,6 +260,16 @@ class TestTimestepFile:
         with pytest.raises(FormatError) as exc:
             read_timestep_file(path)
         assert exc.value.offset == 0
+
+    def test_unsupported_version_names_its_offset(self, tmp_path):
+        path = tmp_path / "v2.ticd"
+        write_timestep_file(generate_stream(make_cfg())[0], path)
+        data = bytearray(path.read_bytes())
+        data[4:8] = struct.pack("<I", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unsupported stream version 2") as exc:
+            read_timestep_file(path)
+        assert exc.value.offset == 4
 
     def test_truncated_file(self, tmp_path):
         ds = generate_stream(make_cfg())[0]

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -108,3 +109,18 @@ def test_a_locked_directory_refuses_a_second_lock_until_released(tmp_path):
     with lock_directory(tmp_path):
         pass
     assert [(p.name, p.read_bytes()) for p in tmp_path.iterdir()] == [("writer.lock", b"")]
+
+
+def test_a_waiting_lock_is_taken_once_the_holder_lets_go(tmp_path):
+    taken = threading.Event()
+
+    def second_writer():
+        with lock_directory(tmp_path, wait=True):
+            taken.set()
+
+    with lock_directory(tmp_path):
+        waiter = threading.Thread(target=second_writer)
+        waiter.start()
+        assert not taken.wait(0.5)
+    waiter.join(timeout=10)
+    assert not waiter.is_alive() and taken.is_set()

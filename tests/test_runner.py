@@ -156,8 +156,10 @@ class TestConfig:
          "max_lr"),
         (lambda cfg: dataclasses.replace(cfg, stream=dataclasses.replace(cfg.stream, noise_sigma=float("nan"))),
          "noise_sigma"),
+        (lambda cfg: dataclasses.replace(cfg, methods=[]), "at least one method and one seed"),
+        (lambda cfg: dataclasses.replace(cfg, seeds=[]), "at least one method and one seed"),
     ], ids=["seed_bool", "seed_repeated", "method_repeated", "lwf_lambda_nan", "output_dir_none",
-            "max_lr_infinity", "noise_sigma_nan"])
+            "max_lr_infinity", "noise_sigma_nan", "methods_empty", "seeds_empty"])
     def test_a_config_built_in_python_is_checked_as_a_file_is(self, tmp_path, edit, field):
         with pytest.raises(ConfigError, match=field):
             edit(tiny_config(tmp_path)).validate()
@@ -619,7 +621,7 @@ class TestRunExperiment:
 # reason to re-pin.
 PINNED_TRAINING_SHA256 = {
     "patching": {
-        "metrics.json": "0d1fad97555ed68931b8be05bc2430fa1fadff7762f2d6d280b79d5262f0ee85",
+        "metrics.json": "2fdf9e710019640258cef1d0c541bd0341715d2eb4f557e611d1b368ed3f66a4",
         "progress.json": "758a5cf49a9316096ccdac5ec62be37703804ba3d93419039e209a14d69b5241",
         "step_001.ticc": "fbd8a05def52aad8316229ae7e10251d189005c3616af7ee95acd791eb8c80fe",
         "step_002.ticc": "380e8ac5d1ff8769d4c5c99be9926aa17eaa7b4ef33de4296be406d51faf0405",
@@ -684,6 +686,84 @@ class TestTrainingBytesPinned:
     @pytest.mark.parametrize("run", sorted(PINNED_TRAINING_SHA256))
     def test_training_bytes_pinned(self, tmp_path, run):
         assert self.digests(tmp_path, run) == PINNED_TRAINING_SHA256[run]
+
+
+# SHA-256 per (schedule kind, merge_first_k, method) of a sweep over every method
+# (see TestSweepBytesPinned.digests): the path and bytes of each .ticc,
+# progress.json and metrics.json of both seeds' run directories, in path order,
+# after `run_experiment` and then `evaluate_run` on each run. The stream's birth
+# schedule is unsorted and names step 3 twice. As with PINNED_TRAINING_SHA256,
+# only a change of NumPy, BLAS or .ticc version is reason to re-pin.
+PINNED_SWEEP_SHA256 = {
+    ("warmup_cosine", 1, "oracle"): "c5c20e6d5c8eaa3ec9bf4833faa7c5e6b45e9916d269cd4e1c4f79dd7ea96373",
+    ("warmup_cosine", 1, "cumulative_all"): "70aca25e355ffe44cf4a71287660f1ef2efb7f1c07cbb02b5bfd915d7546249c",
+    ("warmup_cosine", 1, "cumulative_exp"): "f62b4550cb4572ae23a70c09df04b42ebe1074ac761b4e9d11a6bbd6d83967d7",
+    ("warmup_cosine", 1, "cumulative_equal"): "869ad889b225613b6cec6a997daed1d38cc8708da82e08eca9ea9abf2a8817e0",
+    ("warmup_cosine", 1, "sequential"): "3925b131ec40cf46d37f0e5bed7fd5a0cbc101939937cad6f4ce01a54d98f167",
+    ("warmup_cosine", 1, "restart"): "0a4faf7ca9d7378e309956b7fca7b918bbf66a452f2c4c3bc1cebee9e8fc614d",
+    ("warmup_cosine", 1, "patching"): "02cd9b64f9305d71fb525f003a2e51eb96cea6afd0a58d520434294f46bd9c84",
+    ("warmup_cosine", 1, "lwf"): "a0c9d3e80557a08ce217836dfac403acec24dfc827170a3da7cf1ef689c1e4bd",
+    ("warmup_cosine", 2, "oracle"): "f8334490661a7c4f8d64662bc75186bc92d4935e9a1a51387ba9184f2d69be5a",
+    ("warmup_cosine", 2, "cumulative_all"): "0c18db856432aa82e1307e470e3515ec04ed8ffb1e06b613eb4b86b42709df06",
+    ("warmup_cosine", 2, "cumulative_exp"): "c9d814cfad014210e0c73e50f7e259b451fce06bbeae38a19199f8508f7e182a",
+    ("warmup_cosine", 2, "cumulative_equal"): "c7cda09daba4a1be1df4ea77cc33a6ecc1dea83f606c00a3c0b68d826c494cef",
+    ("warmup_cosine", 2, "sequential"): "0185ca6d65ac0d56368cb413d511d9913de2431fe03520badecd20a69e164937",
+    ("warmup_cosine", 2, "restart"): "ac5315eebe61fb9e348d0ac388de027f0783c6401ab51a1391a63844ad990ccd",
+    ("warmup_cosine", 2, "patching"): "d43c2c0f19715f39a31cb007fdb46b0e11fabd30090e81bc65cbaca3852816fa",
+    ("warmup_cosine", 2, "lwf"): "18ef5d4c1ef34ecb2ee2135820cd8b171a03bb0e3a1f60bfe5e66cf602703b48",
+    ("const_cosine", 1, "oracle"): "702c1ba64e03e21067f4007ebcc56bd5441f3e53701c4f30a7507c02e0a68341",
+    ("const_cosine", 1, "cumulative_all"): "f50358a4752bcbe0990c9b28091131a45fd0ab33a4bff27246060481d2282a50",
+    ("const_cosine", 1, "cumulative_exp"): "616ec73a1f1ec5ef4e42695cdb51974c37a5ba1407da34dc8758734375db2fff",
+    ("const_cosine", 1, "cumulative_equal"): "085b5284ea63f841f9e93cee2270ba00ba8523afa9ac3b7aedb2137786114c5f",
+    ("const_cosine", 1, "sequential"): "c95b34bc2ecfaad2d5f18df24596b7c5b3ba500efcbd59cad1498703a1778b4d",
+    ("const_cosine", 1, "restart"): "66e9d2c1a959abcaf80f1e0d1ccbd6e010e7209907e97f5ca8f224ca69d3c98a",
+    ("const_cosine", 1, "patching"): "a9c6c5e3eb2a5f23de50f5e4ba5ec558ec4e1128d06ebaab8b589c2b313a44ea",
+    ("const_cosine", 1, "lwf"): "f4f12cb035f0fe056357d7fc3d69668ebeff80ac53b2e6de26d13152e460ce4f",
+    ("const_cosine", 2, "oracle"): "a04da149f2828c3c36dcb0128c0a0f513d526d7a7ca7e1f55cd48a6b364eb266",
+    ("const_cosine", 2, "cumulative_all"): "ad465a46cc97ec9ad4dd30ff4d0ef91f49c0ed34936adb05fbf304a381a09742",
+    ("const_cosine", 2, "cumulative_exp"): "4e5d8e119cf506c2db60b3762f93bc954ab3473d2cfd0a887112b5f95ba619da",
+    ("const_cosine", 2, "cumulative_equal"): "014c175e8ded268986437d393446934691807c5ca9c707a641481f498a2fa2f5",
+    ("const_cosine", 2, "sequential"): "ba8bee9cc46baa61951fec2956f0797e978301902828149278c2ee050e38f3bb",
+    ("const_cosine", 2, "restart"): "ddc9b2ed4d11b904bbe822d5ff8808c558adf63c00991332fcd4200e7d3460a1",
+    ("const_cosine", 2, "patching"): "9b0de957fc021c56786065309b11a530be983985f0025ee1bda1639016bb9784",
+    ("const_cosine", 2, "lwf"): "ac57cf6cd001fdb789ea817168fab04e99424688198ccb97a1a5c9ffe7b75baa",
+}
+
+
+class TestSweepBytesPinned:
+    @staticmethod
+    def digests(tmp_path):
+        stream = StreamConfig(
+            num_steps=4, per_step_train_size=64, per_step_eval_size=32,
+            image_dim=6, text_dim=5, latent_dim=4,
+            class_birth_schedule=((3, 2), (1, 1), (3, 1)), drift_angle=0.3, noise_sigma=0.1,
+            static_class_count=2, seed=11,
+        )
+        data, out = tmp_path / "data", {}
+        for kind, k in itertools.product(("warmup_cosine", "const_cosine"), (1, 2)):
+            cfg = tiny_config(
+                tmp_path / f"{kind}_k{k}", stream=stream,
+                schedule=ScheduleConfig(kind=kind, max_lr=3e-3, total_iters=0, warmup_iters=2),
+                methods=list(METHOD_IDS), seeds=[0, 1], total_iters=40, batch_size=16, merge_first_k=k,
+            )
+            run_dirs = [m.parent for m in run_experiment(cfg, data)]
+            for run_dir in run_dirs:
+                evaluate_run(run_dir, data)
+            for method in METHOD_IDS:
+                h = hashlib.sha256()
+                for run_dir in sorted(d for d in run_dirs if d.parent.name == method):
+                    for path in sorted(run_dir.iterdir()):
+                        if path.suffix == ".ticc" or path.name in ("progress.json", "metrics.json"):
+                            h.update(f"{run_dir.name}/{path.name}".encode())
+                            h.update(path.read_bytes())
+                out[kind, k, method] = h.hexdigest()
+        return out
+
+    def test_sweep_bytes_pinned(self, tmp_path):
+        got = self.digests(tmp_path)
+        assert sorted(got) == sorted(PINNED_SWEEP_SHA256)
+        moved = sorted(key for key, digest in PINNED_SWEEP_SHA256.items() if got[key] != digest)
+        assert not moved, f"sweep entries whose bytes moved: {moved}"
 
 
 class TestEvaluateRun:

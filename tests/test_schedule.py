@@ -182,6 +182,14 @@ class TestValidation:
             ScheduleConfig(kind=kind, max_lr=1e-3, total_iters=0).validate()
         ScheduleConfig(kind="warmup_cosine", max_lr=1e-3, total_iters=1).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("decay_fraction", 0.0), ("decay_fraction", 1.5),
+        ("warmup_on_subsequent", -0.1), ("warmup_on_subsequent", 1.5),
+    ])
+    def test_fractions_out_of_range(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ScheduleConfig(kind="const_cosine", max_lr=1e-3, total_iters=10, **{field: value}).validate()
+
     def test_with_total_validates_the_cycle(self):
         # a warmup that fits 1000 iterations but not a 50-iteration cycle
         with pytest.raises(ConfigError, match="warmup_iters"):
